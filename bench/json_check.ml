@@ -4,9 +4,10 @@
 
      json_check FILE [SECTION]...
 
-   Every section present in FILE is validated; the SECTION arguments
-   additionally require those sections to be present (a json run that
-   silently dropped a section must not pass the gate). *)
+   Every section present in FILE is validated, and a section with no
+   validator is an error; the SECTION arguments additionally require
+   those sections to be present (a json run that silently dropped a
+   section must not pass the gate). *)
 
 module J = Harness.Jsonout
 
@@ -38,6 +39,63 @@ let check_lint path lint =
   if off - on <> proved then
     fail "%s: check reduction %d-%d does not match proved-static %d" path off on proved;
   note "%d accesses proved, %d checks elided" proofs proved
+
+(* the lookup cache must be semantically invisible (same checks per op),
+   cut splay comparisons at least in half and never cost model cycles *)
+let check_fastpath path fp =
+  let pair section =
+    let o = get ("fastpath." ^ section) (J.member section fp) in
+    ( get (section ^ ".cache-off") (J.member "cache-off" o),
+      get (section ^ ".cache-on") (J.member "cache-on" o) )
+  in
+  let koff, kon = pair "checks-per-op" in
+  if J.to_int koff <> J.to_int kon then
+    fail "%s: lookup cache changed check counts (%d vs %d)" path
+      (J.to_int koff) (J.to_int kon);
+  let reduction =
+    J.to_float
+      (get "fastpath.comparison-reduction" (J.member "comparison-reduction" fp))
+  in
+  if not (reduction >= 2.0) then
+    fail "%s: splay comparison reduction %.2fx below the 2x floor" path
+      reduction;
+  let coff, con = pair "cycles-per-op" in
+  if J.to_float con > J.to_float coff then
+    fail "%s: cached run costs more model cycles (%f vs %f)" path
+      (J.to_float con) (J.to_float coff);
+  note "fastpath %.1fx fewer comparisons" reduction
+
+(* every Table 7 operation has a positive native cost and finite measured
+   and paper overheads for each of the three SVA configurations *)
+let check_table7 path t7 =
+  let ops = J.to_list t7 in
+  if ops = [] then fail "%s: table7 has no operations" path;
+  List.iter
+    (fun op ->
+      let name = J.to_string (get "table7[].operation" (J.member "operation" op)) in
+      let native =
+        J.to_float (get "table7[].native-cycles" (J.member "native-cycles" op))
+      in
+      if not (native > 0.0) then
+        fail "%s: table7 %s has non-positive native cycles" path name;
+      match get "table7[].overheads-pct" (J.member "overheads-pct" op) with
+      | J.Obj confs when List.length confs = 3 ->
+          List.iter
+            (fun (conf, o) ->
+              List.iter
+                (fun k ->
+                  match J.member k o with
+                  | Some ((J.Int _ | J.Float _) as v)
+                    when Float.is_finite (J.to_float v) -> ()
+                  | _ ->
+                      fail "%s: table7 %s %s has no finite %s overhead" path
+                        name conf k)
+                [ "measured"; "paper" ])
+            confs
+      | _ ->
+          fail "%s: table7 %s lacks the three SVA configurations" path name)
+    ops;
+  note "table7 %d operations" (List.length ops)
 
 (* the second tier must be semantically invisible (the modeled numbers
    agree bit-for-bit across engines) and faster *)
@@ -326,6 +384,8 @@ let check_trace path trace =
 
 let checkers =
   [
+    ("fastpath", check_fastpath);
+    ("table7", check_table7);
     ("lint", check_lint);
     ("smp", check_smp);
     ("tiered", check_tiered);
@@ -358,10 +418,21 @@ let () =
       | Some _ -> ()
       | None -> fail "%s: required section '%s' missing" path s)
     required;
+  let sections =
+    match doc with
+    | J.Obj fields ->
+        List.filter (fun (k, _) -> k <> "bench" && k <> "quick") fields
+    | _ -> fail "%s: document is not an object" path
+  in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name checkers) then
+        fail "%s: no validator for section '%s'" path name)
+    sections;
   let checked =
     List.filter_map
       (fun (name, check) ->
-        match J.member name doc with
+        match List.assoc_opt name sections with
         | Some section ->
             check path section;
             Some name

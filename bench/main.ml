@@ -9,93 +9,19 @@
      dune exec bench/main.exe -- table7  -- a single experiment by name
      dune exec bench/main.exe -- --json out.json
                                          -- also write machine-readable
-                                            numbers for the data-bearing
-                                            sections (fastpath, smp,
-                                            tiered, aot, table7, lint,
-                                            ranges, race, poolcert,
-                                            trace) that were run
+                                            numbers for every selected
+                                            section that has them
 
-   Unknown flags and unknown section names are errors (exit 2): a typo
-   must not silently select nothing and report success.  A section that
-   fails makes the run exit nonzero even without --strict; --strict
-   additionally stops at the first failure. *)
+   The section list (and which sections carry JSON) is Harness.Tables.
+   sections plus the bechamel cross-check defined here; the usage message
+   prints it.  Unknown flags and unknown section names are errors (exit
+   2): a typo must not silently select nothing and report success.  A
+   section that fails makes the run exit nonzero even without --strict;
+   --strict additionally stops at the first failure. *)
 
 module Tables = Harness.Tables
 module Pipeline = Sva_pipeline.Pipeline
 module Boot = Ukern.Boot
-
-let quick = ref false
-let strict = ref false
-let json_out : string option ref = ref None
-let only : string list ref = ref []
-
-(* Every runnable section name; positional arguments are validated
-   against this list.  Must match the [section] calls below. *)
-let known_sections =
-  [
-    "table4"; "figure2"; "checks"; "lint"; "ranges"; "race"; "poolcert";
-    "table7"; "table8"; "table5"; "table6"; "table9"; "ablation"; "fastpath";
-    "smp"; "tiered"; "aot"; "trace"; "exploits"; "verifier"; "bechamel";
-  ]
-
-let usage () =
-  Printf.eprintf
-    "usage: bench [SECTION]... [--quick] [--strict] [--json FILE]\n\
-     sections: %s\n"
-    (String.concat " " known_sections)
-
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "bench: %s\n" msg;
-      usage ();
-      exit 2)
-    fmt
-
-let () =
-  let argc = Array.length Sys.argv in
-  let i = ref 1 in
-  while !i < argc do
-    (match Sys.argv.(!i) with
-    | "--quick" -> quick := true
-    | "--strict" -> strict := true
-    | "--json" ->
-        if !i + 1 < argc then begin
-          incr i;
-          json_out := Some Sys.argv.(!i)
-        end
-        else die "--json requires a file argument"
-    | s when String.length s > 0 && s.[0] = '-' -> die "unknown flag '%s'" s
-    | s when List.mem s known_sections -> only := s :: !only
-    | s -> die "unknown section '%s'" s);
-    incr i
-  done
-
-let wanted name = !only = [] || List.mem name !only
-
-(* Sections that printed a failure; a nonempty list means a nonzero exit
-   even without --strict (which instead stops at the first failure). *)
-let failed_sections : string list ref = ref []
-
-let section name f =
-  if wanted name then begin
-    Printf.printf "\n";
-    (* Measurement boundary: the closure-compiler's translation cache and
-       tier counters are process globals, so a section that warmed the
-       second tier must not hand the next section pre-promoted functions
-       or inflated counters. *)
-    Sva_interp.Closcomp.clear_cache ();
-    Sva_rt.Stats.reset_tier ();
-    (try print_string (f ())
-     with e ->
-       Printf.printf "!! %s failed: %s\n" name (Printexc.to_string e);
-       failed_sections := name :: !failed_sections;
-       if !strict then begin
-         flush stdout;
-         exit 1
-       end);
-    flush stdout
-  end
 
 (* ---------- Bechamel wall-clock cross-check ----------
 
@@ -104,7 +30,7 @@ let section name f =
    model drives the tables; this verifies real elapsed time moves in the
    same direction. *)
 
-let bechamel_crosscheck () =
+let bechamel_crosscheck ~quick ~strict:_ =
   let open Bechamel in
   let mk_kernel conf =
     let b = Ukern.Kbuild.build ~conf Ukern.Kbuild.as_tested in
@@ -142,7 +68,7 @@ let bechamel_crosscheck () =
   in
   let cfg =
     Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if !quick then 0.25 else 0.75))
+      ~quota:(Time.second (if quick then 0.25 else 0.75))
       ~stabilize:false ()
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
@@ -174,7 +100,7 @@ let bechamel_crosscheck () =
     tests;
   (* independent median-of-batches measurement of the same headline pair *)
   let med name f =
-    let s = Harness.Timing.measure ~batches:5 ~reps:(if !quick then 20 else 60) f in
+    let s = Harness.Timing.measure ~batches:5 ~reps:(if quick then 20 else 60) f in
     Buffer.add_string buf
       (Printf.sprintf "  %-32s %12.0f ns/op (median)\n" name
          s.Harness.Timing.s_per_op_ns)
@@ -223,6 +149,70 @@ let bechamel_crosscheck () =
       Harness.Workloads.op_open_close tiered);
   Buffer.contents buf
 
+let sections =
+  Tables.sections
+  @ [ { Tables.name = "bechamel"; render = bechamel_crosscheck; json = None } ]
+
+let quick = ref false
+let strict = ref false
+let json_out : string option ref = ref None
+let only : string list ref = ref []
+
+let usage () =
+  Printf.eprintf
+    "usage: bench [SECTION]... [--quick] [--strict] [--json FILE]\n\
+     sections: %s\n"
+    (String.concat " " (List.map (fun s -> s.Tables.name) sections))
+
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s\n" msg;
+      usage ();
+      exit 2)
+    fmt
+
+let () =
+  let argc = Array.length Sys.argv in
+  let i = ref 1 in
+  while !i < argc do
+    (match Sys.argv.(!i) with
+    | "--quick" -> quick := true
+    | "--strict" -> strict := true
+    | "--json" ->
+        if !i + 1 < argc then begin
+          incr i;
+          json_out := Some Sys.argv.(!i)
+        end
+        else die "--json requires a file argument"
+    | s when String.length s > 0 && s.[0] = '-' -> die "unknown flag '%s'" s
+    | s when List.exists (fun sec -> sec.Tables.name = s) sections ->
+        only := s :: !only
+    | s -> die "unknown section '%s'" s);
+    incr i
+  done
+
+let selected =
+  List.filter (fun s -> !only = [] || List.mem s.Tables.name !only) sections
+
+(* Sections that printed a failure; a nonempty list means a nonzero exit
+   even without --strict (which instead stops at the first failure). *)
+let failed_sections : string list ref = ref []
+
+(* [f ()], or [None] after reporting its exception as [shown] and
+   recording the failure as [name]. *)
+let guarded ~shown name f =
+  match f () with
+  | v -> Some v
+  | exception e ->
+      Printf.printf "!! %s failed: %s\n" shown (Printexc.to_string e);
+      failed_sections := name :: !failed_sections;
+      if !strict then begin
+        flush stdout;
+        exit 1
+      end;
+      None
+
 let () =
   Printf.printf
     "Secure Virtual Architecture (SOSP 2007) - evaluation reproduction\n";
@@ -230,28 +220,20 @@ let () =
   Printf.printf "Four kernels: %s.\n%s\n"
     (String.concat ", " (List.map Pipeline.conf_name Pipeline.all_confs))
     (if !quick then "(quick mode: reduced repetitions)" else "");
-  section "table4" (fun () -> Tables.table4 ());
-  section "figure2" (fun () -> Tables.figure2 ());
-  section "checks" (fun () -> Tables.check_summary ());
-  section "lint" (fun () -> Tables.lint_table ());
-  section "ranges" (fun () -> Tables.ranges_table ());
-  section "race" (fun () -> Tables.race_table ~strict:!strict ());
-  section "poolcert" (fun () -> Tables.poolcert_table ~strict:!strict ());
-  section "table7" (fun () -> Tables.table7 ~quick:!quick ());
-  section "table8" (fun () -> Tables.table8 ~quick:!quick ());
-  section "table5" (fun () -> Tables.table5 ~quick:!quick ());
-  section "table6" (fun () -> Tables.table6 ~quick:!quick ());
-  section "table9" (fun () -> Tables.table9 ());
-  section "ablation" (fun () -> Tables.ablation ~quick:!quick ());
-  section "fastpath" (fun () ->
-      Tables.fastpath ~quick:!quick ~strict:!strict ());
-  section "smp" (fun () -> Tables.smp ~quick:!quick ~strict:!strict ());
-  section "tiered" (fun () -> Tables.tiered ~quick:!quick ~strict:!strict ());
-  section "aot" (fun () -> Tables.aot ~quick:!quick ~strict:!strict ());
-  section "trace" (fun () -> Tables.trace ~quick:!quick ~strict:!strict ());
-  section "exploits" (fun () -> Tables.exploits_table ());
-  section "verifier" (fun () -> Tables.verifier_experiment ());
-  section "bechamel" (fun () -> bechamel_crosscheck ());
+  List.iter
+    (fun (s : Tables.section) ->
+      Printf.printf "\n";
+      (* Measurement boundary: the closure-compiler's translation cache and
+         tier counters are process globals, so a section that warmed the
+         second tier must not hand the next section pre-promoted functions
+         or inflated counters. *)
+      Sva_interp.Closcomp.clear_cache ();
+      Sva_rt.Stats.reset_tier ();
+      Option.iter print_string
+        (guarded ~shown:s.name s.name (fun () ->
+             s.render ~quick:!quick ~strict:!strict));
+      flush stdout)
+    selected;
   (match !json_out with
   | None -> ()
   | Some path ->
@@ -260,29 +242,11 @@ let () =
          so a section that already printed is not re-measured here. *)
       let parts =
         List.filter_map
-          (fun (name, thunk) ->
-            if wanted name then
-              match thunk () with
-              | j -> Some (name, j)
-              | exception e ->
-                  Printf.printf "!! json %s failed: %s\n" name
-                    (Printexc.to_string e);
-                  failed_sections := ("json:" ^ name) :: !failed_sections;
-                  if !strict then exit 1;
-                  None
-            else None)
-          [
-            ("fastpath", fun () -> Tables.fastpath_json ~quick:!quick ());
-            ("smp", fun () -> Tables.smp_json ~quick:!quick ());
-            ("tiered", fun () -> Tables.tiered_json ~quick:!quick ());
-            ("aot", fun () -> Tables.aot_json ~quick:!quick ());
-            ("table7", fun () -> Tables.table7_json ~quick:!quick ());
-            ("lint", fun () -> Tables.lint_json ());
-            ("ranges", fun () -> Tables.ranges_json ());
-            ("race", fun () -> Tables.race_json ());
-            ("poolcert", fun () -> Tables.poolcert_json ());
-            ("trace", fun () -> Tables.trace_json ~quick:!quick ());
-          ]
+          (fun (s : Tables.section) ->
+            Option.bind s.json (fun json ->
+                guarded ~shown:("json " ^ s.name) ("json:" ^ s.name)
+                  (fun () -> (s.name, json ~quick:!quick))))
+          selected
       in
       let doc =
         J.Obj

@@ -41,11 +41,3 @@ let render ~title ?note aligns header rows =
 let pct v = Printf.sprintf "%.1f%%" v
 
 let pct_paper v = Printf.sprintf "(%.1f%%)" v
-
-let ns v =
-  if v >= 1e9 then Printf.sprintf "%.2fs" (v /. 1e9)
-  else if v >= 1e6 then Printf.sprintf "%.2fms" (v /. 1e6)
-  else if v >= 1e3 then Printf.sprintf "%.1fus" (v /. 1e3)
-  else Printf.sprintf "%.0fns" v
-
-let mb_s v = Printf.sprintf "%.1fMB/s" v

@@ -14,8 +14,3 @@ val pct : float -> string
 
 val pct_paper : float -> string
 (** Paper reference values, marked, e.g. ["(21.1%)"]. *)
-
-val ns : float -> string
-(** Human time formatting from nanoseconds. *)
-
-val mb_s : float -> string

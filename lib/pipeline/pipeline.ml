@@ -202,6 +202,13 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_poolcert = None;
       }
   | Sva_safe ->
+      (* A trusted checker that rejects anything fails the build. *)
+      let gate what string_of_error errs =
+        if errs <> [] then
+          failwith
+            (what ^ " checking failed:\n"
+            ^ String.concat "\n" (List.map string_of_error errs))
+      in
       let cloned = if clone then Clone.run m else 0 in
       let pa = Pointsto.run ~config:aconfig m in
       let mps = Metapool.infer m pa aconfig.Pointsto.allocators in
@@ -212,13 +219,8 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         if typecheck then begin
           let an = Sva_tyck.Tyck.extract m pa mps in
           let trusted = Sva_tyck.Tyck.trusted_of_config aconfig in
-          (match Sva_tyck.Tyck.check ~trusted m an with
-          | [] -> ()
-          | errs ->
-              failwith
-                ("metapool type checking failed:\n"
-                ^ String.concat "\n"
-                    (List.map Sva_tyck.Tyck.string_of_error errs)));
+          gate "metapool type" Sva_tyck.Tyck.string_of_error
+            (Sva_tyck.Tyck.check ~trusted m an);
           Some an
         end
         else None
@@ -295,10 +297,7 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
                 Sva_rt.Trace.emit_range_elide ~what:"ls" ~count:ls_elided
               end
           | errs ->
-              failwith
-                ("range certificate checking failed:\n"
-                ^ String.concat "\n"
-                    (List.map Sva_tyck.Rangecert.string_of_error errs))));
+              gate "range certificate" Sva_tyck.Rangecert.string_of_error errs));
       (* Section 5 gate for the pool-safety pipeline: the trusted checker
          re-verifies every membership fact, TH/completeness/devirt
          certificate and elision record against the instrumented module,
@@ -313,10 +312,8 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
           | [] -> Sva_rt.Stats.add_pool_certs_verified certs
           | errs ->
               Sva_rt.Stats.add_pool_certs_rejected certs;
-              failwith
-                ("pool-safety certificate checking failed:\n"
-                ^ String.concat "\n"
-                    (List.map Sva_tyck.Poolcert.string_of_error errs))));
+              gate "pool-safety certificate" Sva_tyck.Poolcert.string_of_error
+                errs));
       (* Concurrency-safety pass (untrusted): the interprocedural lockset
          analysis classifies interrupt/syscall-shared state and certifies
          every protected access; the trusted atomicity checker must accept
@@ -327,16 +324,9 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         if not races then None
         else begin
           let rr = Lockset.run m pa in
-          (match
-             Sva_tyck.Atomcert.check ~entries:(Lockset.entry_config rr) m
-               (Lockset.bundle rr)
-           with
-          | [] -> ()
-          | errs ->
-              failwith
-                ("atomicity certificate checking failed:\n"
-                ^ String.concat "\n"
-                    (List.map Sva_tyck.Atomcert.string_of_error errs)));
+          gate "atomicity certificate" Sva_tyck.Atomcert.string_of_error
+            (Sva_tyck.Atomcert.check ~entries:(Lockset.entry_config rr) m
+               (Lockset.bundle rr));
           Some rr
         end
       in
