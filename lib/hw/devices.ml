@@ -1,7 +1,7 @@
 type console = { mutable out : Buffer.t }
 
 type ramdisk = {
-  rd_blocks : Bytes.t;
+  rd_blocks : Frames.t;
   rd_block_size : int;
   mutable rd_reads : int;
   mutable rd_writes : int;
@@ -24,7 +24,7 @@ let create ?(disk_blocks = 4096) ?(block_size = 512) () =
     console = { out = Buffer.create 256 };
     disk =
       {
-        rd_blocks = Bytes.make (disk_blocks * block_size) '\000';
+        rd_blocks = Frames.create (disk_blocks * block_size);
         rd_block_size = block_size;
         rd_reads = 0;
         rd_writes = 0;
@@ -38,20 +38,21 @@ let console_output t = Buffer.contents t.console.out
 let console_clear t = Buffer.clear t.console.out
 
 let check_block t block =
-  let nblocks = Bytes.length t.disk.rd_blocks / t.disk.rd_block_size in
+  let nblocks = Frames.length t.disk.rd_blocks / t.disk.rd_block_size in
   if block < 0 || block >= nblocks then
     invalid_arg (Printf.sprintf "ramdisk: block %d out of range" block)
 
 let disk_read t ~block =
   check_block t block;
   t.disk.rd_reads <- t.disk.rd_reads + 1;
-  Bytes.sub t.disk.rd_blocks (block * t.disk.rd_block_size) t.disk.rd_block_size
+  Frames.read t.disk.rd_blocks ~off:(block * t.disk.rd_block_size)
+    ~len:t.disk.rd_block_size
 
 let disk_write t ~block b =
   check_block t block;
   t.disk.rd_writes <- t.disk.rd_writes + 1;
   let len = min (Bytes.length b) t.disk.rd_block_size in
-  Bytes.blit b 0 t.disk.rd_blocks (block * t.disk.rd_block_size) len
+  Frames.write t.disk.rd_blocks ~off:(block * t.disk.rd_block_size) b ~len
 
 let nic_inject t fr = t.nic.rx <- t.nic.rx @ [ fr ]
 

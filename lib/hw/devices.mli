@@ -7,7 +7,7 @@
 type console = { mutable out : Buffer.t }
 
 type ramdisk = {
-  rd_blocks : Bytes.t;
+  rd_blocks : Frames.t;  (** sparse: a block never written reads as zeros *)
   rd_block_size : int;
   mutable rd_reads : int;
   mutable rd_writes : int;

@@ -517,21 +517,39 @@ let mem_read_int t ~addr ~width =
 let mem_write_int t ~addr ~width v =
   Machine.write_int t.im_sys.Svaos.machine ~addr:(xlate t ~write:true addr) ~width v
 
-(* Bulk copy that translates page-by-page for user ranges. *)
+let blit_chunk t s d n =
+  Machine.blit t.im_sys.Svaos.machine
+    ~src:(xlate t ~write:false s)
+    ~dst:(xlate t ~write:true d)
+    ~len:n
+
+(* Bulk copy that translates page-by-page for user ranges.  A move to a
+   higher, overlapping address walks the chunks from the top down, so no
+   chunk re-reads bytes an earlier chunk has already overwritten. *)
 let mem_blit t ~src ~dst ~len =
-  let remaining = ref len and s = ref src and d = ref dst in
-  while !remaining > 0 do
-    let chunk_s = Machine.page_size - (!s mod Machine.page_size) in
-    let chunk_d = Machine.page_size - (!d mod Machine.page_size) in
-    let chunk = min !remaining (min chunk_s chunk_d) in
-    Machine.blit t.im_sys.Svaos.machine
-      ~src:(xlate t ~write:false !s)
-      ~dst:(xlate t ~write:true !d)
-      ~len:chunk;
-    s := !s + chunk;
-    d := !d + chunk;
-    remaining := !remaining - chunk
-  done
+  let page = Machine.page_size in
+  let remaining = ref len in
+  if dst > src && dst < src + len then
+    while !remaining > 0 do
+      let s = src + !remaining and d = dst + !remaining in
+      let chunk_s = ((s - 1) land (page - 1)) + 1 in
+      let chunk_d = ((d - 1) land (page - 1)) + 1 in
+      let chunk = min !remaining (min chunk_s chunk_d) in
+      blit_chunk t (s - chunk) (d - chunk) chunk;
+      remaining := !remaining - chunk
+    done
+  else begin
+    let s = ref src and d = ref dst in
+    while !remaining > 0 do
+      let chunk_s = page - (!s mod page) in
+      let chunk_d = page - (!d mod page) in
+      let chunk = min !remaining (min chunk_s chunk_d) in
+      blit_chunk t !s !d chunk;
+      s := !s + chunk;
+      d := !d + chunk;
+      remaining := !remaining - chunk
+    done
+  end
 
 let mem_fill t ~addr ~len c =
   let remaining = ref len and a = ref addr in

@@ -107,9 +107,8 @@ let validate_buffer t ~addr ~len =
   | Sva_mediated ->
       if not (Machine.in_kernel_range ~addr) || Machine.in_user_range ~addr ~len
       then failwith "SVA-OS: state buffer not in kernel memory";
-      (* Touch the range to force a fault now rather than mid-save. *)
-      ignore (Machine.read t.machine ~addr ~len:1);
-      ignore (Machine.read t.machine ~addr:(addr + len - 1) ~len:1)
+      (* Probe the range to force a fault now rather than mid-save. *)
+      Machine.probe t.machine ~addr ~len
 
 let save_integer t ~buffer =
   op t;

@@ -182,6 +182,43 @@ let test_strings_and_builtins () =
   in
   check_int "strlen" 11 (run src "main" [])
 
+(* memmove to a higher, overlapping address across several pages: the
+   copy is split at page boundaries, and a low-to-high walk would re-read
+   bytes it had already overwritten (first wrong byte at index 3996).
+   [buf] is the only global, so it starts page-aligned. *)
+let memmove_src =
+  "char buf[12288];\n\
+   extern void *memmove(char *d, char *s, long n);\n\
+   long fill(void) {\n\
+  \  for (long i = 0; i < 12288; i++) buf[i] = (char)(i % 251);\n\
+  \  return 0;\n\
+   }\n\
+   long up(void) {\n\
+  \  if ((long)buf % 4096 != 0) return -2;\n\
+  \  fill();\n\
+  \  memmove(buf + 100, buf, 8192);\n\
+  \  for (long i = 0; i < 8192; i++)\n\
+  \    if (buf[i + 100] != (char)(i % 251)) return i;\n\
+  \  return -1;\n\
+   }\n\
+   long down(void) {\n\
+  \  fill();\n\
+  \  memmove(buf, buf + 100, 8192);\n\
+  \  for (long i = 0; i < 8192; i++)\n\
+  \    if (buf[i] != (char)((i + 100) % 251)) return i;\n\
+  \  return -1;\n\
+   }"
+
+let test_memmove_overlap ~aot () =
+  let t = compile memmove_src in
+  if aot then begin
+    Sva_interp.Closcomp.enable ~threshold:1 t;
+    Sva_interp.Closcomp.compile_all t
+  end;
+  let call fn = Sva_interp.Interp.call t fn [] in
+  check_int "move up: first wrong byte" (-1) (call "up");
+  check_int "move down: first wrong byte" (-1) (call "down")
+
 let test_char_arithmetic () =
   let src =
     "int count_upper(char *s, long n) {\n\
@@ -427,6 +464,10 @@ let () =
           Alcotest.test_case "ternary" `Quick test_ternary;
           Alcotest.test_case "function pointers" `Quick test_function_pointers;
           Alcotest.test_case "strings + builtins" `Quick test_strings_and_builtins;
+          Alcotest.test_case "memmove overlap (interp)" `Quick
+            (test_memmove_overlap ~aot:false);
+          Alcotest.test_case "memmove overlap (aot)" `Quick
+            (test_memmove_overlap ~aot:true);
           Alcotest.test_case "char arithmetic" `Quick test_char_arithmetic;
           Alcotest.test_case "casts and widths" `Quick test_casts_and_int_widths;
           Alcotest.test_case "pointer casts alias" `Quick test_pointer_casts;
