@@ -87,7 +87,7 @@ let dump_ranges m config func =
       Printf.printf "\nrange certificates REJECTED:\n";
       List.iter
         (fun e ->
-          Printf.printf "  %s\n" (Sva_tyck.Rangecert.string_of_error e))
+          Printf.printf "  %s\n" (Sva_tyck.Cert.string_of_error e))
         errs;
       exit 1)
 
@@ -130,7 +130,7 @@ let dump_races m config func =
   | errs ->
       Printf.printf "\natomicity certificates REJECTED:\n";
       List.iter
-        (fun e -> Printf.printf "  %s\n" (Sva_tyck.Atomcert.string_of_error e))
+        (fun e -> Printf.printf "  %s\n" (Sva_tyck.Cert.string_of_error e))
         errs;
       exit 1
 
@@ -202,7 +202,7 @@ let dump_poolcert m config func =
   | errs ->
       Printf.printf "\npool-safety certificates REJECTED:\n";
       List.iter
-        (fun e -> Printf.printf "  %s\n" (Sva_tyck.Poolcert.string_of_error e))
+        (fun e -> Printf.printf "  %s\n" (Sva_tyck.Cert.string_of_error e))
         errs;
       exit 1
 

@@ -100,7 +100,8 @@ let print_races ?(quiet = false) (r, errs) =
     (fun f -> print_endline (Lockset.render_finding f))
     (Lockset.findings r);
   List.iter
-    (fun e -> Printf.printf "atomcert: %s\n" (Atomcert.string_of_error e))
+    (fun e ->
+      Printf.printf "atomcert: %s\n" (Sva_tyck.Cert.string_of_error e))
     errs;
   if not quiet then begin
     let counts =
@@ -146,7 +147,7 @@ let race_selftest () =
     ok := false;
     Printf.printf "FAIL: atomicity certificates rejected:\n";
     List.iter
-      (fun e -> Printf.printf "  %s\n" (Atomcert.string_of_error e))
+      (fun e -> Printf.printf "  %s\n" (Sva_tyck.Cert.string_of_error e))
       (clean_errs @ dirty_errs)
   end;
   if Lockset.cert_count clean = 0 then begin

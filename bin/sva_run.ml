@@ -85,8 +85,7 @@ let run file func args conf_name engine_name jit_threshold tcache_dir ranges
           Printf.printf "tiered:   %s\n"
             (Sva_rt.Stats.tier_to_string (Sva_rt.Stats.read_tier ()));
         if ranges then
-          Printf.printf "ranges:   %s\n"
-            (Sva_rt.Stats.range_to_string (Sva_rt.Stats.read_range ()))
+          Printf.printf "ranges:   %s\n" (Pipeline.range_counts built)
       in
       (* Emitted on every outcome: the trace is most useful when the run
          ended in a violation. *)

@@ -34,15 +34,14 @@
    --poolcert-selftest is --poolcert over the embedded kernel through
    the full build pipeline (the shipped configuration).
 
-   --cert-selftest runs every certificate self-test — rangecert over
-   FILE, atomcert and poolcert over the embedded kernel — and prints one
+   --cert-selftest runs every certificate self-test — the Section 5
+   metapool-type experiment on the embedded kernel, rangecert over FILE,
+   atomcert and poolcert over the embedded kernel — and prints one
    pass/fail table. *)
 
 module Interval = Sva_analysis.Interval
-module Rangecert = Sva_tyck.Rangecert
 module Lockset = Sva_analysis.Lockset
-module Atomcert = Sva_tyck.Atomcert
-module Poolcert = Sva_tyck.Poolcert
+module Cert = Sva_tyck.Cert
 module Inject = Sva_tyck.Inject
 module Poolev = Sva_safety.Poolev
 
@@ -66,9 +65,51 @@ let range_selftest () =
   Printf.printf "interval kernel selftest: OK (%d checks against the \
                  constant folder)\n" n
 
-(* Each certificate self-test prints its own detail and returns
-   (caught, total) over the injection experiment; certificate rejection
-   on the clean build is a hard failure (exit 1) in every mode. *)
+(* Each certificate self-test gates the clean evidence through its
+   trusted checker (a rejection is a hard failure, exit 1, in every
+   mode), prints [ok], then runs the bug-injection experiment and
+   returns (caught, total). *)
+let selftest ~label ~ok cert m b ~instances =
+  (try Cert.gate cert m b
+   with Cert.Rejected _ as e ->
+     Printf.eprintf "%s: %s\n" label (Printexc.to_string e);
+     exit 1);
+  print_endline ok;
+  let results = Cert.experiment cert m b ~instances in
+  let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
+  Printf.printf "  injected certificate bugs: %d/%d caught\n" caught
+    (List.length results);
+  List.iter
+    (fun (kind, desc, c) ->
+      if not c then Printf.eprintf "  MISSED %s: %s\n" kind desc)
+    results;
+  (caught, List.length results)
+
+(* The Section 5 experiment itself: the kernel's metapool type
+   annotations, extracted before instrumentation, against 4 bug kinds
+   x 5 instances. *)
+let tyck () =
+  let v = Ukern.Kbuild.as_tested in
+  let config = Ukern.Kbuild.aconfig v in
+  let m =
+    Sva_pipeline.Pipeline.compile ~name:"ukern-verif" (Ukern.Kbuild.sources v)
+  in
+  let pa = Sva_analysis.Pointsto.run ~config m in
+  let mps =
+    Sva_safety.Metapool.infer m pa config.Sva_analysis.Pointsto.allocators
+  in
+  let an = Sva_tyck.Tyck.extract m pa mps in
+  selftest ~label:"ukern"
+    ~ok:
+      (Printf.sprintf
+         "ukern: metapool type annotations OK (%d value qualifiers, %d \
+          points-to edges, %d type-homogeneity claims)"
+         (Hashtbl.length an.Sva_tyck.Tyck.an_value_mp)
+         (Hashtbl.length an.Sva_tyck.Tyck.an_succ)
+         (Hashtbl.length an.Sva_tyck.Tyck.an_th))
+    (Inject.tyck ~trusted:(Sva_tyck.Tyck.trusted_of_config config))
+    m an ~instances:5
+
 let rangecert path =
   let m, _ = load path in
   let pa = Sva_analysis.Pointsto.run m in
@@ -83,31 +124,15 @@ let rangecert path =
                  Interval.Cbounds)))
     m.Sva_ir.Irmod.m_funcs;
   let b = Interval.bundle res in
-  let entries = Interval.entry_config res in
   let cb, cl = Interval.cert_counts res in
-  (match Rangecert.check ~entries m b with
-  | [] ->
-      Printf.printf
-        "%s: range certificates OK (%d facts, %d bounds + %d lscheck \
-         certificates)\n"
-        path (Interval.fact_count res) cb cl
-  | errs ->
-      Printf.eprintf "%s: range certificates REJECTED (%d errors)\n" path
-        (List.length errs);
-      List.iter
-        (fun e -> Printf.eprintf "  %s\n" (Rangecert.string_of_error e))
-        errs;
-      exit 1);
-  let results = Rangecert.experiment ~entries m b ~instances:3 in
-  let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
-  Printf.printf "  injected certificate bugs: %d/%d caught\n" caught
-    (List.length results);
-  List.iter
-    (fun (bug, desc, c) ->
-      if not c then
-        Printf.eprintf "  MISSED %s: %s\n" (Rangecert.bug_name bug) desc)
-    results;
-  (caught, List.length results)
+  selftest ~label:path
+    ~ok:
+      (Printf.sprintf
+         "%s: range certificates OK (%d facts, %d bounds + %d lscheck \
+          certificates)"
+         path (Interval.fact_count res) cb cl)
+    (Sva_tyck.Rangecert.cert ~entries:(Interval.entry_config res))
+    m b ~instances:3
 
 let atomcert () =
   let v = Ukern.Kbuild.as_tested in
@@ -118,63 +143,30 @@ let atomcert () =
   let pa = Sva_analysis.Pointsto.run ~config:(Ukern.Kbuild.aconfig v) m in
   let res = Lockset.run m pa in
   let b = Lockset.bundle res in
-  let entries = Lockset.entry_config res in
-  (match Atomcert.check ~entries m b with
-  | [] ->
-      Printf.printf
-        "ukern+fixture: atomicity certificates OK (%d access certificates, \
-         %d function claims, %d shared classes)\n"
-        (Lockset.cert_count res) (Lockset.fact_count res)
-        (Lockset.shared_count res)
-  | errs ->
-      Printf.eprintf "ukern+fixture: atomicity certificates REJECTED (%d \
-                      errors)\n"
-        (List.length errs);
-      List.iter
-        (fun e -> Printf.eprintf "  %s\n" (Atomcert.string_of_error e))
-        errs;
-      exit 1);
-  let results = Atomcert.experiment ~entries m b ~instances:3 in
-  let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
-  Printf.printf "  injected certificate bugs: %d/%d caught\n" caught
-    (List.length results);
-  List.iter
-    (fun (bug, desc, c) ->
-      if not c then
-        Printf.eprintf "  MISSED %s: %s\n" (Atomcert.bug_name bug) desc)
-    results;
-  (caught, List.length results)
+  selftest ~label:"ukern+fixture"
+    ~ok:
+      (Printf.sprintf
+         "ukern+fixture: atomicity certificates OK (%d access certificates, \
+          %d function claims, %d shared classes)"
+         (Lockset.cert_count res) (Lockset.fact_count res)
+         (Lockset.shared_count res))
+    (Sva_tyck.Atomcert.cert ~entries:(Lockset.entry_config res))
+    m b ~instances:3
 
-(* Shared poolcert reporting: verify a (module, bundle) pair the caller
-   built, then run the pool-certificate bug injection experiment. *)
+(* Shared poolcert reporting over a (module, bundle) pair the caller
+   built. *)
 let poolcert_report label config m b =
-  (match Poolcert.check ~config m b with
-  | [] ->
-      Printf.printf
-        "%s: pool-safety certificates OK (%d TH + %d completeness + %d \
-         devirt certificates, %d recorded elisions)\n"
-        label
-        (List.length b.Poolev.pb_th)
-        (List.length b.Poolev.pb_comp)
-        (List.length b.Poolev.pb_dv)
-        (Poolev.elision_count b)
-  | errs ->
-      Printf.eprintf "%s: pool-safety certificates REJECTED (%d errors)\n"
-        label (List.length errs);
-      List.iter
-        (fun e -> Printf.eprintf "  %s\n" (Poolcert.string_of_error e))
-        errs;
-      exit 1);
-  let results = Inject.pool_experiment ~config m b ~instances:3 in
-  let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
-  Printf.printf "  injected certificate bugs: %d/%d caught\n" caught
-    (List.length results);
-  List.iter
-    (fun (bug, desc, c) ->
-      if not c then
-        Printf.eprintf "  MISSED %s: %s\n" (Inject.pool_bug_name bug) desc)
-    results;
-  (caught, List.length results)
+  selftest ~label
+    ~ok:
+      (Printf.sprintf
+         "%s: pool-safety certificates OK (%d TH + %d completeness + %d \
+          devirt certificates, %d recorded elisions)"
+         label
+         (List.length b.Poolev.pb_th)
+         (List.length b.Poolev.pb_comp)
+         (List.length b.Poolev.pb_dv)
+         (Poolev.elision_count b))
+    (Inject.poolcert ~config) m b ~instances:3
 
 (* --poolcert FILE: certify an arbitrary module under the default
    porting configuration (points-to, metapools, check insertion with
@@ -206,14 +198,18 @@ let poolcert_selftest () =
   poolcert_report "ukern" (Ukern.Kbuild.aconfig v)
     built.Sva_pipeline.Pipeline.bl_mod b
 
-(* --cert-selftest FILE: all three certificate pipelines, one table. *)
+(* --cert-selftest FILE: all four trusted checkers, one table.  The
+   rows run, and print their detail, in table order. *)
 let cert_selftest path =
   let rows =
-    [
-      ("rangecert", rangecert path);
-      ("atomcert", atomcert ());
-      ("poolcert", poolcert_selftest ());
-    ]
+    List.map
+      (fun (name, run) -> (name, run ()))
+      [
+        ("tyck", tyck);
+        ("rangecert", fun () -> rangecert path);
+        ("atomcert", atomcert);
+        ("poolcert", poolcert_selftest);
+      ]
   in
   print_newline ();
   Printf.printf "certificate self-test summary:\n";

@@ -95,20 +95,12 @@ let () =
   Printf.printf "booted: kernel_booted=%Ld (%d instructions)\n"
     (Boot.kernel_global t "kernel_booted")
     (Boot.steps t);
-  (* Range counters are build-time facts — snapshot them before the
-     measurement boundary, which resets every counter family at once.
-     (A check-only Stats.reset here used to leave boot-time promotions
-     in the workload tier report.)  The tier counters are snapshotted
-     too and merged back into the final report: under AOT the whole
-     translation story (disk hits included) happens at instantiate,
-     before this boundary. *)
-  let range_stats = Sva_rt.Stats.read_range () in
-  (* Same boundary rule for the pool-certification audit: the counts are
-     build-time facts, and reset_all below would zero them before the
-     report prints. *)
-  let pool_stats = Sva_rt.Stats.read_pool () in
-  let tier_boot = Sva_rt.Stats.read_tier () in
-  Sva_rt.Stats.reset_all ();
+  (* Measurement boundary for the check and concurrency counters.  The
+     tier counters keep running: under AOT the whole translation story
+     (disk hits included) happens at instantiate, before this point, and
+     the report covers boot and workload together. *)
+  Sva_rt.Stats.reset ();
+  Sva_rt.Stats.reset_conc ();
   Boot.reset_cycles t;
   (* smoke workload: files, pipes, fork, sockets *)
   Printf.printf "getpid -> %Ld\n" (Boot.syscall t 1 []);
@@ -157,30 +149,13 @@ let () =
           st.Boot.ss_jobs_per.(i))
       st.Boot.ss_cycles
   end;
-  if engine.Pipeline.eng_kind <> Pipeline.Interp then begin
-    let b = tier_boot and w = Sva_rt.Stats.read_tier () in
-    let tier =
-      {
-        Sva_rt.Stats.promotions = b.Sva_rt.Stats.promotions + w.Sva_rt.Stats.promotions;
-        tcache_hits = b.Sva_rt.Stats.tcache_hits + w.Sva_rt.Stats.tcache_hits;
-        tcache_misses = b.Sva_rt.Stats.tcache_misses + w.Sva_rt.Stats.tcache_misses;
-        sig_verifications =
-          b.Sva_rt.Stats.sig_verifications + w.Sva_rt.Stats.sig_verifications;
-        tcache_disk_hits =
-          b.Sva_rt.Stats.tcache_disk_hits + w.Sva_rt.Stats.tcache_disk_hits;
-        tcache_disk_stale =
-          b.Sva_rt.Stats.tcache_disk_stale + w.Sva_rt.Stats.tcache_disk_stale;
-        tcache_disk_writes =
-          b.Sva_rt.Stats.tcache_disk_writes + w.Sva_rt.Stats.tcache_disk_writes;
-        superblocks = b.Sva_rt.Stats.superblocks + w.Sva_rt.Stats.superblocks;
-      }
-    in
-    Printf.printf "tiered:   %s\n" (Sva_rt.Stats.tier_to_string tier)
-  end;
+  if engine.Pipeline.eng_kind <> Pipeline.Interp then
+    Printf.printf "tiered:   %s\n"
+      (Sva_rt.Stats.tier_to_string (Sva_rt.Stats.read_tier ()));
   if ranges then
-    Printf.printf "ranges:   %s\n" (Sva_rt.Stats.range_to_string range_stats);
+    Printf.printf "ranges:   %s\n" (Pipeline.range_counts t.Boot.built);
   if poolcert then begin
-    Printf.printf "poolcert: %s\n" (Sva_rt.Stats.pool_to_string pool_stats);
+    Printf.printf "poolcert: %s\n" (Pipeline.poolcert_counts t.Boot.built);
     match t.Boot.built.Pipeline.bl_poolcert with
     | Some b ->
         Printf.printf

@@ -11,6 +11,7 @@
    load it. *)
 
 module Tyck = Sva_tyck.Tyck
+module Cert = Sva_tyck.Cert
 module Inject = Sva_tyck.Inject
 module Pointsto = Sva_analysis.Pointsto
 
@@ -42,29 +43,29 @@ let () =
   let pa = Pointsto.run m in
   let mps = Sva_safety.Metapool.infer m pa [] in
   let an = Tyck.extract m pa mps in
+  let cert = Inject.tyck ~trusted:[] in
 
   print_endline "== the honest proof passes the trusted checker ==";
-  (match Tyck.check m an with
+  (match cert.Cert.check m an with
   | [] -> print_endline "  annotations consistent: module accepted"
-  | errs -> List.iter (fun e -> print_endline ("  " ^ Tyck.string_of_error e)) errs);
+  | errs -> List.iter (fun e -> print_endline ("  " ^ Cert.string_of_error e)) errs);
 
   print_endline "";
   print_endline "== injecting the four analysis-bug kinds of Section 5 ==";
   List.iter
-    (fun kind ->
-      match Inject.inject m an kind ~seed:0 with
+    (fun (kind, inject) ->
+      match inject m an ~seed:0 with
       | Some (buggy, desc) -> (
-          Printf.printf "  %s\n    (%s)\n" (Inject.kind_name kind) desc;
-          match Tyck.check m buggy with
+          Printf.printf "  %s\n    (%s)\n" kind desc;
+          match cert.Cert.check m buggy with
           | [] -> print_endline "    !! NOT DETECTED"
-          | e :: _ ->
-              Printf.printf "    rejected: %s\n" (Tyck.string_of_error e))
-      | None -> Printf.printf "  %s: no injection site\n" (Inject.kind_name kind))
-    Inject.all_kinds;
+          | e :: _ -> Printf.printf "    rejected: %s\n" (Cert.string_of_error e))
+      | None -> Printf.printf "  %s: no injection site\n" kind)
+    cert.Cert.bugs;
 
   print_endline "";
   print_endline "== the full 4 x 5 experiment ==";
-  let results = Inject.experiment m an ~instances:5 in
+  let results = Cert.experiment cert m an ~instances:5 in
   let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
   Printf.printf "  %d injected, %d detected (paper: 20/20)\n"
     (List.length results) caught;

@@ -471,21 +471,20 @@ let verifier_experiment ~quick:_ ~strict:_ =
   let pa = Pointsto.run ~config:cfg m in
   let mps = Sva_safety.Metapool.infer m pa cfg.Pointsto.allocators in
   let an = Sva_tyck.Tyck.extract m pa mps in
-  let results = Sva_tyck.Inject.experiment m an ~instances:5 in
+  let cert =
+    Sva_tyck.Inject.tyck ~trusted:(Sva_tyck.Tyck.trusted_of_config cfg)
+  in
+  let results = Sva_tyck.Cert.experiment cert m an ~instances:5 in
   let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
   let rows =
     List.map
-      (fun kind ->
+      (fun (kind, _) ->
         let mine =
           List.filter (fun (k, _, _) -> k = kind) results
         in
         let c = List.length (List.filter (fun (_, _, x) -> x) mine) in
-        [
-          Sva_tyck.Inject.kind_name kind;
-          string_of_int (List.length mine);
-          string_of_int c;
-        ])
-      Sva_tyck.Inject.all_kinds
+        [ kind; string_of_int (List.length mine); string_of_int c ])
+      cert.Sva_tyck.Cert.bugs
   in
   T.render
     ~title:
@@ -1876,7 +1875,8 @@ let race_data =
       let want = List.sort_uniq compare Ukern.Ksrc_racebugs.expected in
       let entries = Lockset.entry_config dirty in
       let results =
-        Atomcert.experiment ~entries fm (Lockset.bundle dirty) ~instances:3
+        Sva_tyck.Cert.experiment (Atomcert.cert ~entries) fm
+          (Lockset.bundle dirty) ~instances:3
       in
       let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
       (* Runtime counters: boot the gated image and run the lock-heavy
@@ -2081,7 +2081,8 @@ let poolcert_data =
       let boot_off, cyc_off, s_off = measure off in
       let boot_on, cyc_on, s_on = measure on in
       let results =
-        Sva_tyck.Inject.pool_experiment ~config:(Kbuild.aconfig v)
+        Sva_tyck.Cert.experiment
+          (Sva_tyck.Inject.poolcert ~config:(Kbuild.aconfig v))
           on.Pipeline.bl_mod b ~instances:3
       in
       let caught = List.length (List.filter (fun (_, _, c) -> c) results) in

@@ -177,11 +177,15 @@ let load_file path =
 
 (* ---------- building ---------- *)
 
+(* Loads/stores whose lint proof needed a range fact. *)
+let range_ls_elided = function
+  | Some r -> r.Sva_lint.Lint.lr_range_geps
+  | None -> 0
+
 let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
-    ?(options = Checkinsert.default_options) ?(typecheck = true)
-    ?(clone = false) ?(devirt = false) ?(checkopt = false) ?(lint = false)
-    ?lint_config ?(ranges = false) ?(races = false) ?(poolcert = false)
-    ~name m =
+    ?(options = Checkinsert.default_options) ?(clone = false)
+    ?(devirt = false) ?(checkopt = false) ?(lint = false) ?lint_config
+    ?(ranges = false) ?(races = false) ?(poolcert = false) ~name m =
   match conf with
   | Native | Sva_gcc | Sva_llvm ->
       {
@@ -202,29 +206,18 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_poolcert = None;
       }
   | Sva_safe ->
-      (* A trusted checker that rejects anything fails the build. *)
-      let gate what string_of_error errs =
-        if errs <> [] then
-          failwith
-            (what ^ " checking failed:\n"
-            ^ String.concat "\n" (List.map string_of_error errs))
-      in
       let cloned = if clone then Clone.run m else 0 in
       let pa = Pointsto.run ~config:aconfig m in
       let mps = Metapool.infer m pa aconfig.Pointsto.allocators in
       (* Section 5: encode the analysis as metapool type annotations and
          run the (simple, intraprocedural, trusted) checker before any
-         instrumentation is emitted. *)
-      let annot =
-        if typecheck then begin
-          let an = Sva_tyck.Tyck.extract m pa mps in
-          let trusted = Sva_tyck.Tyck.trusted_of_config aconfig in
-          gate "metapool type" Sva_tyck.Tyck.string_of_error
-            (Sva_tyck.Tyck.check ~trusted m an);
-          Some an
-        end
-        else None
-      in
+         instrumentation is emitted.  A trusted checker that rejects
+         anything, here or below, fails the build. *)
+      let annot = Sva_tyck.Tyck.extract m pa mps in
+      Sva_tyck.Cert.gate
+        (Sva_tyck.Inject.tyck
+           ~trusted:(Sva_tyck.Tyck.trusted_of_config aconfig))
+        m annot;
       (* Pool-safety evidence (Section 5 applied to the points-to layer):
          distill the analysis into an explicit certificate bundle before
          anything consumes it, so devirtualization and check insertion
@@ -275,45 +268,23 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
          the build is rejected as a compiler bug. *)
       (match rres with
       | None -> ()
-      | Some rr -> (
-          let b = Interval.bundle rr in
-          match
-            Sva_tyck.Rangecert.check ~entries:(Interval.entry_config rr) m b
-          with
-          | [] ->
-              let cb, cl = Interval.cert_counts rr in
-              let ls_elided =
-                match lint_res with
-                | Some r -> r.Sva_lint.Lint.lr_range_geps
-                | None -> 0
-              in
-              Sva_rt.Stats.add_range_bounds_elided summary.Checkinsert.bounds_static_range;
-              Sva_rt.Stats.add_range_ls_elided ls_elided;
-              Sva_rt.Stats.add_range_facts (Interval.fact_count rr);
-              Sva_rt.Stats.add_range_cert_checks (cb + cl);
-              if !Sva_rt.Trace.active then begin
-                Sva_rt.Trace.emit_range_elide ~what:"bounds"
-                  ~count:summary.Checkinsert.bounds_static_range;
-                Sva_rt.Trace.emit_range_elide ~what:"ls" ~count:ls_elided
-              end
-          | errs ->
-              gate "range certificate" Sva_tyck.Rangecert.string_of_error errs));
+      | Some rr ->
+          Sva_tyck.Cert.gate
+            (Sva_tyck.Rangecert.cert ~entries:(Interval.entry_config rr))
+            m (Interval.bundle rr);
+          if !Sva_rt.Trace.active then begin
+            Sva_rt.Trace.emit_range_elide ~what:"bounds"
+              ~count:summary.Checkinsert.bounds_static_range;
+            Sva_rt.Trace.emit_range_elide ~what:"ls"
+              ~count:(range_ls_elided lint_res)
+          end);
       (* Section 5 gate for the pool-safety pipeline: the trusted checker
          re-verifies every membership fact, TH/completeness/devirt
          certificate and elision record against the instrumented module,
          or the build is rejected as a compiler bug. *)
-      (match pbundle with
-      | None -> ()
-      | Some b -> (
-          let certs = Poolev.cert_count b in
-          Sva_rt.Stats.add_pool_certs_emitted certs;
-          Sva_rt.Stats.add_pool_elisions (Poolev.elision_count b);
-          match Sva_tyck.Poolcert.check ~config:aconfig m b with
-          | [] -> Sva_rt.Stats.add_pool_certs_verified certs
-          | errs ->
-              Sva_rt.Stats.add_pool_certs_rejected certs;
-              gate "pool-safety certificate" Sva_tyck.Poolcert.string_of_error
-                errs));
+      Option.iter
+        (Sva_tyck.Cert.gate (Sva_tyck.Inject.poolcert ~config:aconfig) m)
+        pbundle;
       (* Concurrency-safety pass (untrusted): the interprocedural lockset
          analysis classifies interrupt/syscall-shared state and certifies
          every protected access; the trusted atomicity checker must accept
@@ -324,9 +295,9 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         if not races then None
         else begin
           let rr = Lockset.run m pa in
-          gate "atomicity certificate" Sva_tyck.Atomcert.string_of_error
-            (Sva_tyck.Atomcert.check ~entries:(Lockset.entry_config rr) m
-               (Lockset.bundle rr));
+          Sva_tyck.Cert.gate
+            (Sva_tyck.Atomcert.cert ~entries:(Lockset.entry_config rr))
+            m (Lockset.bundle rr);
           Some rr
         end
       in
@@ -338,7 +309,7 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_mps = Some mps;
         bl_summary = Some summary;
         bl_aconfig = aconfig;
-        bl_annot = annot;
+        bl_annot = Some annot;
         bl_cloned = cloned;
         bl_devirt = devirted;
         bl_checkopt = co;
@@ -348,16 +319,40 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_poolcert = pbundle;
       }
 
-let build ?conf ?aconfig ?options ?typecheck ?clone ?devirt ?checkopt ?lint
-    ?lint_config ?ranges ?races ?poolcert ~name sources =
+let build ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint ?lint_config
+    ?ranges ?races ?poolcert ~name sources =
   let pipeline =
     match conf with
     | Some Native | Some Sva_gcc -> Passes.Gcc_like
     | Some Sva_llvm | Some Sva_safe | None -> Passes.Llvm_like
   in
   let m = compile ~pipeline ~name sources in
-  build_module ?conf ?aconfig ?options ?typecheck ?clone ?devirt ?checkopt
-    ?lint ?lint_config ?ranges ?races ?poolcert ~name m
+  build_module ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint
+    ?lint_config ?ranges ?races ?poolcert ~name m
+
+(* ---------- build-time certification counts ---------- *)
+
+let range_counts b =
+  let bounds, facts, certs =
+    match (b.bl_ranges, b.bl_summary) with
+    | Some rr, Some s ->
+        let cb, cl = Interval.cert_counts rr in
+        (s.Checkinsert.bounds_static_range, Interval.fact_count rr, cb + cl)
+    | _ -> (0, 0, 0)
+  in
+  Printf.sprintf "range-elided bounds=%d ls=%d facts=%d certs-verified=%d"
+    bounds (range_ls_elided b.bl_lint) facts certs
+
+(* An image exists only if the gate accepted its bundle, so every
+   certificate in it was verified and none rejected. *)
+let poolcert_counts b =
+  let certs, elisions =
+    match b.bl_poolcert with
+    | Some pb -> (Poolev.cert_count pb, Poolev.elision_count pb)
+    | None -> (0, 0)
+  in
+  Printf.sprintf "pool-certs emitted=%d verified=%d rejected=0 elisions=%d"
+    certs certs elisions
 
 let instantiate ?sys ?(engine = default_engine) ?(smp = default_smp) built =
   let mode =

@@ -162,7 +162,6 @@ val build :
   ?conf:conf ->
   ?aconfig:Pointsto.config ->
   ?options:Checkinsert.options ->
-  ?typecheck:bool ->
   ?clone:bool ->
   ?devirt:bool ->
   ?checkopt:bool ->
@@ -177,7 +176,7 @@ val build :
 (** Compile MiniC sources under a configuration.  For [Sva_safe] the full
     safety pipeline runs: optional function cloning (Section 4.8),
     points-to analysis, metapool inference, metapool type annotation
-    extraction + trusted type checking (unless [~typecheck:false]),
+    extraction + trusted type checking,
     optional devirtualization, the optional static lint stage (whose
     safe-access proofs elide provably-redundant load/store checks),
     run-time check insertion, the optional check optimizations of
@@ -212,15 +211,14 @@ val build :
     fails if anything is rejected.  Certification is pure observation:
     the built module, summary, verdicts and modeled cycles are
     bit-identical with and without it.
-    @raise Failure if the type checker rejects the annotations or the
-    range-, atomicity- or pool-certificate checker rejects a certificate
-    (a safety-checking-compiler bug). *)
+    @raise Sva_tyck.Cert.Rejected if the type checker rejects the
+    annotations or the range-, atomicity- or pool-certificate checker
+    rejects a certificate (a safety-checking-compiler bug). *)
 
 val build_module :
   ?conf:conf ->
   ?aconfig:Pointsto.config ->
   ?options:Checkinsert.options ->
-  ?typecheck:bool ->
   ?clone:bool ->
   ?devirt:bool ->
   ?checkopt:bool ->
@@ -235,6 +233,16 @@ val build_module :
 (** The analysis half of {!build}, for a module already loaded (e.g.
     decoded from bytecode by {!load_source}).  The optimization passes
     are assumed to have run. *)
+
+val range_counts : built -> string
+(** [range-elided bounds=B ls=L facts=F certs-verified=C]: the checks
+    range certificates elided, the interval facts and the certificates
+    the trusted checker verified; all zero unless the build ran with
+    [~ranges:true]. *)
+
+val poolcert_counts : built -> string
+(** [pool-certs emitted=N verified=N rejected=0 elisions=E]; all zero
+    unless the build ran with [~poolcert:true]. *)
 
 val instantiate :
   ?sys:Sva_os.Svaos.t -> ?engine:engine_config -> ?smp:smp_config -> built ->

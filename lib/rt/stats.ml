@@ -33,8 +33,8 @@ let zero =
    [read ()] as a 1-CPU run by construction, which is what the bench's
    check-count-identity gate leans on.  Bank 0 is the default, so code
    that never calls [set_cpu] behaves exactly as the old flat refs did.
-   Tier/range/pool counters stay global: they are build-time or
-   whole-process facts with no per-CPU attribution. *)
+   Tier counters stay global: they are whole-process facts with no
+   per-CPU attribution. *)
 
 type bank = {
   mutable b_bounds : int;
@@ -261,134 +261,11 @@ let tier_to_string s =
     s.tcache_disk_hits s.tcache_disk_stale s.tcache_disk_writes
     s.sig_verifications s.superblocks
 
-(* ---------- range-elision counters ----------
-
-   Static accounting for the value-range certificate pipeline: how many
-   checks the interval analysis elided at build time and how many
-   certificates the trusted checker re-verified.  Kept out of [snapshot]
-   for the same reason as the tier counters: the differential tests
-   compare [read ()] between range-elision-on and -off builds, and these
-   counters differ by design. *)
-
-type range_snapshot = {
-  range_bounds_elided : int;
-  range_ls_elided : int;
-  range_facts : int;
-  range_cert_checks : int;
-}
-
-let range_zero =
-  {
-    range_bounds_elided = 0;
-    range_ls_elided = 0;
-    range_facts = 0;
-    range_cert_checks = 0;
-  }
-
-let r_bounds = ref 0
-let r_ls = ref 0
-let r_facts = ref 0
-let r_certs = ref 0
-
-let add_range_bounds_elided n = r_bounds := !r_bounds + n
-let add_range_ls_elided n = r_ls := !r_ls + n
-let add_range_facts n = r_facts := !r_facts + n
-let add_range_cert_checks n = r_certs := !r_certs + n
-
-let read_range () =
-  {
-    range_bounds_elided = !r_bounds;
-    range_ls_elided = !r_ls;
-    range_facts = !r_facts;
-    range_cert_checks = !r_certs;
-  }
-
-let reset_range () =
-  r_bounds := 0;
-  r_ls := 0;
-  r_facts := 0;
-  r_certs := 0
-
-let diff_range a b =
-  {
-    range_bounds_elided = a.range_bounds_elided - b.range_bounds_elided;
-    range_ls_elided = a.range_ls_elided - b.range_ls_elided;
-    range_facts = a.range_facts - b.range_facts;
-    range_cert_checks = a.range_cert_checks - b.range_cert_checks;
-  }
-
-let range_to_string s =
-  Printf.sprintf "range-elided bounds=%d ls=%d facts=%d certs-verified=%d"
-    s.range_bounds_elided s.range_ls_elided s.range_facts s.range_cert_checks
-
-(* ---------- pool-safety certificate counters ----------
-
-   Static accounting for the pool-safety (points-to) certificate
-   pipeline: how many TH/completeness/devirt certificates the untrusted
-   layer emitted at build time and how many the trusted checker verified
-   or rejected, plus the check elisions they justify.  Kept out of
-   [snapshot] like the range family: certification on/off builds must
-   stay bit-identical in the dynamic counters while these differ by
-   design. *)
-
-type pool_snapshot = {
-  pool_certs_emitted : int;
-  pool_certs_verified : int;
-  pool_certs_rejected : int;
-  pool_elisions : int;
-}
-
-let pool_zero =
-  {
-    pool_certs_emitted = 0;
-    pool_certs_verified = 0;
-    pool_certs_rejected = 0;
-    pool_elisions = 0;
-  }
-
-let p_emitted = ref 0
-let p_verified = ref 0
-let p_rejected = ref 0
-let p_elisions = ref 0
-
-let add_pool_certs_emitted n = p_emitted := !p_emitted + n
-let add_pool_certs_verified n = p_verified := !p_verified + n
-let add_pool_certs_rejected n = p_rejected := !p_rejected + n
-let add_pool_elisions n = p_elisions := !p_elisions + n
-
-let read_pool () =
-  {
-    pool_certs_emitted = !p_emitted;
-    pool_certs_verified = !p_verified;
-    pool_certs_rejected = !p_rejected;
-    pool_elisions = !p_elisions;
-  }
-
-let reset_pool () =
-  p_emitted := 0;
-  p_verified := 0;
-  p_rejected := 0;
-  p_elisions := 0
-
-let diff_pool a b =
-  {
-    pool_certs_emitted = a.pool_certs_emitted - b.pool_certs_emitted;
-    pool_certs_verified = a.pool_certs_verified - b.pool_certs_verified;
-    pool_certs_rejected = a.pool_certs_rejected - b.pool_certs_rejected;
-    pool_elisions = a.pool_elisions - b.pool_elisions;
-  }
-
-let pool_to_string s =
-  Printf.sprintf
-    "pool-certs emitted=%d verified=%d rejected=%d elisions=%d"
-    s.pool_certs_emitted s.pool_certs_verified s.pool_certs_rejected
-    s.pool_elisions
-
 (* ---------- concurrency counters ----------
 
    Dynamic accounting for the SVA-OS concurrency primitives: interrupt
    masking ([sva_cli]/[sva_sti]) and the spinlock operations.  Kept out
-   of [snapshot] like the tier and range families: the differential
+   of [snapshot] like the tier family: the differential
    tests compare [read ()] across configurations, and a build that adds
    explicit critical sections changes these counts by design while the
    check counts must stay comparable. *)
@@ -460,15 +337,11 @@ let conc_to_string s =
     s.cli_count s.sti_count s.lock_acquires s.lock_releases s.ipis_delivered
     s.ipis_sent
 
-(* Full reset across all five counter families.  The individual resets
+(* Full reset across all three counter families.  The individual resets
    stay available for the measurements that deliberately reset one family
    (e.g. the tiered bench resets check counters per run but accumulates
-   tier counters across warm-up and measurement).  Callers that want to
-   report build-time certification numbers after a reset must snapshot
-   [read_range]/[read_pool] first — the kernel boot driver does. *)
+   tier counters across warm-up and measurement). *)
 let reset_all () =
   reset ();
   reset_tier ();
-  reset_range ();
-  reset_pool ();
   reset_conc ()

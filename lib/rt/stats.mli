@@ -32,8 +32,8 @@ val zero : snapshot
     are therefore invariant under bank switching, so an N-CPU schedule of
     the same work keeps every aggregate counter identical to the 1-CPU
     run.  Bank 0 is the default — code that never calls [set_cpu] is
-    bit-compatible with the pre-SMP flat counters.  Build-time families
-    (tier, range, pool) are not banked. *)
+    bit-compatible with the pre-SMP flat counters.  The tier family is
+    not banked. *)
 
 val set_cpu : int -> unit
 (** Direct subsequent bumps at CPU [i]'s bank (grown on demand).
@@ -74,9 +74,9 @@ val checks_now : unit -> int
 val read : unit -> snapshot
 
 val reset : unit -> unit
-(** Reset the check counters only.  Tier and range counters are separate
-    families with their own resets; use {!reset_all} when a full reset is
-    intended. *)
+(** Reset the check counters only.  Tier and concurrency counters are
+    separate families with their own resets; use {!reset_all} when a full
+    reset is intended. *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] — per-field subtraction. *)
@@ -131,68 +131,6 @@ val reset_tier : unit -> unit
 val diff_tier : tier_snapshot -> tier_snapshot -> tier_snapshot
 val tier_to_string : tier_snapshot -> string
 
-(** {1 Range-elision counters}
-
-    Static accounting for the value-range certificate pipeline
-    ({!Sva_analysis.Interval} / the trusted checker in [Sva_tyck]):
-    checks elided at build time on verified interval certificates, and
-    the number of certificates the trusted checker re-verified.  Kept in
-    a separate snapshot so the range-elision-on and -off builds keep
-    {!snapshot} comparable in the differential tests. *)
-
-type range_snapshot = {
-  range_bounds_elided : int;
-      (** [pchk_bounds] elided on a verified in-extent certificate *)
-  range_ls_elided : int;
-      (** [pchk_lscheck] elided via range-widened safe-access proofs *)
-  range_facts : int;  (** interval facts emitted by the analysis *)
-  range_cert_checks : int;
-      (** certificates re-verified by the trusted checker *)
-}
-
-val range_zero : range_snapshot
-val add_range_bounds_elided : int -> unit
-val add_range_ls_elided : int -> unit
-val add_range_facts : int -> unit
-val add_range_cert_checks : int -> unit
-val read_range : unit -> range_snapshot
-val reset_range : unit -> unit
-
-val diff_range : range_snapshot -> range_snapshot -> range_snapshot
-val range_to_string : range_snapshot -> string
-
-(** {1 Pool-safety certificate counters}
-
-    Static accounting for the pool-safety certificate pipeline
-    ({!Sva_analysis.Pointsto} / {!Sva_safety.Devirt} emitting evidence,
-    the trusted checker in [Sva_tyck] re-verifying it): certificates
-    emitted, verified and rejected at build time, plus the check
-    elisions they justify.  A separate snapshot for the usual reason:
-    certification-on and -off builds must keep {!snapshot} bit-identical
-    in the differential tests while these counters differ by design. *)
-
-type pool_snapshot = {
-  pool_certs_emitted : int;
-      (** TH + completeness + devirt certificates the untrusted layer
-          emitted *)
-  pool_certs_verified : int;
-      (** certificates accepted by the trusted checker *)
-  pool_certs_rejected : int;
-      (** certificates in a bundle the trusted checker rejected *)
-  pool_elisions : int;
-      (** check elisions justified by verified certificates *)
-}
-
-val pool_zero : pool_snapshot
-val add_pool_certs_emitted : int -> unit
-val add_pool_certs_verified : int -> unit
-val add_pool_certs_rejected : int -> unit
-val add_pool_elisions : int -> unit
-val read_pool : unit -> pool_snapshot
-val reset_pool : unit -> unit
-val diff_pool : pool_snapshot -> pool_snapshot -> pool_snapshot
-val pool_to_string : pool_snapshot -> string
-
 (** {1 Concurrency counters}
 
     Dynamic accounting for the SVA-OS concurrency primitives: interrupt
@@ -224,10 +162,10 @@ val diff_conc : conc_snapshot -> conc_snapshot -> conc_snapshot
 val conc_to_string : conc_snapshot -> string
 
 val reset_all : unit -> unit
-(** {!reset} + {!reset_tier} + {!reset_range} + {!reset_pool} +
-    {!reset_conc}: clear every counter family.  This is what "reset the
-    statistics" should almost always mean at a measurement boundary;
-    forgetting a companion reset (the original [ukern_boot] bug) leaves
-    stale tier/range counts in the report.  Callers that want to report
-    build-time certification numbers after the reset must snapshot
-    {!read_range}/{!read_pool} first — the kernel boot driver does. *)
+(** {!reset} + {!reset_tier} + {!reset_conc}: clear every counter
+    family.  This is what "reset the statistics" should almost always
+    mean at a measurement boundary; forgetting a companion reset (the
+    original [ukern_boot] bug) leaves stale tier counts in the report.
+    Build-time certification counts are not counters: they are read
+    from the built image ([Pipeline.range_counts],
+    [Pipeline.poolcert_counts]). *)

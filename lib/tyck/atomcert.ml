@@ -33,13 +33,6 @@
 open Sva_ir
 module L = Sva_analysis.Lockset
 
-type error = { ae_func : string; ae_instr : int; ae_msg : string }
-
-let string_of_error e =
-  if e.ae_instr >= 0 then
-    Printf.sprintf "%s: %%%d: %s" e.ae_func e.ae_instr e.ae_msg
-  else Printf.sprintf "%s: %s" e.ae_func e.ae_msg
-
 (* Claim [b] is at least as weak as truth bound [a] in the must-lattice
    (join order: fewer guarantees = higher). *)
 let fact_leq a b = L.fact_equal (L.fact_join a b) b
@@ -47,7 +40,7 @@ let fact_leq a b = L.fact_equal (L.fact_join a b) b
 let check ?(entries = fun _ -> None) (m : Irmod.t) (b : L.bundle) =
   let errors = ref [] in
   let err ?(instr = -1) fn msg =
-    errors := { ae_func = fn; ae_instr = instr; ae_msg = msg } :: !errors
+    errors := { Cert.func = fn; instr; msg } :: !errors
   in
   let effs = L.effects m in
   let defs_tbl = Hashtbl.create 64 in
@@ -267,8 +260,6 @@ let check ?(entries = fun _ -> None) (m : Irmod.t) (b : L.bundle) =
     b.L.cb_acerts;
   List.rev !errors
 
-let check_ok ?entries m b = check ?entries m b = []
-
 (* ---------- certificate-bug injection ---------- *)
 
 type bug =
@@ -480,19 +471,10 @@ let inject (m : Irmod.t) (b : L.bundle) bug ~seed =
                Printf.sprintf "acert %s/%%%d retargeted to global %s"
                  a.L.ac_func a.L.ac_instr g ))
 
-let experiment ?entries (m : Irmod.t) (b : L.bundle) ~instances =
-  List.concat_map
-    (fun bug ->
-      let seen = Hashtbl.create 8 in
-      let out = ref [] in
-      let seed = ref 0 in
-      while List.length !out < instances && !seed < instances * 10 do
-        (match inject m b bug ~seed:!seed with
-        | Some (bb, desc) when not (Hashtbl.mem seen desc) ->
-            Hashtbl.replace seen desc ();
-            out := (bug, desc, not (check_ok ?entries m bb)) :: !out
-        | _ -> ());
-        incr seed
-      done;
-      List.rev !out)
-    all_bugs
+let cert ~entries =
+  {
+    Cert.what = "atomicity certificate";
+    check = check ~entries;
+    bugs =
+      List.map (fun bug -> (bug_name bug, fun m b -> inject m b bug)) all_bugs;
+  }

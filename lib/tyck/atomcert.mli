@@ -21,24 +21,14 @@
 open Sva_ir
 module L = Sva_analysis.Lockset
 
-type error = {
-  ae_func : string;
-  ae_instr : int;  (** instruction id; -1 for function-level errors *)
-  ae_msg : string;
-}
-
-val string_of_error : error -> string
-
 val check :
-  ?entries:(string -> L.prot option) -> Irmod.t -> L.bundle -> error list
+  ?entries:(string -> L.prot option) -> Irmod.t -> L.bundle -> Cert.error list
 (** Verify every function certificate and access certificate in the
     bundle.  [entries] must be the trusted root configuration the
     analysis ran with ({!Sva_analysis.Lockset.entry_config}): handlers
     invoked by the SVM dispatcher and the boundary protection the
     dispatcher establishes.  An empty result means every discharged
     atomicity obligation is justified. *)
-
-val check_ok : ?entries:(string -> L.prot option) -> Irmod.t -> L.bundle -> bool
 
 (** {1 Certificate-bug injection}
 
@@ -64,12 +54,6 @@ val inject : Irmod.t -> L.bundle -> bug -> seed:int -> (L.bundle * string) optio
 (** Produce a buggy bundle copy and a description of the injected bug,
     or [None] if no suitable site exists. *)
 
-val experiment :
-  ?entries:(string -> L.prot option) ->
-  Irmod.t ->
-  L.bundle ->
-  instances:int ->
-  (bug * string * bool) list
-(** For each bug kind, inject up to [instances] distinct bugs and
-    report, per injection, whether {!check} caught it.  All entries
-    should be [true]. *)
+val cert : entries:(string -> L.prot option) -> L.bundle Cert.t
+(** The checker under the trusted root configuration [entries], with the
+    six injectors above. *)

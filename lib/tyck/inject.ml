@@ -175,20 +175,14 @@ let inject (m : Irmod.t) (an : Tyck.annot) kind ~seed =
                 fname old base res )
       | None -> None)
 
-let experiment m an ~instances =
-  List.concat_map
-    (fun kind ->
-      let rec collect seed found acc =
-        if found >= instances || seed > 200 then List.rev acc
-        else
-          match inject m an kind ~seed with
-          | Some (buggy, desc) ->
-              let caught = not (Tyck.check_ok m buggy) in
-              collect (seed + 1) (found + 1) ((kind, desc, caught) :: acc)
-          | None -> collect (seed + 1) found acc
-      in
-      collect 0 0 [])
-    all_kinds
+let tyck ~trusted =
+  {
+    Cert.what = "metapool type";
+    check = Tyck.check ~trusted;
+    bugs =
+      List.map (fun kind -> (kind_name kind, fun m an -> inject m an kind))
+        all_kinds;
+  }
 
 (* ---------- pool-safety certificate bugs ---------- *)
 
@@ -480,17 +474,11 @@ let pool_inject (m : Irmod.t) (b : Poolev.bundle) bug ~seed :
                  of @%s:%d"
                 bogus cert.Poolev.dc_func cert.Poolev.dc_instr ))
 
-let pool_experiment ?config m (b : Poolev.bundle) ~instances =
-  List.concat_map
-    (fun bug ->
-      let rec collect seed found acc =
-        if found >= instances || seed > 200 then List.rev acc
-        else
-          match pool_inject m b bug ~seed with
-          | Some (buggy, desc) ->
-              let caught = not (Poolcert.check_ok ?config m buggy) in
-              collect (seed + 1) (found + 1) ((bug, desc, caught) :: acc)
-          | None -> collect (seed + 1) found acc
-      in
-      collect 0 0 [])
-    all_pool_bugs
+let poolcert ~config =
+  {
+    Cert.what = "pool-safety certificate";
+    check = Poolcert.check ~config;
+    bugs =
+      List.map (fun bug -> (pool_bug_name bug, fun m b -> pool_inject m b bug))
+        all_pool_bugs;
+  }

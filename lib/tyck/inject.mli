@@ -28,11 +28,10 @@ val inject : Irmod.t -> Tyck.annot -> kind -> seed:int -> (Tyck.annot * string) 
     or [None] if no suitable site exists for this seed (the experiment
     driver then tries the next seed). *)
 
-val experiment :
-  Irmod.t -> Tyck.annot -> instances:int -> (kind * string * bool) list
-(** Run the paper's experiment: for each bug kind, inject [instances]
-    distinct bugs and report, per injection, whether the checker caught
-    it.  All entries should be [true]. *)
+val tyck : trusted:string list -> Tyck.annot Cert.t
+(** {!Tyck.check} under the trusted interface set [trusted], with the
+    four injectors above.  [Cert.experiment (tyck ~trusted) m an
+    ~instances:5] is the paper's experiment. *)
 
 (** {1 Pool-safety certificate bugs}
 
@@ -70,12 +69,7 @@ val pool_inject :
 (** Produce a buggy bundle copy and a description, or [None] when no
     suitable site exists for this seed. *)
 
-val pool_experiment :
-  ?config:Sva_analysis.Pointsto.config ->
-  Irmod.t ->
-  Sva_safety.Poolev.bundle ->
-  instances:int ->
-  (pool_bug * string * bool) list
-(** For each bug kind, inject up to [instances] distinct bugs and
-    report, per injection, whether {!Poolcert.check} caught it.  All
-    entries should be [true]. *)
+val poolcert :
+  config:Sva_analysis.Pointsto.config -> Sva_safety.Poolev.bundle Cert.t
+(** {!Poolcert.check} under the porting configuration [config], with the
+    six pool-certificate injectors above. *)

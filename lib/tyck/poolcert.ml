@@ -12,11 +12,6 @@ open Sva_analysis
 open Sva_safety
 module P = Pointsto
 
-type error = { pe_func : string; pe_instr : int; pe_msg : string }
-
-let string_of_error e =
-  Printf.sprintf "@%s:%d: %s" e.pe_func e.pe_instr e.pe_msg
-
 module SiteSet = Set.Make (struct
   type t = string * int
 
@@ -50,12 +45,12 @@ let label_is_dv_test ~prefix label =
        (String.sub label pl (String.length label - pl))
 
 let check ?(config = P.default_config) (m : Irmod.t) (b : Poolev.bundle) :
-    error list =
+    Cert.error list =
   let errors = ref [] in
   let err fname instr fmt =
     Printf.ksprintf
       (fun s ->
-        errors := { pe_func = fname; pe_instr = instr; pe_msg = s } :: !errors)
+        errors := { Cert.func = fname; instr; msg = s } :: !errors)
       fmt
   in
   let cert_err fmt = err "<bundle>" (-1) fmt in
@@ -124,13 +119,7 @@ let check ?(config = P.default_config) (m : Irmod.t) (b : Poolev.bundle) :
          t);
     }
   in
-  List.iter
-    (fun (e : Tyck.error) ->
-      errors :=
-        { pe_func = e.Tyck.te_func; pe_instr = e.Tyck.te_instr;
-          pe_msg = e.Tyck.te_msg }
-        :: !errors)
-    (Tyck.check ~trusted m an);
+  errors := List.rev_append (Tyck.check ~trusted m an) !errors;
 
   (* ---- the syscall table, re-derived ---- *)
   let syscalls : (int, string) Hashtbl.t = Hashtbl.create 16 in
@@ -745,5 +734,3 @@ let check ?(config = P.default_config) (m : Irmod.t) (b : Poolev.bundle) :
     m.Irmod.m_funcs;
 
   List.rev !errors
-
-let check_ok ?config m b = check ?config m b = []

@@ -57,15 +57,8 @@ open Sva_ir
 open Sva_analysis
 open Sva_safety
 
-type error = {
-  pe_func : string;
-  pe_instr : int;  (** instruction id; -1 for certificate-level errors *)
-  pe_msg : string;
-}
-
-val string_of_error : error -> string
-
-val check : ?config:Pointsto.config -> Irmod.t -> Poolev.bundle -> error list
+val check :
+  ?config:Pointsto.config -> Irmod.t -> Poolev.bundle -> Cert.error list
 (** Verify every membership fact, certificate and elision record in the
     bundle against the given module (normally the instrumented module
     the pipeline just produced).  [config] must be the same porting
@@ -74,5 +67,3 @@ val check : ?config:Pointsto.config -> Irmod.t -> Poolev.bundle -> error list
     (Section 4.4) and decide how the checker classifies call sites.
     An empty result means every points-to-justified elision is
     independently justified. *)
-
-val check_ok : ?config:Pointsto.config -> Irmod.t -> Poolev.bundle -> bool

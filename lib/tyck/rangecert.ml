@@ -11,12 +11,6 @@
 open Sva_ir
 module I = Sva_analysis.Interval
 
-type error = { re_func : string; re_instr : int; re_msg : string }
-
-let string_of_error e =
-  if e.re_instr < 0 then Printf.sprintf "@%s: %s" e.re_func e.re_msg
-  else Printf.sprintf "@%s: r%d: %s" e.re_func e.re_instr e.re_msg
-
 (* Per-function context, re-derived from the IR. *)
 type fctx = {
   x_f : Func.t;
@@ -84,7 +78,7 @@ let width_of x reg =
 
 let check ?(entries = fun _ -> true) (m : Irmod.t) (b : I.bundle) =
   let errs = ref [] in
-  let err fn id msg = errs := { re_func = fn; re_instr = id; re_msg = msg } :: !errs in
+  let err fn id msg = errs := { Cert.func = fn; instr = id; msg } :: !errs in
   let esc = escape_set m in
   let eff fn =
     entries fn || Hashtbl.mem esc fn
@@ -486,8 +480,6 @@ let check ?(entries = fun _ -> true) (m : Irmod.t) (b : I.bundle) =
     b.I.cb_certs;
   List.rev !errs
 
-let check_ok ?entries m b = check ?entries m b = []
-
 (* ------------------------------------------------------------------ *)
 (* Certificate-bug injection (the Section 5 experiment for ranges).    *)
 (* ------------------------------------------------------------------ *)
@@ -803,17 +795,10 @@ let inject (m : Irmod.t) (b : I.bundle) bug ~seed =
                 (I.ival_to_string old) n )
       | None -> None)
 
-let experiment ?entries m b ~instances =
-  List.concat_map
-    (fun bug ->
-      let rec collect seed found acc =
-        if found >= instances || seed > 200 then List.rev acc
-        else
-          match inject m b bug ~seed with
-          | Some (buggy, desc) ->
-              let caught = not (check_ok ?entries m buggy) in
-              collect (seed + 1) (found + 1) ((bug, desc, caught) :: acc)
-          | None -> collect (seed + 1) found acc
-      in
-      collect 0 0 [])
-    all_bugs
+let cert ~entries =
+  {
+    Cert.what = "range certificate";
+    check = check ~entries;
+    bugs =
+      List.map (fun bug -> (bug_name bug, fun m b -> inject m b bug)) all_bugs;
+  }

@@ -20,15 +20,7 @@
 open Sva_ir
 module I = Sva_analysis.Interval
 
-type error = {
-  re_func : string;
-  re_instr : int;  (** register / instruction id; -1 for claim errors *)
-  re_msg : string;
-}
-
-val string_of_error : error -> string
-
-val check : ?entries:(string -> bool) -> Irmod.t -> I.bundle -> error list
+val check : ?entries:(string -> bool) -> Irmod.t -> I.bundle -> Cert.error list
 (** Verify every fact, module-level claim and certificate in the
     bundle.  [entries] must be the same trusted configuration the
     analysis ran with ({!Sva_analysis.Interval.entry_config}): functions
@@ -36,8 +28,6 @@ val check : ?entries:(string -> bool) -> Irmod.t -> I.bundle -> error list
     therefore unverifiable.  Facts claiming [top] are vacuous and
     accepted.  An empty result means every range-based elision is
     justified. *)
-
-val check_ok : ?entries:(string -> bool) -> Irmod.t -> I.bundle -> bool
 
 (** {1 Certificate-bug injection}
 
@@ -66,12 +56,6 @@ val inject :
     or [None] if no suitable site exists for this seed (the experiment
     driver then tries the next seed). *)
 
-val experiment :
-  ?entries:(string -> bool) ->
-  Irmod.t ->
-  I.bundle ->
-  instances:int ->
-  (bug * string * bool) list
-(** For each bug kind, inject up to [instances] distinct bugs and
-    report, per injection, whether {!check} caught it.  All entries
-    should be [true]. *)
+val cert : entries:(string -> bool) -> I.bundle Cert.t
+(** The checker under the trusted configuration [entries], with the six
+    injectors above. *)

@@ -11,11 +11,6 @@ type annot = {
   an_th : (int, Ty.t) Hashtbl.t;
 }
 
-type error = { te_func : string; te_instr : int; te_msg : string }
-
-let string_of_error e =
-  Printf.sprintf "@%s:%d: %s" e.te_func e.te_instr e.te_msg
-
 (* ---------- proof producer ---------- *)
 
 let extract (m : Irmod.t) (pa : Pointsto.result) (mps : Metapool.t) : annot =
@@ -90,7 +85,7 @@ let extract (m : Irmod.t) (pa : Pointsto.result) (mps : Metapool.t) : annot =
 
 (* ---------- the trusted checker ---------- *)
 
-let check ?(trusted = []) (m : Irmod.t) (an : annot) : error list =
+let check ?(trusted = []) (m : Irmod.t) (an : annot) : Cert.error list =
   let errors = ref [] in
   let mp_of_value fname (v : Value.t) =
     match v with
@@ -107,7 +102,7 @@ let check ?(trusted = []) (m : Irmod.t) (an : annot) : error list =
         let err instr fmt =
           Printf.ksprintf
             (fun s ->
-              errors := { te_func = fname; te_instr = instr; te_msg = s } :: !errors)
+              errors := { Cert.func = fname; instr; msg = s } :: !errors)
             fmt
         in
         let mp = mp_of_value fname in
@@ -235,8 +230,6 @@ let check ?(trusted = []) (m : Irmod.t) (an : annot) : error list =
       end)
     m.Irmod.m_funcs;
   List.rev !errors
-
-let check_ok ?trusted m an = check ?trusted m an = []
 
 let trusted_of_config (cfg : Pointsto.config) =
   let allocs =

@@ -35,15 +35,7 @@ type annot = {
 val extract : Irmod.t -> Pointsto.result -> Metapool.t -> annot
 (** The proof producer: encode the analysis results as annotations. *)
 
-type error = {
-  te_func : string;
-  te_instr : int;  (** instruction id; -1 for non-instruction errors *)
-  te_msg : string;
-}
-
-val string_of_error : error -> string
-
-val check : ?trusted:string list -> Irmod.t -> annot -> error list
+val check : ?trusted:string list -> Irmod.t -> annot -> Cert.error list
 (** The trusted checker.  Purely intraprocedural and local; empty result
     means the annotations are consistent.
 
@@ -53,8 +45,6 @@ val check : ?trusted:string list -> Irmod.t -> annot -> error list
     them are governed by those declarations rather than by the
     argument-qualifier rule, exactly as the paper places the allocator
     declarations inside the trusted porting step (Section 4.4). *)
-
-val check_ok : ?trusted:string list -> Irmod.t -> annot -> bool
 
 val trusted_of_config : Sva_analysis.Pointsto.config -> string list
 (** The trusted-interface set implied by an analysis configuration. *)

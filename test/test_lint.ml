@@ -322,7 +322,7 @@ let test_prover_range_oracle () =
   Alcotest.(check bool) "certificates materialized" true
     (b.Sva_analysis.Interval.cb_certs <> []);
   Alcotest.(check (list string)) "and they all re-verify" []
-    (List.map Sva_tyck.Rangecert.string_of_error
+    (List.map Sva_tyck.Cert.string_of_error
        (Sva_tyck.Rangecert.check
           ~entries:(Sva_analysis.Interval.entry_config res)
           m b))

@@ -1,9 +1,12 @@
-(* Tests for the metapool type system: valid annotations pass the trusted
-   checker; the Section 5 bug-injection experiment (4 kinds x 5 instances)
-   is fully detected. *)
+(* Tests for the metapool type system and the other trusted checkers:
+   valid evidence passes each checker; the Section 5 bug-injection
+   experiment (4 kinds x 5 instances for the type system) is fully
+   detected; the shared build gate rejects injected bugs with a typed
+   error. *)
 
 open Sva_pipeline
 module Tyck = Sva_tyck.Tyck
+module Cert = Sva_tyck.Cert
 module Inject = Sva_tyck.Inject
 module Pointsto = Sva_analysis.Pointsto
 module Allocdecl = Sva_analysis.Allocdecl
@@ -72,6 +75,46 @@ let build () =
   Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~name:"tyck"
     [ allocator_src; kernelish_src ]
 
+(* The shared injection experiment plus the assertions every checker's
+   experiment test makes: each bug kind injects at least once and every
+   injected bug is caught. *)
+let run_experiment cert m b ~instances =
+  let results = Cert.experiment cert m b ~instances in
+  List.iter
+    (fun (kind, _) ->
+      if not (List.exists (fun (k, _, _) -> k = kind) results) then
+        Alcotest.failf "no injection site for %s" kind)
+    cert.Cert.bugs;
+  List.iter
+    (fun (kind, desc, caught) ->
+      if not caught then Alcotest.failf "missed %s: %s" kind desc)
+    results;
+  results
+
+(* The build gate: the clean evidence passes; the first injectable bug
+   raises [Cert.Rejected] naming the checker, and the registered printer
+   keeps the "<what> checking failed:" text builds have always failed
+   with. *)
+let check_gate what cert m b =
+  Cert.gate cert m b;
+  match
+    List.find_map
+      (fun (_, inject) -> Option.map fst (inject m b ~seed:0))
+      cert.Cert.bugs
+  with
+  | None -> Alcotest.fail "no injection site"
+  | Some buggy -> (
+      match Cert.gate cert m buggy with
+      | () -> Alcotest.fail "injected bug passed the gate"
+      | exception (Cert.Rejected (name, errs) as e) ->
+          Alcotest.(check string) "rejecting checker" what name;
+          Alcotest.(check bool) "at least one error" true (errs <> []);
+          let prefix = what ^ " checking failed:\n" in
+          let printed = Printexc.to_string e in
+          Alcotest.(check string) "registered printer" prefix
+            (String.sub printed 0
+               (min (String.length prefix) (String.length printed))))
+
 let test_valid_annotations_pass () =
   let b = build () in
   match b.Pipeline.bl_annot with
@@ -111,17 +154,14 @@ let experiment_parts () =
   let an = Tyck.extract m pa mps in
   (m, an)
 
+let tyck_cert = Inject.tyck ~trusted:[]
+
 let test_injection_experiment () =
   let m, an = experiment_parts () in
   Alcotest.(check (list string)) "clean annotations pass" []
-    (List.map Tyck.string_of_error (Tyck.check m an));
-  let results = Inject.experiment m an ~instances:5 in
-  Alcotest.(check int) "20 bugs injected" 20 (List.length results);
-  List.iter
-    (fun (kind, desc, caught) ->
-      if not caught then
-        Alcotest.failf "missed %s: %s" (Inject.kind_name kind) desc)
-    results
+    (List.map Cert.string_of_error (Tyck.check m an));
+  let results = run_experiment tyck_cert m an ~instances:5 in
+  Alcotest.(check int) "20 bugs injected" 20 (List.length results)
 
 let test_each_kind_injectable () =
   let m, an = experiment_parts () in
@@ -131,7 +171,7 @@ let test_each_kind_injectable () =
       | Some (buggy, _) ->
           Alcotest.(check bool)
             (Inject.kind_name kind ^ " detected")
-            false (Tyck.check_ok m buggy)
+            true (Tyck.check m buggy <> [])
       | None -> Alcotest.failf "no site for %s" (Inject.kind_name kind))
     Inject.all_kinds
 
@@ -141,7 +181,11 @@ let test_copy_is_deep () =
   | Some _ -> ()
   | None -> Alcotest.fail "no injection site");
   (* The original must still check clean after injections created copies. *)
-  Alcotest.(check bool) "original untouched" true (Tyck.check_ok m an)
+  Alcotest.(check bool) "original untouched" true (Tyck.check m an = [])
+
+let test_tyck_gate () =
+  let m, an = experiment_parts () in
+  check_gate "metapool type" tyck_cert m an
 
 (* ------------------------------------------------------------------ *)
 (* Range certificates: the same PCC discipline for the interval
@@ -189,7 +233,7 @@ let test_rangecert_accepts_producer () =
   let m, b, entries = range_parts () in
   Alcotest.(check (list string))
     "producer bundle passes the trusted checker" []
-    (List.map Rangecert.string_of_error (Rangecert.check ~entries m b));
+    (List.map Cert.string_of_error (Rangecert.check ~entries m b));
   (* the fixture must exercise every justification the checker rules on *)
   Alcotest.(check bool) "has facts" true (Hashtbl.length b.Interval.cb_facts > 0);
   Alcotest.(check bool) "has certificates" true (b.Interval.cb_certs <> []);
@@ -200,17 +244,7 @@ let test_rangecert_accepts_producer () =
 
 let test_rangecert_rejects_injections () =
   let m, b, entries = range_parts () in
-  let results = Rangecert.experiment ~entries m b ~instances:5 in
-  List.iter
-    (fun bug ->
-      if not (List.exists (fun (k, _, _) -> k = bug) results) then
-        Alcotest.failf "no injection site for %s" (Rangecert.bug_name bug))
-    Rangecert.all_bugs;
-  List.iter
-    (fun (bug, desc, caught) ->
-      if not caught then
-        Alcotest.failf "missed %s: %s" (Rangecert.bug_name bug) desc)
-    results
+  ignore (run_experiment (Rangecert.cert ~entries) m b ~instances:5)
 
 let test_rangecert_copy_is_deep () =
   let m, b, entries = range_parts () in
@@ -218,7 +252,11 @@ let test_rangecert_copy_is_deep () =
     (fun bug -> ignore (Rangecert.inject m b bug ~seed:0))
     Rangecert.all_bugs;
   Alcotest.(check bool) "original bundle untouched" true
-    (Rangecert.check_ok ~entries m b)
+    (Rangecert.check ~entries m b = [])
+
+let test_rangecert_gate () =
+  let m, b, entries = range_parts () in
+  check_gate "range certificate" (Rangecert.cert ~entries) m b
 
 (* ---------- atomicity certificates (concurrency pass) ---------- *)
 
@@ -261,24 +299,14 @@ let test_atomcert_accepts_producer () =
   let m, _, b, entries = atom_parts () in
   Alcotest.(check (list string))
     "producer bundle passes the trusted checker" []
-    (List.map Atomcert.string_of_error (Atomcert.check ~entries m b));
+    (List.map Cert.string_of_error (Atomcert.check ~entries m b));
   Alcotest.(check bool) "has access certificates" true
     (b.Lockset.cb_acerts <> []);
   Alcotest.(check bool) "has function claims" true (b.Lockset.cb_fcerts <> [])
 
 let test_atomcert_rejects_injections () =
   let m, _, b, entries = atom_parts () in
-  let results = Atomcert.experiment ~entries m b ~instances:3 in
-  List.iter
-    (fun bug ->
-      if not (List.exists (fun (k, _, _) -> k = bug) results) then
-        Alcotest.failf "no injection site for %s" (Atomcert.bug_name bug))
-    Atomcert.all_bugs;
-  List.iter
-    (fun (bug, desc, caught) ->
-      if not caught then
-        Alcotest.failf "missed %s: %s" (Atomcert.bug_name bug) desc)
-    results
+  ignore (run_experiment (Atomcert.cert ~entries) m b ~instances:3)
 
 let test_atomcert_copy_is_deep () =
   let m, _, b, entries = atom_parts () in
@@ -286,7 +314,11 @@ let test_atomcert_copy_is_deep () =
     (fun bug -> ignore (Atomcert.inject m b bug ~seed:0))
     Atomcert.all_bugs;
   Alcotest.(check bool) "original bundle untouched" true
-    (Atomcert.check_ok ~entries m b)
+    (Atomcert.check ~entries m b = [])
+
+let test_atomcert_gate () =
+  let m, _, b, entries = atom_parts () in
+  check_gate "atomicity certificate" (Atomcert.cert ~entries) m b
 
 (* ---------- Pool-safety certificates (points-to evicted from the TCB):
    the producer bundle re-verifies on the local fixture and on the
@@ -325,7 +357,7 @@ let test_poolcert_accepts_producer () =
   let b = bundle_of built in
   Alcotest.(check (list string))
     "producer bundle passes the trusted checker" []
-    (List.map Poolcert.string_of_error
+    (List.map Cert.string_of_error
        (Poolcert.check ~config:aconfig built.Pipeline.bl_mod b));
   Alcotest.(check bool) "has TH certificates" true (b.Poolev.pb_th <> []);
   Alcotest.(check bool) "has completeness certificates" true
@@ -337,26 +369,16 @@ let test_poolcert_kernel_accepts () =
   let m, b, config = pool_parts () in
   (* the pipeline gate already enforced acceptance; re-check explicitly *)
   Alcotest.(check (list string)) "kernel bundle re-verifies" []
-    (List.map Poolcert.string_of_error (Poolcert.check ~config m b));
+    (List.map Cert.string_of_error (Poolcert.check ~config m b));
   Alcotest.(check bool) "kernel has certificates" true
     (Poolev.cert_count b > 0);
   Alcotest.(check bool) "kernel has elisions" true (Poolev.elision_count b > 0)
 
 let test_poolcert_rejects_injections () =
   let m, b, config = pool_parts () in
-  let results = Inject.pool_experiment ~config m b ~instances:3 in
-  List.iter
-    (fun bug ->
-      if not (List.exists (fun (k, _, _) -> k = bug) results) then
-        Alcotest.failf "no injection site for %s" (Inject.pool_bug_name bug))
-    Inject.all_pool_bugs;
+  let results = run_experiment (Inject.poolcert ~config) m b ~instances:3 in
   Alcotest.(check int) "18 bugs injected (6 kinds x 3 instances)" 18
-    (List.length results);
-  List.iter
-    (fun (bug, desc, caught) ->
-      if not caught then
-        Alcotest.failf "missed %s: %s" (Inject.pool_bug_name bug) desc)
-    results
+    (List.length results)
 
 let test_poolcert_copy_is_deep () =
   let m, b, config = pool_parts () in
@@ -364,7 +386,11 @@ let test_poolcert_copy_is_deep () =
     (fun bug -> ignore (Inject.pool_inject m b bug ~seed:0))
     Inject.all_pool_bugs;
   Alcotest.(check bool) "original bundle untouched" true
-    (Poolcert.check_ok ~config m b)
+    (Poolcert.check ~config m b = [])
+
+let test_poolcert_gate () =
+  let m, b, config = pool_parts () in
+  check_gate "pool-safety certificate" (Inject.poolcert ~config) m b
 
 (* Devirtualization evidence: the same fixture test_opts uses, built
    with both devirtualization and certification on — the rewritten
@@ -395,7 +421,7 @@ let test_poolcert_devirt_cert () =
   Alcotest.(check (list string)) "claimed target set" [ "dec"; "inc" ]
     (List.sort compare dc.Poolev.dc_targets);
   Alcotest.(check bool) "bundle re-verifies" true
-    (Poolcert.check_ok ~config:aconfig built.Pipeline.bl_mod b)
+    (Poolcert.check ~config:aconfig built.Pipeline.bl_mod b = [])
 
 let () =
   Alcotest.run "sva_tyck"
@@ -415,6 +441,8 @@ let () =
           Alcotest.test_case "each kind detected" `Quick test_each_kind_injectable;
           Alcotest.test_case "injection copies annotations" `Quick
             test_copy_is_deep;
+          Alcotest.test_case "gate rejects injected bug" `Quick
+            test_tyck_gate;
         ] );
       ( "rangecert",
         [
@@ -424,6 +452,8 @@ let () =
             test_rangecert_rejects_injections;
           Alcotest.test_case "injection copies bundle" `Quick
             test_rangecert_copy_is_deep;
+          Alcotest.test_case "gate rejects injected bug" `Quick
+            test_rangecert_gate;
         ] );
       ( "atomcert",
         [
@@ -435,6 +465,8 @@ let () =
             test_atomcert_rejects_injections;
           Alcotest.test_case "injection copies bundle" `Quick
             test_atomcert_copy_is_deep;
+          Alcotest.test_case "gate rejects injected bug" `Quick
+            test_atomcert_gate;
         ] );
       ( "poolcert",
         [
@@ -446,6 +478,8 @@ let () =
             test_poolcert_rejects_injections;
           Alcotest.test_case "injection copies bundle" `Quick
             test_poolcert_copy_is_deep;
+          Alcotest.test_case "gate rejects injected bug" `Quick
+            test_poolcert_gate;
           Alcotest.test_case "devirtualization certificate" `Quick
             test_poolcert_devirt_cert;
         ] );
