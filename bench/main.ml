@@ -245,7 +245,7 @@ let () =
           (fun (s : Tables.section) ->
             Option.bind s.json (fun json ->
                 guarded ~shown:("json " ^ s.name) ("json:" ^ s.name)
-                  (fun () -> (s.name, json ~quick:!quick))))
+                  (fun () -> (s.name, json.Tables.payload ~quick:!quick))))
           selected
       in
       let doc =

@@ -5,10 +5,15 @@ module Pointsto = Sva_analysis.Pointsto
 module T = Tablefmt
 module J = Jsonout
 
+type json = {
+  payload : quick:bool -> Jsonout.t;
+  check : Jsonout.t -> string list;
+}
+
 type section = {
   name : string;
   render : quick:bool -> strict:bool -> string;
-  json : (quick:bool -> Jsonout.t) option;
+  json : json option;
 }
 
 (* Compute [f k] once per key: a section's table and its JSON payload
@@ -36,6 +41,68 @@ let verdict ~strict name failures table =
       let msg = String.concat "; " fs in
       if strict then failwith (name ^ " check FAILED: " ^ msg)
       else table ^ "  " ^ name ^ " check: FAIL - " ^ msg ^ "\n"
+
+(* ---------- section checks ----------
+
+   A JSON-bearing section writes its PASS/FAIL criteria once, as a check
+   over its payload: the report ends with the check's verdict on its own
+   payload, and json_check runs it on a payload read back from a file.
+   [field conv path j] is the value at the dotted [path] in [j]; a
+   missing or mistyped field raises Parse_error.  A failure message
+   names the field that failed. *)
+
+let field conv path j =
+  let step v k =
+    match J.member k v with Some v -> v | None -> raise Not_found
+  in
+  try conv (List.fold_left step j (String.split_on_char '.' path))
+  with Not_found | J.Parse_error _ ->
+    raise (J.Parse_error ("missing or mistyped field " ^ path))
+
+let int = field J.to_int
+let num = field J.to_float
+
+let obj = function
+  | J.Obj fields -> fields
+  | _ -> raise (J.Parse_error "expected an object")
+
+let yes path j =
+  gate (field (( = ) (J.Bool true)) path j) (path ^ " is not true")
+
+let zero path j = gate (int path j = 0) (path ^ " is not 0")
+
+let positive path j = gate (num path j > 0.0) (path ^ " is not positive")
+
+let at_least floor path j =
+  let x = num path j in
+  gate (x >= floor) (Printf.sprintf "%s %g is below %g" path x floor)
+
+(* [path.a] and [path.b] hold the same number. *)
+let same path a b j =
+  let x = num (path ^ "." ^ a) j and y = num (path ^ "." ^ b) j in
+  gate (x = y) (Printf.sprintf "%s differs: %s %.17g vs %s %.17g" path a x b y)
+
+(* [path.off] - [path.on] = [path.elided]: the build dropped exactly the
+   checks it claims to have elided. *)
+let elides path off on elided j =
+  let f k = int (path ^ "." ^ k) j in
+  gate
+    (f off - f on = f elided)
+    (Printf.sprintf "%s: %s %d - %s %d <> %s %d" path off (f off) on (f on)
+       elided (f elided))
+
+(* Every count in the object at [path] is 0. *)
+let all_zero path j =
+  List.concat_map
+    (fun (k, v) -> gate (J.to_int v = 0) (path ^ "." ^ k ^ " is not 0"))
+    (field obj path j)
+
+let all_caught j =
+  let injected = int "injection.injected" j
+  and caught = int "injection.caught" j in
+  gate
+    (injected > 0 && caught = injected)
+    (Printf.sprintf "injection experiment caught %d/%d bugs" caught injected)
 
 (* Build each kernel configuration once and reuse it across tables. *)
 let image = memo (fun conf -> Kbuild.build ~conf Kbuild.as_tested)
@@ -143,25 +210,6 @@ let table7_data =
           (nm, native, ovs, paper))
         Workloads.latency_ops)
 
-let table7 ~quick ~strict:_ =
-  let rows =
-    List.map
-      (fun (nm, native, ovs, paper) ->
-        [ nm; Printf.sprintf "%.0fcy" native ] @ vs_paper ovs paper)
-      (table7_data quick)
-  in
-  T.render
-    ~title:"Table 7: latency increase for raw kernel operations (vs native)"
-    ~note:
-      "Columns: measured% (paper%).  Shape to check: cheap syscalls \
-       (getpid/gettimeofday) are dominated by SVA-OS cost so all three SVA \
-       kernels pay similar moderate overhead; syscalls that do real work \
-       (open/close, pipe, fork) blow up only under SVA-Safe where run-time \
-       checks dominate (Section 7.1.2)."
-    [ T.L; T.R; T.R; T.R; T.R ]
-    [ "Operation"; "Native"; "SVA-GCC"; "SVA-LLVM"; "SVA-Safe" ]
-    rows
-
 let table7_json ~quick =
   J.List
     (List.map
@@ -180,6 +228,46 @@ let table7_json ~quick =
                    (List.combine sva_confs ovs)));
            ])
        (table7_data quick))
+
+let table7_check j =
+  let ops = J.to_list j in
+  gate (ops <> []) "no operations"
+  @ List.concat_map
+      (fun op ->
+        let name = field J.to_string "operation" op in
+        let confs = field obj "overheads-pct" op in
+        gate (num "native-cycles" op > 0.0) (name ^ ": native cycles <= 0")
+        @ gate (List.length confs = 3) (name ^ ": not three SVA configurations")
+        @ List.concat_map
+            (fun (conf, o) ->
+              let finite k = Float.is_finite (num k o) in
+              gate
+                (finite "measured" && finite "paper")
+                (name ^ " " ^ conf ^ ": overheads not finite"))
+            confs)
+      ops
+
+let table7 ~quick ~strict =
+  let rows =
+    List.map
+      (fun (nm, native, ovs, paper) ->
+        [ nm; Printf.sprintf "%.0fcy" native ] @ vs_paper ovs paper)
+      (table7_data quick)
+  in
+  let table =
+    T.render
+      ~title:"Table 7: latency increase for raw kernel operations (vs native)"
+      ~note:
+        "Columns: measured% (paper%).  Shape to check: cheap syscalls \
+         (getpid/gettimeofday) are dominated by SVA-OS cost so all three SVA \
+         kernels pay similar moderate overhead; syscalls that do real work \
+         (open/close, pipe, fork) blow up only under SVA-Safe where run-time \
+         checks dominate (Section 7.1.2)."
+      [ T.L; T.R; T.R; T.R; T.R ]
+      [ "Operation"; "Native"; "SVA-GCC"; "SVA-LLVM"; "SVA-Safe" ]
+      rows
+  in
+  verdict ~strict "table7" (table7_check (table7_json ~quick)) table
 
 let table8 ~quick ~strict:_ =
   let rows =
@@ -741,6 +829,35 @@ let fastpath_data =
         fp_reduction = (if cmp_on > 0.0 then cmp_off /. cmp_on else infinity);
       })
 
+let fastpath_json ~quick =
+  let d = fastpath_data quick in
+  J.Obj
+    [
+      ("splay-comparisons-per-op",
+       J.Obj [ ("cache-off", J.Float d.fp_cmp_off);
+               ("cache-on", J.Float d.fp_cmp_on) ]);
+      ("cycles-per-op",
+       J.Obj [ ("cache-off", J.Float d.fp_cycles_off);
+               ("cache-on", J.Float d.fp_cycles_on) ]);
+      ("checks-per-op",
+       J.Obj [ ("cache-off", J.Int d.fp_checks_off);
+               ("cache-on", J.Int d.fp_checks_on) ]);
+      ("hit-rate-pct", J.Float d.fp_hit_rate);
+      ("comparison-reduction", J.Float d.fp_reduction);
+    ]
+
+(* The lookup cache is semantically invisible and pays for itself. *)
+let fastpath_check j =
+  let cycles k = num ("cycles-per-op." ^ k) j in
+  List.concat
+    [
+      at_least 2.0 "comparison-reduction" j;
+      same "checks-per-op" "cache-off" "cache-on" j;
+      gate
+        (cycles "cache-on" <= cycles "cache-off")
+        "cached run costs more model cycles";
+    ]
+
 let fastpath ~quick ~strict =
   let d = fastpath_data quick in
   let row name cmp cyc checks rate =
@@ -774,39 +891,7 @@ let fastpath ~quick ~strict =
           (Printf.sprintf "%.1f%%" d.fp_hit_rate);
       ]
   in
-  verdict ~strict "fastpath"
-    (List.concat
-       [
-         gate (d.fp_reduction >= 2.0)
-           (Printf.sprintf
-              "splay comparison reduction %.2fx is below the required 2x"
-              d.fp_reduction);
-         gate (d.fp_checks_on = d.fp_checks_off)
-           (Printf.sprintf
-              "cache changed the number of checks performed (%d vs %d)"
-              d.fp_checks_on d.fp_checks_off);
-         gate (d.fp_cycles_on <= d.fp_cycles_off)
-           (Printf.sprintf "cached run costs more model cycles (%.0f vs %.0f)"
-              d.fp_cycles_on d.fp_cycles_off);
-       ])
-    table
-
-let fastpath_json ~quick =
-  let d = fastpath_data quick in
-  J.Obj
-    [
-      ("splay-comparisons-per-op",
-       J.Obj [ ("cache-off", J.Float d.fp_cmp_off);
-               ("cache-on", J.Float d.fp_cmp_on) ]);
-      ("cycles-per-op",
-       J.Obj [ ("cache-off", J.Float d.fp_cycles_off);
-               ("cache-on", J.Float d.fp_cycles_on) ]);
-      ("checks-per-op",
-       J.Obj [ ("cache-off", J.Int d.fp_checks_off);
-               ("cache-on", J.Int d.fp_checks_on) ]);
-      ("hit-rate-pct", J.Float d.fp_hit_rate);
-      ("comparison-reduction", J.Float d.fp_reduction);
-    ]
+  verdict ~strict "fastpath" (fastpath_check (fastpath_json ~quick)) table
 
 (* ---------- simulated-SMP scaling ---------- *)
 
@@ -926,6 +1011,54 @@ let smp_data =
         sd_rerun_identical = rerun_identical;
       })
 
+let smp_json ~quick =
+  let d = smp_data quick in
+  J.Obj
+    [
+      ("seed", J.Int d.sd_seed);
+      ("jobs", J.Int d.sd_jobs);
+      ("sequential",
+       J.Obj [ ("cycles", J.Int d.sd_seq_cycles);
+               ("checks", J.Int d.sd_seq_checks) ]);
+      ("points",
+       J.List
+         (List.map
+            (fun p ->
+              J.Obj
+                [
+                  ("cpus", J.Int p.sp_cpus);
+                  ("makespan-cycles", J.Int p.sp_makespan);
+                  ("total-cycles", J.Int p.sp_total);
+                  ("speedup", J.Float p.sp_speedup);
+                  ("steals", J.Int p.sp_steals);
+                  ("ipis-sent", J.Int p.sp_ipis_sent);
+                  ("ipis-delivered", J.Int p.sp_ipis_delivered);
+                  ("checks", J.Int p.sp_checks);
+                ])
+            d.sd_points));
+      ("single-cpu-identical", J.Bool d.sd_seq_identical);
+      ("rerun-identical", J.Bool d.sd_rerun_identical);
+    ]
+
+(* The schedule is semantically invisible, deterministic, and scales. *)
+let smp_check j =
+  let seq = int "sequential.checks" j in
+  let points = field J.to_list "points" j in
+  List.concat
+    [
+      List.concat_map
+        (fun p ->
+          let at = Printf.sprintf " at %d CPUs" (int "cpus" p) in
+          gate (int "checks" p = seq) ("checks differ from sequential" ^ at)
+          @ gate (int "makespan-cycles" p > 0) ("non-positive makespan" ^ at))
+        points;
+      (match List.find_opt (fun p -> int "cpus" p = 4) points with
+      | Some p -> at_least smp_speedup_floor "speedup" p
+      | None -> [ "no 4-CPU point" ]);
+      yes "single-cpu-identical" j;
+      yes "rerun-identical" j;
+    ]
+
 let smp ~quick ~strict =
   let d = smp_data quick in
   let table =
@@ -957,60 +1090,7 @@ let smp ~quick ~strict =
            ])
          d.sd_points)
   in
-  let p4 = List.filter (fun p -> p.sp_cpus = 4) d.sd_points in
-  verdict ~strict "smp"
-    (List.concat
-       [
-         List.concat_map
-           (fun p ->
-             gate
-               (not (p.sp_speedup < smp_speedup_floor))
-               (Printf.sprintf "4-CPU speedup %.2fx is below the required %.1fx"
-                  p.sp_speedup smp_speedup_floor))
-           p4;
-         List.concat_map
-           (fun p ->
-             gate
-               (p.sp_checks = d.sd_seq_checks)
-               (Printf.sprintf
-                  "check count diverged at %d CPUs (%d vs sequential %d)"
-                  p.sp_cpus p.sp_checks d.sd_seq_checks))
-           d.sd_points;
-         gate d.sd_seq_identical
-           "run_smp at 1 CPU is not bit-identical to the sequential run";
-         gate d.sd_rerun_identical
-           "same-seed rerun did not reproduce the 4-CPU schedule";
-       ])
-    table
-
-let smp_json ~quick =
-  let d = smp_data quick in
-  J.Obj
-    [
-      ("seed", J.Int d.sd_seed);
-      ("jobs", J.Int d.sd_jobs);
-      ("sequential",
-       J.Obj [ ("cycles", J.Int d.sd_seq_cycles);
-               ("checks", J.Int d.sd_seq_checks) ]);
-      ("points",
-       J.List
-         (List.map
-            (fun p ->
-              J.Obj
-                [
-                  ("cpus", J.Int p.sp_cpus);
-                  ("makespan-cycles", J.Int p.sp_makespan);
-                  ("total-cycles", J.Int p.sp_total);
-                  ("speedup", J.Float p.sp_speedup);
-                  ("steals", J.Int p.sp_steals);
-                  ("ipis-sent", J.Int p.sp_ipis_sent);
-                  ("ipis-delivered", J.Int p.sp_ipis_delivered);
-                  ("checks", J.Int p.sp_checks);
-                ])
-            d.sd_points));
-      ("single-cpu-identical", J.Bool d.sd_seq_identical);
-      ("rerun-identical", J.Bool d.sd_rerun_identical);
-    ]
+  verdict ~strict "smp" (smp_check (smp_json ~quick)) table
 
 (* ---------- tiered execution engine ---------- *)
 
@@ -1126,6 +1206,48 @@ let engine_row name cyc steps checks ns =
     Printf.sprintf "%.0fns" ns;
   ]
 
+let tiered_json ~quick =
+  let d = tiered_data quick in
+  J.Obj
+    [
+      ("cycles-per-op",
+       J.Obj [ ("interp", J.Float d.td_cycles_interp);
+               ("tiered", J.Float d.td_cycles_tiered) ]);
+      ("steps-per-op",
+       J.Obj [ ("interp", J.Float d.td_steps_interp);
+               ("tiered", J.Float d.td_steps_tiered) ]);
+      ("checks-per-op",
+       J.Obj [ ("interp", J.Int d.td_checks_interp);
+               ("tiered", J.Int d.td_checks_tiered) ]);
+      ("host-ns-per-op",
+       J.Obj [ ("interp", J.Float d.td_ns_interp);
+               ("tiered", J.Float d.td_ns_tiered) ]);
+      ("host-speedup", J.Float d.td_speedup);
+      ("promotions", J.Int d.td_promotions);
+      ("translation-cache",
+       J.Obj [ ("hits", J.Int d.td_tcache_hits);
+               ("misses", J.Int d.td_tcache_misses);
+               ("signature-verifications", J.Int d.td_sig_verifications);
+               ("disk-hits", J.Int d.td_disk_hits);
+               ("disk-stale", J.Int d.td_disk_stale);
+               ("disk-writes", J.Int d.td_disk_writes) ]);
+      ("superblocks", J.Int d.td_superblocks);
+    ]
+
+(* A second engine is invisible: modeled cycles, steps and checks per op
+   match the interpreter's bit for bit.  The host wall-clock floors are
+   judged by the reports alone. *)
+let engine_check engine j =
+  List.concat
+    [
+      same "cycles-per-op" "interp" engine j;
+      same "steps-per-op" "interp" engine j;
+      same "checks-per-op" "interp" engine j;
+      positive "host-speedup" j;
+    ]
+
+let tiered_check j = engine_check "tiered" j @ positive "promotions" j
+
 let tiered ~quick ~strict =
   let d = tiered_data quick in
   let table =
@@ -1157,56 +1279,12 @@ let tiered ~quick ~strict =
       ]
   in
   verdict ~strict "tiered"
-    (List.concat
-       [
-         gate
-           (d.td_cycles_tiered = d.td_cycles_interp)
-           (Printf.sprintf "tiered engine changed modeled cycles (%.0f vs %.0f)"
-              d.td_cycles_tiered d.td_cycles_interp);
-         gate
-           (d.td_steps_tiered = d.td_steps_interp)
-           (Printf.sprintf "tiered engine changed step counts (%.0f vs %.0f)"
-              d.td_steps_tiered d.td_steps_interp);
-         gate
-           (d.td_checks_tiered = d.td_checks_interp)
-           (Printf.sprintf
-              "tiered engine changed the number of checks (%d vs %d)"
-              d.td_checks_tiered d.td_checks_interp);
-         gate (d.td_promotions > 0) "tiered engine promoted no functions";
-         gate
-           (d.td_speedup >= tiered_speedup_floor)
-           (Printf.sprintf "host speedup %.2fx is below the required %.1fx"
-              d.td_speedup tiered_speedup_floor);
-       ])
+    (tiered_check (tiered_json ~quick)
+    @ gate
+        (d.td_speedup >= tiered_speedup_floor)
+        (Printf.sprintf "host speedup %.2fx is below the required %.1fx"
+           d.td_speedup tiered_speedup_floor))
     table
-
-let tiered_json ~quick =
-  let d = tiered_data quick in
-  J.Obj
-    [
-      ("cycles-per-op",
-       J.Obj [ ("interp", J.Float d.td_cycles_interp);
-               ("tiered", J.Float d.td_cycles_tiered) ]);
-      ("steps-per-op",
-       J.Obj [ ("interp", J.Float d.td_steps_interp);
-               ("tiered", J.Float d.td_steps_tiered) ]);
-      ("checks-per-op",
-       J.Obj [ ("interp", J.Int d.td_checks_interp);
-               ("tiered", J.Int d.td_checks_tiered) ]);
-      ("host-ns-per-op",
-       J.Obj [ ("interp", J.Float d.td_ns_interp);
-               ("tiered", J.Float d.td_ns_tiered) ]);
-      ("host-speedup", J.Float d.td_speedup);
-      ("promotions", J.Int d.td_promotions);
-      ("translation-cache",
-       J.Obj [ ("hits", J.Int d.td_tcache_hits);
-               ("misses", J.Int d.td_tcache_misses);
-               ("signature-verifications", J.Int d.td_sig_verifications);
-               ("disk-hits", J.Int d.td_disk_hits);
-               ("disk-stale", J.Int d.td_disk_stale);
-               ("disk-writes", J.Int d.td_disk_writes) ]);
-      ("superblocks", J.Int d.td_superblocks);
-    ]
 
 (* ---------- AOT engine + persistent translation store ---------- *)
 
@@ -1295,6 +1373,53 @@ let aot_data =
    flake on wall clock. *)
 let aot_speedup_floor = 2.0
 
+let aot_json ~quick =
+  let d = aot_data quick in
+  let td = tiered_data quick in
+  J.Obj
+    [
+      ("cycles-per-op",
+       J.Obj [ ("interp", J.Float td.td_cycles_interp);
+               ("tiered", J.Float td.td_cycles_tiered);
+               ("aot", J.Float d.ad_cycles_aot) ]);
+      ("steps-per-op",
+       J.Obj [ ("interp", J.Float td.td_steps_interp);
+               ("tiered", J.Float td.td_steps_tiered);
+               ("aot", J.Float d.ad_steps_aot) ]);
+      ("checks-per-op",
+       J.Obj [ ("interp", J.Int td.td_checks_interp);
+               ("tiered", J.Int td.td_checks_tiered);
+               ("aot", J.Int d.ad_checks_aot) ]);
+      ("host-ns-per-op",
+       J.Obj [ ("interp", J.Float d.ad_ns_interp);
+               ("tiered", J.Float td.td_ns_tiered);
+               ("aot", J.Float d.ad_ns_aot) ]);
+      ("host-speedup", J.Float d.ad_speedup);
+      ("boot-ns",
+       J.Obj [ ("cold", J.Float d.ad_boot_cold_ns);
+               ("warm", J.Float d.ad_boot_warm_ns) ]);
+      ("functions-compiled", J.Int d.ad_promotions);
+      ("disk-cache",
+       J.Obj [ ("writes-cold", J.Int d.ad_disk_writes_cold);
+               ("hits-warm", J.Int d.ad_disk_hits_warm);
+               ("stale-warm", J.Int d.ad_disk_stale_warm);
+               ("misses-warm", J.Int d.ad_misses_warm) ]);
+      ("superblocks", J.Int d.ad_superblocks);
+    ]
+
+(* Against a warm persistent store every translation is reused from
+   disk and none is redone. *)
+let aot_check j =
+  List.concat
+    [
+      engine_check "aot" j;
+      positive "functions-compiled" j;
+      positive "disk-cache.writes-cold" j;
+      positive "disk-cache.hits-warm" j;
+      zero "disk-cache.misses-warm" j;
+      positive "superblocks" j;
+    ]
+
 let aot ~quick ~strict =
   let d = aot_data quick in
   let td = tiered_data quick in
@@ -1329,70 +1454,13 @@ let aot ~quick ~strict =
       ]
   in
   verdict ~strict "aot"
-    (List.concat
-       [
-         gate
-           (d.ad_cycles_aot = td.td_cycles_interp)
-           (Printf.sprintf "aot engine changed modeled cycles (%.0f vs %.0f)"
-              d.ad_cycles_aot td.td_cycles_interp);
-         gate
-           (d.ad_steps_aot = td.td_steps_interp)
-           (Printf.sprintf "aot engine changed step counts (%.0f vs %.0f)"
-              d.ad_steps_aot td.td_steps_interp);
-         gate
-           (d.ad_checks_aot = td.td_checks_interp)
-           (Printf.sprintf "aot engine changed the number of checks (%d vs %d)"
-              d.ad_checks_aot td.td_checks_interp);
-         gate (d.ad_promotions > 0) "aot engine compiled no functions";
-         gate (d.ad_disk_writes_cold > 0) "cold boot persisted no translations";
-         gate (d.ad_disk_hits_warm >= 1)
-           "warm boot reused no translations from the store";
-         gate (d.ad_misses_warm = 0)
-           (Printf.sprintf
-              "warm boot re-translated %d functions against a populated store"
-              d.ad_misses_warm);
-         gate (d.ad_superblocks > 0) "translator formed no trace superblocks";
-         gate
-           ((not strict) || d.ad_speedup >= aot_speedup_floor)
-           (Printf.sprintf
-              "warm-cache host speedup %.2fx is below the required %.1fx"
-              d.ad_speedup aot_speedup_floor);
-       ])
+    (aot_check (aot_json ~quick)
+    @ gate
+        ((not strict) || d.ad_speedup >= aot_speedup_floor)
+        (Printf.sprintf
+           "warm-cache host speedup %.2fx is below the required %.1fx"
+           d.ad_speedup aot_speedup_floor))
     table
-
-let aot_json ~quick =
-  let d = aot_data quick in
-  let td = tiered_data quick in
-  J.Obj
-    [
-      ("cycles-per-op",
-       J.Obj [ ("interp", J.Float td.td_cycles_interp);
-               ("tiered", J.Float td.td_cycles_tiered);
-               ("aot", J.Float d.ad_cycles_aot) ]);
-      ("steps-per-op",
-       J.Obj [ ("interp", J.Float td.td_steps_interp);
-               ("tiered", J.Float td.td_steps_tiered);
-               ("aot", J.Float d.ad_steps_aot) ]);
-      ("checks-per-op",
-       J.Obj [ ("interp", J.Int td.td_checks_interp);
-               ("tiered", J.Int td.td_checks_tiered);
-               ("aot", J.Int d.ad_checks_aot) ]);
-      ("host-ns-per-op",
-       J.Obj [ ("interp", J.Float d.ad_ns_interp);
-               ("tiered", J.Float td.td_ns_tiered);
-               ("aot", J.Float d.ad_ns_aot) ]);
-      ("host-speedup", J.Float d.ad_speedup);
-      ("boot-ns",
-       J.Obj [ ("cold", J.Float d.ad_boot_cold_ns);
-               ("warm", J.Float d.ad_boot_warm_ns) ]);
-      ("functions-compiled", J.Int d.ad_promotions);
-      ("disk-cache",
-       J.Obj [ ("writes-cold", J.Int d.ad_disk_writes_cold);
-               ("hits-warm", J.Int d.ad_disk_hits_warm);
-               ("stale-warm", J.Int d.ad_disk_stale_warm);
-               ("misses-warm", J.Int d.ad_misses_warm) ]);
-      ("superblocks", J.Int d.ad_superblocks);
-    ]
 
 (* ---------- observability: event trace + profiler ---------- *)
 
@@ -1495,6 +1563,88 @@ let trace_data =
 
 let trace_attribution_floor = 95.0
 
+let trace_json ~quick =
+  let d = trace_data quick in
+  let prow_json (r : Sva_rt.Trace.prow) =
+    J.Obj
+      [
+        ("name", J.Str r.Sva_rt.Trace.p_name);
+        ("calls", J.Int r.Sva_rt.Trace.p_calls);
+        ("self-cycles", J.Int r.Sva_rt.Trace.p_self_cycles);
+        ("total-cycles", J.Int r.Sva_rt.Trace.p_total_cycles);
+        ("self-checks", J.Int r.Sva_rt.Trace.p_self_checks);
+      ]
+  in
+  let pool_json (m : Sva_rt.Metapool_rt.metrics) =
+    J.Obj
+      [
+        ("name", J.Str m.Sva_rt.Metapool_rt.m_name);
+        ("live", J.Int m.Sva_rt.Metapool_rt.m_live);
+        ("peak", J.Int m.Sva_rt.Metapool_rt.m_peak);
+        ("regs", J.Int m.Sva_rt.Metapool_rt.m_regs);
+        ("drops", J.Int m.Sva_rt.Metapool_rt.m_drops);
+        ("depth", J.Int m.Sva_rt.Metapool_rt.m_depth);
+        ("lookups", J.Int m.Sva_rt.Metapool_rt.m_lookups);
+        ("cache-hits", J.Int m.Sva_rt.Metapool_rt.m_cache_hits);
+      ]
+  in
+  J.Obj
+    [
+      ("invariance",
+       J.Obj
+         [
+           ("cycles",
+            J.Obj [ ("obs-off", J.Int d.tr_cycles_off);
+                    ("obs-on", J.Int d.tr_cycles_on) ]);
+           ("checks",
+            J.Obj [ ("obs-off", J.Int d.tr_checks_off);
+                    ("obs-on", J.Int d.tr_checks_on) ]);
+         ]);
+      ("events",
+       J.Obj
+         [
+           ("emitted", J.Int d.tr_emitted);
+           ("retained", J.Int d.tr_retained);
+           ("dropped", J.Int d.tr_dropped);
+           ("by-kind", J.Obj (List.map (fun (k, n) -> (k, J.Int n)) d.tr_counts));
+         ]);
+      ("attribution-pct", J.Float d.tr_attr_pct);
+      ("hot-syscalls", J.List (List.map prow_json d.tr_sys_rows));
+      ("hot-functions", J.List (List.map prow_json d.tr_fn_rows));
+      ("pools", J.List (List.map pool_json d.tr_pools));
+      ("chrome", d.tr_chrome);
+    ]
+
+(* Observability is semantically invisible and accounts for every event,
+   and its Chrome export is well-formed trace-event JSON. *)
+let trace_check j =
+  let emitted = int "events.emitted" j
+  and retained = int "events.retained" j
+  and dropped = int "events.dropped" j in
+  let events = field J.to_list "chrome.traceEvents" j in
+  (* [depth] B spans are open.  The ring drops the oldest events first,
+     so a B may stay open at the end only when some were dropped. *)
+  let rec spans depth = function
+    | [] -> gate (dropped > 0 || depth = 0) "unmatched B trace events"
+    | ev :: rest -> (
+        ignore (int "ts" ev, field J.to_string "name" ev);
+        match field J.to_string "ph" ev with
+        | "B" -> spans (depth + 1) rest
+        | "E" when depth > 0 -> spans (depth - 1) rest
+        | "i" -> spans depth rest
+        | ph -> [ "trace event phase " ^ ph ^ " out of place" ])
+  in
+  List.concat
+    [
+      same "invariance.cycles" "obs-off" "obs-on" j;
+      same "invariance.checks" "obs-off" "obs-on" j;
+      positive "events.emitted" j;
+      gate (retained + dropped = emitted) "retained + dropped <> emitted";
+      at_least trace_attribution_floor "attribution-pct" j;
+      gate (List.length events = retained) "chrome events <> retained events";
+      spans 0 events;
+    ]
+
 let trace ~quick ~strict =
   let d = trace_data quick in
   let invariance =
@@ -1555,78 +1705,7 @@ let trace ~quick ~strict =
   in
   let pools = Traceout.pool_metrics_table d.tr_pools in
   let table = invariance ^ events ^ hot_sys ^ hot_fn ^ pools in
-  verdict ~strict "trace"
-    (List.concat
-       [
-         gate
-           (d.tr_cycles_on = d.tr_cycles_off)
-           (Printf.sprintf "tracing changed modeled cycles (%d vs %d)"
-              d.tr_cycles_on d.tr_cycles_off);
-         gate
-           (d.tr_checks_on = d.tr_checks_off)
-           (Printf.sprintf "tracing changed check counts (%d vs %d)"
-              d.tr_checks_on d.tr_checks_off);
-         gate (d.tr_emitted > 0) "no events were recorded";
-         gate
-           (d.tr_attr_pct >= trace_attribution_floor)
-           (Printf.sprintf
-              "profiler attributed only %.1f%% of cycles to syscalls (>= \
-               %.0f%% required)"
-              d.tr_attr_pct trace_attribution_floor);
-       ])
-    table
-
-let trace_json ~quick =
-  let d = trace_data quick in
-  let prow_json (r : Sva_rt.Trace.prow) =
-    J.Obj
-      [
-        ("name", J.Str r.Sva_rt.Trace.p_name);
-        ("calls", J.Int r.Sva_rt.Trace.p_calls);
-        ("self-cycles", J.Int r.Sva_rt.Trace.p_self_cycles);
-        ("total-cycles", J.Int r.Sva_rt.Trace.p_total_cycles);
-        ("self-checks", J.Int r.Sva_rt.Trace.p_self_checks);
-      ]
-  in
-  let pool_json (m : Sva_rt.Metapool_rt.metrics) =
-    J.Obj
-      [
-        ("name", J.Str m.Sva_rt.Metapool_rt.m_name);
-        ("live", J.Int m.Sva_rt.Metapool_rt.m_live);
-        ("peak", J.Int m.Sva_rt.Metapool_rt.m_peak);
-        ("regs", J.Int m.Sva_rt.Metapool_rt.m_regs);
-        ("drops", J.Int m.Sva_rt.Metapool_rt.m_drops);
-        ("depth", J.Int m.Sva_rt.Metapool_rt.m_depth);
-        ("lookups", J.Int m.Sva_rt.Metapool_rt.m_lookups);
-        ("cache-hits", J.Int m.Sva_rt.Metapool_rt.m_cache_hits);
-      ]
-  in
-  J.Obj
-    [
-      ("invariance",
-       J.Obj
-         [
-           ("cycles",
-            J.Obj [ ("obs-off", J.Int d.tr_cycles_off);
-                    ("obs-on", J.Int d.tr_cycles_on) ]);
-           ("checks",
-            J.Obj [ ("obs-off", J.Int d.tr_checks_off);
-                    ("obs-on", J.Int d.tr_checks_on) ]);
-         ]);
-      ("events",
-       J.Obj
-         [
-           ("emitted", J.Int d.tr_emitted);
-           ("retained", J.Int d.tr_retained);
-           ("dropped", J.Int d.tr_dropped);
-           ("by-kind", J.Obj (List.map (fun (k, n) -> (k, J.Int n)) d.tr_counts));
-         ]);
-      ("attribution-pct", J.Float d.tr_attr_pct);
-      ("hot-syscalls", J.List (List.map prow_json d.tr_sys_rows));
-      ("hot-functions", J.List (List.map prow_json d.tr_fn_rows));
-      ("pools", J.List (List.map pool_json d.tr_pools));
-      ("chrome", d.tr_chrome);
-    ]
+  verdict ~strict "trace" (trace_check (trace_json ~quick)) table
 
 (* ---------- static lint layer ---------- *)
 
@@ -1664,35 +1743,6 @@ let lint_data =
         ld_ls_proved_static = s.Sva_safety.Checkinsert.ls_proved_static;
       })
 
-let lint_table ~quick:_ ~strict:_ =
-  let d = lint_data () in
-  let rows =
-    List.map
-      (fun (checker, n) -> [ "findings: " ^ checker; string_of_int n ])
-      d.ld_counts
-    @ [
-        [ "accesses proved safe"; string_of_int d.ld_proofs ];
-        [ "functions analyzed"; string_of_int d.ld_funcs ];
-        [ "dataflow block visits"; string_of_int d.ld_iterations ];
-        [ "ls checks inserted, entire kernel (lint off)";
-          string_of_int d.ld_ls_inserted_base ];
-        [ "ls checks inserted, entire kernel (lint on)";
-          string_of_int d.ld_ls_inserted_lint ];
-        [ "ls checks elided by proofs"; string_of_int d.ld_ls_proved_static ];
-      ]
-  in
-  T.render
-    ~title:"Static lint layer: kernel sanitizer passes + safe-access prover"
-    ~note:
-      "The shipped kernel must lint clean (every findings row 0); the \
-       sva_lint --fixture run covers the seeded-bug positives.  The prover \
-       feeds Checkinsert: on the entire-kernel build (every pool \
-       complete) the lint-on build inserts fewer load/store checks than \
-       lint-off by exactly the elided row."
-    [ T.L; T.R ]
-    [ "Metric"; "Count" ]
-    rows
-
 let lint_json ~quick:_ =
   let d = lint_data () in
   J.Obj
@@ -1711,6 +1761,47 @@ let lint_json ~quick:_ =
            ("proved-static", J.Int d.ld_ls_proved_static);
          ]);
     ]
+
+(* The shipped kernel lints clean; the proofs elide what they claim. *)
+let lint_check j =
+  List.concat
+    [
+      all_zero "findings" j;
+      positive "accesses-proved-safe" j;
+      elides "ls-checks" "lint-off" "lint-on" "proved-static" j;
+    ]
+
+let lint_table ~quick ~strict =
+  let d = lint_data () in
+  let rows =
+    List.map
+      (fun (checker, n) -> [ "findings: " ^ checker; string_of_int n ])
+      d.ld_counts
+    @ [
+        [ "accesses proved safe"; string_of_int d.ld_proofs ];
+        [ "functions analyzed"; string_of_int d.ld_funcs ];
+        [ "dataflow block visits"; string_of_int d.ld_iterations ];
+        [ "ls checks inserted, entire kernel (lint off)";
+          string_of_int d.ld_ls_inserted_base ];
+        [ "ls checks inserted, entire kernel (lint on)";
+          string_of_int d.ld_ls_inserted_lint ];
+        [ "ls checks elided by proofs"; string_of_int d.ld_ls_proved_static ];
+      ]
+  in
+  let table =
+    T.render
+      ~title:"Static lint layer: kernel sanitizer passes + safe-access prover"
+      ~note:
+        "The shipped kernel must lint clean (every findings row 0); the \
+         sva_lint --fixture run covers the seeded-bug positives.  The prover \
+         feeds Checkinsert: on the entire-kernel build (every pool \
+         complete) the lint-on build inserts fewer load/store checks than \
+         lint-off by exactly the elided row."
+      [ T.L; T.R ]
+      [ "Metric"; "Count" ]
+      rows
+  in
+  verdict ~strict "lint" (lint_check (lint_json ~quick)) table
 
 (* ---------- value-range elision (Section 5 certificates) ---------- *)
 
@@ -1757,34 +1848,6 @@ let ranges_data =
         rd_iterations = Sva_analysis.Interval.iterations rr;
       })
 
-let ranges_table ~quick:_ ~strict:_ =
-  let d = ranges_data () in
-  T.render
-    ~title:
-      "Value-range elision: interval analysis + verified certificates \
-       (entire kernel, lint on)"
-    ~note:
-      "Every elision is backed by a per-gep range certificate that the \
-       trusted checker (Sva_tyck.Rangecert) re-verified during the build \
-       - the analysis itself stays outside the TCB (Section 5).  Shape \
-       to check: both static check columns drop when ranges are on, and \
-       the bounds drop equals the certified-gep count."
-    [ T.L; T.R ]
-    [ "Metric"; "Count" ]
-    [
-      [ "ls checks inserted (ranges off)"; string_of_int d.rd_ls_off ];
-      [ "ls checks inserted (ranges on)"; string_of_int d.rd_ls_on ];
-      [ "ls-check geps proved via range facts";
-        string_of_int d.rd_ls_range_geps ];
-      [ "bounds checks inserted (ranges off)"; string_of_int d.rd_bounds_off ];
-      [ "bounds checks inserted (ranges on)"; string_of_int d.rd_bounds_on ];
-      [ "bounds elided via certificates"; string_of_int d.rd_bounds_cert ];
-      [ "certificates verified (bounds + lscheck)";
-        Printf.sprintf "%d + %d" d.rd_certs_bounds d.rd_certs_ls ];
-      [ "interval facts exported"; string_of_int d.rd_facts ];
-      [ "dataflow block visits"; string_of_int d.rd_iterations ];
-    ]
-
 let ranges_json ~quick:_ =
   let d = ranges_data () in
   J.Obj
@@ -1813,6 +1876,51 @@ let ranges_json ~quick:_ =
       ("facts", J.Int d.rd_facts);
       ("iterations", J.Int d.rd_iterations);
     ]
+
+(* Certified elision only removes checks, exactly the certified ones. *)
+let ranges_check j =
+  List.concat
+    [
+      gate
+        (int "ls-checks.ranges-on" j < int "ls-checks.ranges-off" j)
+        "range elision did not reduce ls checks";
+      elides "bounds-checks" "ranges-off" "ranges-on" "cert-elided" j;
+      yes "certificates.verified" j;
+      gate
+        (int "certificates.bounds" j + int "certificates.lscheck" j > 0)
+        "range analysis emitted no certificates";
+    ]
+
+let ranges_table ~quick ~strict =
+  let d = ranges_data () in
+  let table =
+    T.render
+      ~title:
+        "Value-range elision: interval analysis + verified certificates \
+         (entire kernel, lint on)"
+      ~note:
+        "Every elision is backed by a per-gep range certificate that the \
+         trusted checker (Sva_tyck.Rangecert) re-verified during the build \
+         - the analysis itself stays outside the TCB (Section 5).  Shape \
+         to check: both static check columns drop when ranges are on, and \
+         the bounds drop equals the certified-gep count."
+      [ T.L; T.R ]
+      [ "Metric"; "Count" ]
+      [
+        [ "ls checks inserted (ranges off)"; string_of_int d.rd_ls_off ];
+        [ "ls checks inserted (ranges on)"; string_of_int d.rd_ls_on ];
+        [ "ls-check geps proved via range facts";
+          string_of_int d.rd_ls_range_geps ];
+        [ "bounds checks inserted (ranges off)"; string_of_int d.rd_bounds_off ];
+        [ "bounds checks inserted (ranges on)"; string_of_int d.rd_bounds_on ];
+        [ "bounds elided via certificates"; string_of_int d.rd_bounds_cert ];
+        [ "certificates verified (bounds + lscheck)";
+          Printf.sprintf "%d + %d" d.rd_certs_bounds d.rd_certs_ls ];
+        [ "interval facts exported"; string_of_int d.rd_facts ];
+        [ "dataflow block visits"; string_of_int d.rd_iterations ];
+      ]
+  in
+  verdict ~strict "ranges" (ranges_check (ranges_json ~quick)) table
 
 (* ---------- concurrency-safety pass (lockset + atomicity certs) ---------- *)
 
@@ -1911,76 +2019,6 @@ let race_data =
         rc_conc = conc;
       })
 
-let race_table ~quick:_ ~strict =
-  let d = race_data () in
-  let rows =
-    List.map
-      (fun (checker, n) -> [ "findings: " ^ checker; string_of_int n ])
-      d.rc_counts
-    @ [
-        [ "shared memory classes (irq- and sys-reachable)";
-          string_of_int d.rc_shared ];
-        [ "classified accesses"; string_of_int d.rc_accesses ];
-        [ "atomicity certificates (re-verified)"; string_of_int d.rc_certs ];
-        [ "block-entry fact claims"; string_of_int d.rc_fact_claims ];
-        [ "certificate errors"; string_of_int d.rc_cert_errors ];
-        [ "lock-order edges"; string_of_int d.rc_lock_edges ];
-        [ "functions analyzed"; string_of_int d.rc_funcs ];
-        [ "dataflow block visits"; string_of_int d.rc_iterations ];
-        [ "fixture findings (seeded bugs)";
-          Printf.sprintf "%d (%s ground truth)" d.rc_fixture_findings
-            (if d.rc_fixture_match then "matches" else "DIVERGES from") ];
-        [ "injected certificate bugs caught";
-          Printf.sprintf "%d/%d" d.rc_caught d.rc_injected ];
-        [ "runtime conc ops (workload)";
-          Sva_rt.Stats.conc_to_string d.rc_conc ];
-      ]
-  in
-  let table =
-    T.render
-      ~title:
-        "Concurrency-safety pass: interprocedural lockset + \
-         interrupt-atomicity race detector"
-      ~note:
-        "The shipped kernel must audit clean (every findings row 0) and \
-         every discharged atomicity obligation carries a certificate the \
-         trusted checker (Sva_tyck.Atomcert) re-verified; the analysis \
-         itself stays outside the TCB.  The fixture row covers the \
-         seeded-bug positives and the injection row shows the checker \
-         rejects every corrupted certificate bundle."
-      [ T.L; T.R ]
-      [ "Metric"; "Count" ]
-      rows
-  in
-  let conc = d.rc_conc in
-  verdict ~strict "race"
-    (List.concat
-       [
-         List.concat_map
-           (fun (c, n) ->
-             gate (n = 0)
-               (Printf.sprintf "clean kernel has %d %s findings" n c))
-           d.rc_counts;
-         gate (d.rc_cert_errors = 0)
-           (Printf.sprintf "trusted checker rejected %d certificates"
-              d.rc_cert_errors);
-         gate (d.rc_certs > 0) "no access was certified on the clean kernel";
-         gate d.rc_fixture_match
-           "fixture findings diverge from the seeded ground truth";
-         gate
-           (d.rc_caught = d.rc_injected && d.rc_injected > 0)
-           (Printf.sprintf "injection experiment caught %d/%d bugs"
-              d.rc_caught d.rc_injected);
-         gate
-           (conc.Sva_rt.Stats.lock_acquires > 0)
-           "workload executed no sva_lock_acquire";
-         gate
-           (conc.Sva_rt.Stats.lock_acquires = conc.Sva_rt.Stats.lock_releases
-           && conc.Sva_rt.Stats.cli_count = conc.Sva_rt.Stats.sti_count)
-           "workload conc ops are unbalanced";
-       ])
-    table
-
 let race_json ~quick:_ =
   let d = race_data () in
   J.Obj
@@ -2021,6 +2059,64 @@ let race_json ~quick:_ =
            ("lock-releases", J.Int d.rc_conc.Sva_rt.Stats.lock_releases);
          ]);
     ]
+
+(* The shipped kernel audits clean, the seeded fixture and every injected
+   certificate bug are caught, and the workload's lock operations balance. *)
+let race_check j =
+  List.concat
+    [
+      all_zero "findings" j;
+      yes "certificates.verified" j;
+      positive "certificates.access" j;
+      yes "fixture.exact-match" j;
+      all_caught j;
+      positive "conc.lock-acquires" j;
+      same "conc" "lock-acquires" "lock-releases" j;
+      same "conc" "cli" "sti" j;
+    ]
+
+let race_table ~quick ~strict =
+  let d = race_data () in
+  let rows =
+    List.map
+      (fun (checker, n) -> [ "findings: " ^ checker; string_of_int n ])
+      d.rc_counts
+    @ [
+        [ "shared memory classes (irq- and sys-reachable)";
+          string_of_int d.rc_shared ];
+        [ "classified accesses"; string_of_int d.rc_accesses ];
+        [ "atomicity certificates (re-verified)"; string_of_int d.rc_certs ];
+        [ "block-entry fact claims"; string_of_int d.rc_fact_claims ];
+        [ "certificate errors"; string_of_int d.rc_cert_errors ];
+        [ "lock-order edges"; string_of_int d.rc_lock_edges ];
+        [ "functions analyzed"; string_of_int d.rc_funcs ];
+        [ "dataflow block visits"; string_of_int d.rc_iterations ];
+        [ "fixture findings (seeded bugs)";
+          Printf.sprintf "%d (%s ground truth)" d.rc_fixture_findings
+            (if d.rc_fixture_match then "matches" else "DIVERGES from") ];
+        [ "injected certificate bugs caught";
+          Printf.sprintf "%d/%d" d.rc_caught d.rc_injected ];
+        [ "runtime conc ops (workload)";
+          Sva_rt.Stats.conc_to_string d.rc_conc ];
+      ]
+  in
+  let table =
+    T.render
+      ~title:
+        "Concurrency-safety pass: interprocedural lockset + \
+         interrupt-atomicity race detector"
+      ~note:
+        "The shipped kernel must audit clean (every findings row 0) and \
+         every discharged atomicity obligation carries a certificate the \
+         trusted checker (Sva_tyck.Atomcert) re-verified; the analysis \
+         itself stays outside the TCB.  The fixture row covers the \
+         seeded-bug positives and the injection row shows the checker \
+         rejects every corrupted certificate bundle."
+      [ T.L; T.R ]
+      [ "Metric"; "Count" ]
+      rows
+  in
+  verdict ~strict "race" (race_check (race_json ~quick)) table
 
 (* ---------- pool-safety certification (poolcert) ---------- *)
 
@@ -2109,7 +2205,68 @@ let poolcert_data =
         pc_caught = caught;
       })
 
-let poolcert_table ~quick:_ ~strict =
+let poolcert_json ~quick:_ =
+  let d = poolcert_data () in
+  J.Obj
+    [
+      ("certificates",
+       J.Obj
+         [
+           ("th", J.Int d.pc_th);
+           ("completeness", J.Int d.pc_comp);
+           ("complete-pools", J.Int d.pc_complete);
+           ("devirt", J.Int d.pc_dv);
+           ("errors", J.Int d.pc_cert_errors);
+           ("verified", J.Bool (d.pc_cert_errors = 0));
+         ]);
+      ("elisions",
+       J.Obj
+         [
+           ("th", J.Int d.pc_el_th);
+           ("reduced", J.Int d.pc_el_reduced);
+           ("funccheck", J.Int d.pc_el_func);
+         ]);
+      ("bit-identity",
+       J.Obj
+         [
+           ("summary-match", J.Bool d.pc_summary_match);
+           ("boot-cycles",
+            J.Obj [ ("off", J.Int d.pc_boot_cycles_off);
+                    ("on", J.Int d.pc_boot_cycles_on) ]);
+           ("workload-cycles",
+            J.Obj [ ("off", J.Int d.pc_cycles_off);
+                    ("on", J.Int d.pc_cycles_on) ]);
+           ("checks-match", J.Bool d.pc_checks_match);
+           ("workload-checks", J.Int d.pc_checks);
+         ]);
+      ("injection",
+       J.Obj
+         [
+           ("injected", J.Int d.pc_injected);
+           ("caught", J.Int d.pc_caught);
+         ]);
+    ]
+
+(* Certification elides checks, is pure observation (bit-identical on or
+   off), and catches every injected certificate bug. *)
+let poolcert_check j =
+  let elided k = int ("elisions." ^ k) j in
+  List.concat
+    [
+      yes "certificates.verified" j;
+      zero "certificates.errors" j;
+      positive "certificates.th" j;
+      gate
+        (elided "th" + elided "reduced" + elided "funccheck" > 0)
+        "no elision was recorded";
+      yes "bit-identity.summary-match" j;
+      yes "bit-identity.checks-match" j;
+      same "bit-identity.boot-cycles" "off" "on" j;
+      same "bit-identity.workload-cycles" "off" "on" j;
+      all_caught j;
+    ]
+
+let poolcert_table ~quick ~strict =
   let d = poolcert_data () in
   let rows =
     [
@@ -2154,73 +2311,7 @@ let poolcert_table ~quick:_ ~strict =
       [ "Metric"; "Count" ]
       rows
   in
-  verdict ~strict "poolcert"
-    (List.concat
-       [
-         gate (d.pc_cert_errors = 0)
-           (Printf.sprintf "trusted checker rejected %d-error bundle"
-              d.pc_cert_errors);
-         gate (d.pc_th > 0) "no pool was certified TH";
-         gate
-           (d.pc_el_th + d.pc_el_reduced + d.pc_el_func > 0)
-           "no elision was recorded";
-         gate d.pc_summary_match
-           "instrumentation summary diverges with certification on";
-         gate
-           (d.pc_boot_cycles_off = d.pc_boot_cycles_on)
-           "boot cycles diverge with certification on";
-         gate
-           (d.pc_cycles_off = d.pc_cycles_on)
-           "workload cycles diverge with certification on";
-         gate d.pc_checks_match "check counters diverge with certification on";
-         gate
-           (d.pc_caught = d.pc_injected && d.pc_injected > 0)
-           (Printf.sprintf "injection experiment caught %d/%d bugs"
-              d.pc_caught d.pc_injected);
-       ])
-    table
-
-let poolcert_json ~quick:_ =
-  let d = poolcert_data () in
-  J.Obj
-    [
-      ("certificates",
-       J.Obj
-         [
-           ("th", J.Int d.pc_th);
-           ("completeness", J.Int d.pc_comp);
-           ("complete-pools", J.Int d.pc_complete);
-           ("devirt", J.Int d.pc_dv);
-           ("errors", J.Int d.pc_cert_errors);
-           ("verified", J.Bool (d.pc_cert_errors = 0));
-         ]);
-      ("elisions",
-       J.Obj
-         [
-           ("th", J.Int d.pc_el_th);
-           ("reduced", J.Int d.pc_el_reduced);
-           ("funccheck", J.Int d.pc_el_func);
-         ]);
-      ("bit-identity",
-       J.Obj
-         [
-           ("summary-match", J.Bool d.pc_summary_match);
-           ("boot-cycles",
-            J.Obj [ ("off", J.Int d.pc_boot_cycles_off);
-                    ("on", J.Int d.pc_boot_cycles_on) ]);
-           ("workload-cycles",
-            J.Obj [ ("off", J.Int d.pc_cycles_off);
-                    ("on", J.Int d.pc_cycles_on) ]);
-           ("checks-match", J.Bool d.pc_checks_match);
-           ("workload-checks", J.Int d.pc_checks);
-         ]);
-      ("injection",
-       J.Obj
-         [
-           ("injected", J.Int d.pc_injected);
-           ("caught", J.Int d.pc_caught);
-         ]);
-    ]
+  verdict ~strict "poolcert" (poolcert_check (poolcert_json ~quick)) table
 
 (* ---------- the section list ---------- *)
 
@@ -2229,21 +2320,31 @@ let sections =
     { name = "table4"; render = table4; json = None };
     { name = "figure2"; render = figure2; json = None };
     { name = "checks"; render = check_summary; json = None };
-    { name = "lint"; render = lint_table; json = Some lint_json };
-    { name = "ranges"; render = ranges_table; json = Some ranges_json };
-    { name = "race"; render = race_table; json = Some race_json };
-    { name = "poolcert"; render = poolcert_table; json = Some poolcert_json };
-    { name = "table7"; render = table7; json = Some table7_json };
+    { name = "lint"; render = lint_table;
+      json = Some { payload = lint_json; check = lint_check } };
+    { name = "ranges"; render = ranges_table;
+      json = Some { payload = ranges_json; check = ranges_check } };
+    { name = "race"; render = race_table;
+      json = Some { payload = race_json; check = race_check } };
+    { name = "poolcert"; render = poolcert_table;
+      json = Some { payload = poolcert_json; check = poolcert_check } };
+    { name = "table7"; render = table7;
+      json = Some { payload = table7_json; check = table7_check } };
     { name = "table8"; render = table8; json = None };
     { name = "table5"; render = table5; json = None };
     { name = "table6"; render = table6; json = None };
     { name = "table9"; render = table9; json = None };
     { name = "ablation"; render = ablation; json = None };
-    { name = "fastpath"; render = fastpath; json = Some fastpath_json };
-    { name = "smp"; render = smp; json = Some smp_json };
-    { name = "tiered"; render = tiered; json = Some tiered_json };
-    { name = "aot"; render = aot; json = Some aot_json };
-    { name = "trace"; render = trace; json = Some trace_json };
+    { name = "fastpath"; render = fastpath;
+      json = Some { payload = fastpath_json; check = fastpath_check } };
+    { name = "smp"; render = smp;
+      json = Some { payload = smp_json; check = smp_check } };
+    { name = "tiered"; render = tiered;
+      json = Some { payload = tiered_json; check = tiered_check } };
+    { name = "aot"; render = aot;
+      json = Some { payload = aot_json; check = aot_check } };
+    { name = "trace"; render = trace;
+      json = Some { payload = trace_json; check = trace_check } };
     { name = "exploits"; render = exploits_table; json = None };
     { name = "verifier"; render = verifier_experiment; json = None };
   ]

@@ -111,7 +111,6 @@ let drop mp ~start =
   match Splay.remove mp.mp_objects ~start with
   | Some _ -> invalidate mp start
   | None ->
-      Stats.bump_violation ();
       (* Distinguish a pointer into the middle of a live object (illegal
          free) from a pointer to nothing (double free). *)
       let kind =
@@ -147,7 +146,6 @@ let boundscheck_known ~start ~len ~dst ~access_len ~pool =
   if !Trace.active then
     Trace.emit_check "bounds-known" ~pool ~addr:dst ~len:access_len;
   if not (in_range ~start ~len dst access_len) then begin
-    Stats.bump_violation ();
     Violation.violation Violation.Bounds ~metapool:pool ~addr:dst
       (Printf.sprintf
          "indexing to [0x%x,+%d) escapes object [0x%x,+%d)" dst access_len
@@ -162,7 +160,6 @@ let boundscheck mp ~src ~dst ~access_len =
   | Some n ->
       if not (in_range ~start:n.Splay.n_start ~len:n.Splay.n_len dst access_len)
       then begin
-        Stats.bump_violation ();
         Violation.violation Violation.Bounds ~metapool:mp.mp_name ~addr:dst
           (Printf.sprintf
              "gep from 0x%x to [0x%x,+%d) escapes object [0x%x,+%d)" src dst
@@ -175,7 +172,6 @@ let boundscheck mp ~src ~dst ~access_len =
              said (Section 4.5). *)
           Stats.bump_reduced ()
       | Some n ->
-          Stats.bump_violation ();
           Violation.violation Violation.Bounds ~metapool:mp.mp_name ~addr:dst
             (Printf.sprintf
                "gep source 0x%x outside every object but target inside \
@@ -183,7 +179,6 @@ let boundscheck mp ~src ~dst ~access_len =
                src n.Splay.n_start n.Splay.n_len)
       | None ->
           if mp.mp_complete then begin
-            Stats.bump_violation ();
             Violation.violation Violation.Bounds ~metapool:mp.mp_name
               ~addr:src "gep source points to no registered object"
           end
@@ -196,7 +191,6 @@ let lscheck mp ~addr ~access_len =
     if !Trace.active then
       Trace.emit_check "ls" ~pool:mp.mp_name ~addr ~len:access_len;
     if addr = 0 then begin
-      Stats.bump_violation ();
       (* Null is reported once and the check ends here — no second
          Load_store lookup/violation for the same access. *)
       Violation.violation Violation.Uninit_pointer ~metapool:mp.mp_name
@@ -210,38 +204,27 @@ let lscheck mp ~addr ~access_len =
               (in_range ~start:n.Splay.n_start ~len:n.Splay.n_len addr
                  access_len)
           then begin
-            Stats.bump_violation ();
             Violation.violation Violation.Load_store ~metapool:mp.mp_name ~addr
               (Printf.sprintf
                  "access [0x%x,+%d) straddles object [0x%x,+%d)" addr
                  access_len n.Splay.n_start n.Splay.n_len)
           end
       | None ->
-          Stats.bump_violation ();
           Violation.violation Violation.Load_store ~metapool:mp.mp_name ~addr
             "load/store outside every registered object"
   end
-
-let funccheck_fail ~target names =
-  Stats.bump_violation ();
-  Violation.violation Violation.Indirect_call ~metapool:"" ~addr:target
-    (Printf.sprintf "indirect call to 0x%x not in the call graph set {%s}"
-       target (String.concat ", " names))
-
-let funccheck ~allowed ~target =
-  Stats.bump_funccheck ();
-  if !Trace.active then
-    Trace.emit_check "funccheck" ~pool:"" ~addr:target ~len:0;
-  if not (List.exists (fun (addr, _) -> addr = target) allowed) then
-    funccheck_fail ~target (List.map snd allowed)
 
 let funccheck_hashed ~allowed ~target =
   Stats.bump_funccheck ();
   if !Trace.active then
     Trace.emit_check "funccheck" ~pool:"" ~addr:target ~len:0;
   if not (Hashtbl.mem allowed target) then
-    funccheck_fail ~target
-      (List.sort compare (Hashtbl.fold (fun _ nm acc -> nm :: acc) allowed []))
+    Violation.violation Violation.Indirect_call ~metapool:"" ~addr:target
+      (Printf.sprintf "indirect call to 0x%x not in the call graph set {%s}"
+         target
+         (String.concat ", "
+            (List.sort compare
+               (Hashtbl.fold (fun _ nm acc -> nm :: acc) allowed []))))
 
 let live_objects mp = Splay.size mp.mp_objects
 

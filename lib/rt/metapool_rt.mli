@@ -10,7 +10,7 @@
       of the source pointer (Jones-Kelly object bounds);
     - {!lscheck} — loads/stores through pointers of non-type-homogeneous
       pools must target a registered object;
-    - {!funccheck} — indirect calls must hit a function in the
+    - {!funccheck_hashed} — indirect calls must hit a function in the
       compiler-computed target set.
 
     Incomplete metapools (partitions exposed to unanalyzed code,
@@ -108,14 +108,10 @@ val lscheck : t -> addr:int -> access_len:int -> unit
     incomplete; otherwise the accessed range must be inside one live
     object.  A null/uninitialized address raises [Uninit_pointer]. *)
 
-val funccheck : allowed:(int * string) list -> target:int -> unit
-(** Indirect call check against the call-graph-derived target set
-    [(address, name)].  @raise Violation.Safety_violation on miss. *)
-
 val funccheck_hashed : allowed:(int, string) Hashtbl.t -> target:int -> unit
-(** Same check against a pre-built address set — the interpreter's
-    pre-decoded fast path builds the table once per call site instead of
-    walking an assoc list per call. *)
+(** Indirect call check against the call-graph-derived target set, an
+    address -> name table the interpreter's pre-decoded fast path builds
+    once per call site.  @raise Violation.Safety_violation on miss. *)
 
 val live_objects : t -> int
 (** Number of currently registered objects. *)

@@ -77,7 +77,6 @@ let set_cpu i =
   cur := !banks.(i)
 
 let current_cpu () = !cur_cpu_
-let cpu_banks () = Array.length !banks
 let sum f = Array.fold_left (fun acc b -> acc + f b) 0 !banks
 
 let bump_bounds () = let b = !cur in b.b_bounds <- b.b_bounds + 1
@@ -241,18 +240,6 @@ let reset_tier () =
   tcd_writes := 0;
   sblocks := 0
 
-let diff_tier a b =
-  {
-    promotions = a.promotions - b.promotions;
-    tcache_hits = a.tcache_hits - b.tcache_hits;
-    tcache_misses = a.tcache_misses - b.tcache_misses;
-    sig_verifications = a.sig_verifications - b.sig_verifications;
-    tcache_disk_hits = a.tcache_disk_hits - b.tcache_disk_hits;
-    tcache_disk_stale = a.tcache_disk_stale - b.tcache_disk_stale;
-    tcache_disk_writes = a.tcache_disk_writes - b.tcache_disk_writes;
-    superblocks = a.superblocks - b.superblocks;
-  }
-
 let tier_to_string s =
   Printf.sprintf
     "promotions=%d tcache=%d/%d disk=%d/%d/%d sigverify=%d superblocks=%d"
@@ -278,16 +265,6 @@ type conc_snapshot = {
   ipis_sent : int;
   ipis_delivered : int;
 }
-
-let conc_zero =
-  {
-    cli_count = 0;
-    sti_count = 0;
-    lock_acquires = 0;
-    lock_releases = 0;
-    ipis_sent = 0;
-    ipis_delivered = 0;
-  }
 
 (* Same per-CPU banks as the check counters above: these are dynamic
    events attributable to the executing CPU. *)

@@ -42,9 +42,6 @@ val set_cpu : int -> unit
 val current_cpu : unit -> int
 (** The bank index currently receiving bumps (0 by default). *)
 
-val cpu_banks : unit -> int
-(** Number of banks allocated so far (>= 1). *)
-
 val read_cpu : int -> snapshot
 (** One CPU's bank alone ({!zero} for a never-selected index); {!read}
     is the sum of these over all banks. *)
@@ -128,7 +125,6 @@ val reset_tier : unit -> unit
 (** Independent of {!reset}: check counters and tier counters are reset
     separately. *)
 
-val diff_tier : tier_snapshot -> tier_snapshot -> tier_snapshot
 val tier_to_string : tier_snapshot -> string
 
 (** {1 Concurrency counters}
@@ -149,7 +145,6 @@ type conc_snapshot = {
   ipis_delivered : int;  (** IPI vectors delivered on a target CPU *)
 }
 
-val conc_zero : conc_snapshot
 val bump_cli : unit -> unit
 val bump_sti : unit -> unit
 val bump_lock_acquire : unit -> unit

@@ -21,6 +21,7 @@ let kind_to_string = function
   | Userspace_escape -> "userspace-escape"
 
 let violation k ~metapool ~addr msg =
+  Stats.bump_violation ();
   if !Trace.active then
     Trace.emit_violation ~kind:(kind_to_string k) ~pool:metapool ~addr;
   raise (Safety_violation { v_kind = k; v_metapool = metapool; v_addr = addr; v_msg = msg })

@@ -28,7 +28,7 @@ type t = {
 exception Safety_violation of t
 
 val violation : kind -> metapool:string -> addr:int -> string -> 'a
-(** Raise {!Safety_violation}. *)
+(** Count the violation in {!Stats} and raise {!Safety_violation}. *)
 
 val kind_to_string : kind -> string
 val to_string : t -> string

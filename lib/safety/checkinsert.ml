@@ -1,20 +1,9 @@
 open Sva_ir
 open Sva_analysis
 
-type options = {
-  static_bounds : bool;
-  th_elides_lscheck : bool;
-  funccheck_on : bool;
-  promote_escaping_stack : bool;
-}
+type options = { static_bounds : bool; th_elides_lscheck : bool }
 
-let default_options =
-  {
-    static_bounds = true;
-    th_elides_lscheck = true;
-    funccheck_on = true;
-    promote_escaping_stack = true;
-  }
+let default_options = { static_bounds = true; th_elides_lscheck = true }
 
 type summary = {
   ls_inserted : int;
@@ -355,47 +344,45 @@ let instrument_func c (f : Func.t) =
                       | obj :: _ -> drop_obj before obj
                       | [] -> ())
                   | None -> ()))
-          | Instr.Call (callee, args) ->
-              ignore args;
-              if c.opts.funccheck_on then (
-                match Pointsto.value_node c.pa ~fname callee with
-                | Some node
-                  when Pointsto.is_type_homog node
-                       || not (Pointsto.is_complete node) ->
-                    c.s <-
-                      { c.s with funcchecks_elided = c.s.funcchecks_elided + 1 };
-                    let mpi =
-                      match Metapool.of_node c.mps node with
-                      | Some d -> d.Metapool.mp_id
-                      | None -> -1
-                    in
-                    note_elision c
-                      (Poolev.El_func
-                         ( { Poolev.s_func = fname; s_instr = i.Instr.id },
-                           mpi,
-                           if Pointsto.is_type_homog node then Poolev.Fc_th
-                           else Poolev.Fc_incomplete ))
-                | Some _ | None ->
-                    let targets =
-                      Pointsto.callsite_targets c.pa ~fname i.Instr.id
-                    in
-                    let target_vals =
-                      List.filter_map
-                        (fun fn ->
-                          match Irmod.symbol_ty c.m fn with
-                          | Some fty -> Some (Value.Fn (fn, fty))
-                          | None -> None)
-                        targets
-                    in
-                    c.s <-
-                      {
-                        c.s with
-                        funcchecks_inserted = c.s.funcchecks_inserted + 1;
-                      };
-                    before :=
-                      mk_instr f Ty.Void
-                        (Instr.Intrinsic ("pchk_funccheck", callee :: target_vals))
-                      :: !before)
+          | Instr.Call (callee, _) -> (
+              match Pointsto.value_node c.pa ~fname callee with
+              | Some node
+                when Pointsto.is_type_homog node
+                     || not (Pointsto.is_complete node) ->
+                  c.s <-
+                    { c.s with funcchecks_elided = c.s.funcchecks_elided + 1 };
+                  let mpi =
+                    match Metapool.of_node c.mps node with
+                    | Some d -> d.Metapool.mp_id
+                    | None -> -1
+                  in
+                  note_elision c
+                    (Poolev.El_func
+                       ( { Poolev.s_func = fname; s_instr = i.Instr.id },
+                         mpi,
+                         if Pointsto.is_type_homog node then Poolev.Fc_th
+                         else Poolev.Fc_incomplete ))
+              | Some _ | None ->
+                  let targets =
+                    Pointsto.callsite_targets c.pa ~fname i.Instr.id
+                  in
+                  let target_vals =
+                    List.filter_map
+                      (fun fn ->
+                        match Irmod.symbol_ty c.m fn with
+                        | Some fty -> Some (Value.Fn (fn, fty))
+                        | None -> None)
+                      targets
+                  in
+                  c.s <-
+                    {
+                      c.s with
+                      funcchecks_inserted = c.s.funcchecks_inserted + 1;
+                    };
+                  before :=
+                    mk_instr f Ty.Void
+                      (Instr.Intrinsic ("pchk_funccheck", callee :: target_vals))
+                    :: !before)
           | _ -> ());
           List.iter emit (List.rev !before);
           (* Rewrite manufactured-address registrations in place. *)
@@ -482,10 +469,8 @@ let run ?(options = default_options) ?(proofs = fun ~fname:_ _ -> false)
   List.iter
     (fun (f : Func.t) ->
       if not (Func.has_attr f Func.Noanalyze) then begin
-        if options.promote_escaping_stack then begin
-          let n = promote_stack f in
-          c.s <- { c.s with stack_promoted = c.s.stack_promoted + n }
-        end;
+        let n = promote_stack f in
+        c.s <- { c.s with stack_promoted = c.s.stack_promoted + n };
         instrument_func c f
       end)
     m.Irmod.m_funcs;

@@ -34,8 +34,6 @@ type options = {
           discussion) *)
   th_elides_lscheck : bool;
       (** elide load/store checks on type-homogeneous pools *)
-  funccheck_on : bool;
-  promote_escaping_stack : bool;
 }
 
 val default_options : options

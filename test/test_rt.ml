@@ -183,10 +183,12 @@ let test_lscheck_incomplete_elided () =
   Alcotest.(check pass) "no violation" () ()
 
 let test_funccheck () =
-  let allowed = [ (0x100, "sys_read"); (0x200, "sys_write") ] in
-  Metapool_rt.funccheck ~allowed ~target:0x100;
+  let allowed = Hashtbl.create 2 in
+  Hashtbl.replace allowed 0x100 "sys_read";
+  Hashtbl.replace allowed 0x200 "sys_write";
+  Metapool_rt.funccheck_hashed ~allowed ~target:0x100;
   expect_violation Violation.Indirect_call (fun () ->
-      Metapool_rt.funccheck ~allowed ~target:0x300)
+      Metapool_rt.funccheck_hashed ~allowed ~target:0x300)
 
 let test_userspace_object () =
   (* Section 4.6: all of userspace is one object; a buffer that starts in
@@ -225,13 +227,15 @@ let test_stats_counting () =
   Metapool_rt.boundscheck mp ~src:0x100 ~dst:0x110 ~access_len:4;
   ignore (Metapool_rt.getbounds mp 0x100);
   Metapool_rt.drop mp ~start:0x100;
+  expect_violation Violation.Indirect_call (fun () ->
+      Metapool_rt.funccheck_hashed ~allowed:(Hashtbl.create 1) ~target:0x300);
   let s = Stats.read () in
   Alcotest.(check int) "regs" 1 s.Stats.registrations;
   Alcotest.(check int) "drops" 1 s.Stats.drops;
   Alcotest.(check int) "ls" 1 s.Stats.ls_checks;
   Alcotest.(check int) "bounds" 1 s.Stats.bounds_checks;
   Alcotest.(check int) "getbounds" 1 s.Stats.getbounds;
-  Alcotest.(check int) "violations" 0 s.Stats.violations
+  Alcotest.(check int) "violations" 1 s.Stats.violations
 
 (* ---------- object-lookup cache ---------- *)
 
