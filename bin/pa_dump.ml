@@ -222,7 +222,15 @@ let () =
           "usage: pa_dump [--ranges | --races | --poolcert] FILE [FUNC]";
         exit 2
   in
-  let m = Sva_pipeline.Pipeline.load_file file in
+  let m =
+    try Sva_pipeline.Pipeline.load_file file
+    with e -> (
+      match Sva_pipeline.Pipeline.load_error file e with
+      | Some msg ->
+          prerr_endline msg;
+          exit 1
+      | None -> raise e)
+  in
   let config =
     {
       Pointsto.default_config with

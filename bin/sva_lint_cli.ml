@@ -201,68 +201,67 @@ let selftest () =
   end
   else 1
 
+(* A module file, or exit 2 with its one-line diagnostic when it does
+   not load. *)
+let load path =
+  try Pipeline.load_file path
+  with e -> (
+    match Pipeline.load_error path e with
+    | Some msg ->
+        prerr_endline msg;
+        exit 2
+    | None -> raise e)
+
 let run file ukern fixture selftest_flag ranges races quiet =
-  try
-    if races then begin
-      if selftest_flag then race_selftest ()
-      else begin
-        let ((r, errs) as res) =
-          if ukern then race_kernel ~fixture:false ()
-          else if fixture then race_kernel ~fixture:true ()
-          else
-            match file with
-            | Some path ->
-                let m = Pipeline.load_file path in
-                let pa = Pointsto.run ~config:file_config m in
-                let r = Lockset.run m pa in
-                let errs =
-                  Atomcert.check ~entries:(Lockset.entry_config r) m
-                    (Lockset.bundle r)
-                in
-                (r, errs)
-            | None ->
-                prerr_endline
-                  "usage: sva_lint --races [FILE | --ukern | --fixture | \
-                   --selftest]";
-                exit 2
-        in
-        print_races ~quiet res;
-        if Lockset.findings r = [] && errs = [] then 0 else 1
-      end
-    end
-    else if selftest_flag then selftest ()
+  if races then begin
+    if selftest_flag then race_selftest ()
     else begin
-      let r =
-        if ukern then lint_kernel ~ranges ~fixture:false ()
-        else if fixture then lint_kernel ~ranges ~fixture:true ()
+      let ((r, errs) as res) =
+        if ukern then race_kernel ~fixture:false ()
+        else if fixture then race_kernel ~fixture:true ()
         else
           match file with
           | Some path ->
-              let m = Pipeline.load_file path in
+              let m = load path in
               let pa = Pointsto.run ~config:file_config m in
-              let config = Lint.config_of_aconfig file_config in
-              if ranges then
-                Lint.run ~config ~ranges:(range_oracle m pa) m pa
-              else Lint.run ~config m pa
+              let r = Lockset.run m pa in
+              let errs =
+                Atomcert.check ~entries:(Lockset.entry_config r) m
+                  (Lockset.bundle r)
+              in
+              (r, errs)
           | None ->
               prerr_endline
-                "usage: sva_lint FILE | --ukern | --fixture | --selftest";
+                "usage: sva_lint --races [FILE | --ukern | --fixture | \
+                 --selftest]";
               exit 2
       in
-      print_result ~quiet r;
-      if r.Lint.lr_findings = [] then 0 else 1
+      print_races ~quiet res;
+      if Lockset.findings r = [] && errs = [] then 0 else 1
     end
-  with
-  | Minic.Parser.Parse_error (msg, loc) ->
-      Printf.eprintf "%d:%d: parse error: %s\n" loc.Minic.Token.line
-        loc.Minic.Token.col msg;
-      2
-  | Minic.Lower.Lower_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      2
-  | Sva_bytecode.Codec.Decode_error msg ->
-      Printf.eprintf "undecodable bytecode: %s\n" msg;
-      2
+  end
+  else if selftest_flag then selftest ()
+  else begin
+    let r =
+      if ukern then lint_kernel ~ranges ~fixture:false ()
+      else if fixture then lint_kernel ~ranges ~fixture:true ()
+      else
+        match file with
+        | Some path ->
+            let m = load path in
+            let pa = Pointsto.run ~config:file_config m in
+            let config = Lint.config_of_aconfig file_config in
+            if ranges then
+              Lint.run ~config ~ranges:(range_oracle m pa) m pa
+            else Lint.run ~config m pa
+        | None ->
+            prerr_endline
+              "usage: sva_lint FILE | --ukern | --fixture | --selftest";
+            exit 2
+    in
+    print_result ~quiet r;
+    if r.Lint.lr_findings = [] then 0 else 1
+  end
 
 let file = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
 

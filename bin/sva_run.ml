@@ -61,13 +61,12 @@ let run file func args conf_name engine_name jit_threshold tcache_dir ranges
         (Pipeline.load_source ~name source)
     else Pipeline.build ~conf ~ranges ~name [ source ]
   with
-  | exception Minic.Parser.Parse_error (msg, loc) ->
-      Printf.eprintf "%s:%d:%d: parse error: %s\n" file loc.Minic.Token.line
-        loc.Minic.Token.col msg;
-      exit 1
-  | exception Minic.Lower.Lower_error msg ->
-      Printf.eprintf "%s: error: %s\n" file msg;
-      exit 1
+  | exception e -> (
+      match Pipeline.load_error file e with
+      | Some msg ->
+          prerr_endline msg;
+          exit 1
+      | None -> raise e)
   | built -> (
       if dump_ir then print_string (Sva_ir.Pp.string_of_module built.Pipeline.bl_mod);
       (match emit_bytecode with

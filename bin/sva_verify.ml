@@ -48,17 +48,13 @@ module Poolev = Sva_safety.Poolev
 let load path =
   let data = In_channel.with_open_bin path In_channel.input_all in
   match Sva_pipeline.Pipeline.load_source ~name:path data with
-  | exception Sva_bytecode.Codec.Decode_error msg ->
-      Printf.eprintf "%s: undecodable bytecode: %s\n" path msg;
-      exit 1
-  | exception Minic.Parser.Parse_error (msg, loc) ->
-      Printf.eprintf "%s:%d:%d: parse error: %s\n" path loc.Minic.Token.line
-        loc.Minic.Token.col msg;
-      exit 1
-  | exception Minic.Lower.Lower_error msg ->
-      Printf.eprintf "%s: error: %s\n" path msg;
-      exit 1
   | m -> (m, data)
+  | exception e -> (
+      match Sva_pipeline.Pipeline.load_error path e with
+      | Some msg ->
+          prerr_endline msg;
+          exit 1
+      | None -> raise e)
 
 let range_selftest () =
   let n = Interval.selftest () in

@@ -898,8 +898,8 @@ let fastpath ~quick ~strict =
 (* The embarrassingly parallel syscall-mix jobs scheduled over 1, 2 and
    4 modeled CPUs with the deterministic work-stealing scheduler
    (Boot.run_smp).  The aggregate check counts must be identical at
-   every CPU count — the per-CPU cache shards and stats banks are
-   semantically invisible — and the modeled makespan must scale. *)
+   every CPU count — the per-CPU cache shards are semantically
+   invisible — and the modeled makespan must scale. *)
 
 type smp_point = {
   sp_cpus : int;
@@ -1072,9 +1072,8 @@ let smp ~quick ~strict =
             round-robin and balanced by the seeded work-stealing scheduler \
             (seed %d).  Makespan is the max per-CPU modeled clock; speedup \
             is makespan(1)/makespan(N) (>= %.1fx at 4 CPUs required).  \
-            Aggregate checks are identical at every CPU count by \
-            construction - per-CPU cache shards and stats banks are \
-            semantically invisible."
+            Aggregate checks are identical at every CPU count - per-CPU \
+            cache shards are semantically invisible."
            d.sd_jobs d.sd_seed smp_speedup_floor)
       [ T.R; T.R; T.R; T.R; T.R; T.R ]
       [ "CPUs"; "Makespan"; "Speedup"; "Steals"; "IPIs d/s"; "Checks" ]

@@ -26,10 +26,8 @@
 open Sva_ir
 module I = Interp
 module Machine = Sva_hw.Machine
-module Svaos = Sva_os.Svaos
 module Metapool_rt = Sva_rt.Metapool_rt
 module Stats = Sva_rt.Stats
-module Splay = Sva_rt.Splay
 module Codec = Sva_bytecode.Codec
 module Signing = Sva_bytecode.Signing
 module Sha256 = Sva_bytecode.Sha256
@@ -300,10 +298,8 @@ let ccall t (i : Instr.t) (callee : Value.t) (cargs : Value.t array)
             | None ->
                 I.vm_err "indirect call to non-code address 0x%x" target))
 
-(* Intrinsics: pre-compiled operand fetches feeding the shared
-   [I.exec_intr], wrapped in the interpreter's exact charging sequence
-   (base cost by current SVA-OS mode, splay-comparison and cache-hit
-   deltas, the mmu_clone_space page-walk surcharge). *)
+(* Intrinsics: pre-compiled operand fetches feeding the interpreter's
+   [I.run_intr], which executes and charges them. *)
 let cintr t (i : Instr.t) intr (vargs : Value.t array) cost_native
     cost_mediated : cop =
   let id = i.Instr.id in
@@ -311,22 +307,11 @@ let cintr t (i : Instr.t) intr (vargs : Value.t array) cost_native
   let evs = Array.map (cval t) vargs in
   fun fr ->
     tick t;
-    let mediated = t.I.im_sys.Svaos.mode = Svaos.Sva_mediated in
-    let splay0 = Splay.comparisons () in
-    let hits0 = Stats.cache_hits () in
-    let r = I.exec_intr t intr vargs (Array.map (fun ev -> ev fr) evs) in
-    t.I.ncycles <-
-      t.I.ncycles
-      + (if mediated then cost_mediated else cost_native)
-      + (I.splay_cmp_cost * (Splay.comparisons () - splay0))
-      + (I.cache_hit_cost * (Stats.cache_hits () - hits0));
-    (match (intr, r) with
-    | I.I_mmu_clone_space, Some sid ->
-        t.I.ncycles <-
-          t.I.ncycles
-          + (2 * Svaos.mmu_page_count t.I.im_sys ~sid:(Int64.to_int sid))
-    | _ -> ());
-    match r with
+    match
+      I.run_intr t intr vargs
+        (Array.map (fun ev -> ev fr) evs)
+        cost_native cost_mediated
+    with
     | Some v -> if has_result then fr.regs.(id) <- v
     | None -> ()
 
@@ -494,8 +479,8 @@ let fuse_gep_access t (g : Instr.t) base idxs (acc : I.pinsn) : cop option =
   | _ -> None
 
 (* lscheck+access: the checked pointer is evaluated once and shared by
-   the check and the guarded load/store.  The check half replicates the
-   interpreter's full charging sequence for pchk_lscheck. *)
+   the check and the guarded load/store.  The check half is charged with
+   the interpreter's [I.meter] and [I.charge], like any intrinsic. *)
 let fuse_check_access t (ci : Instr.t) (vargs : Value.t array) cost_native
     cost_mediated (acc : I.pinsn) : cop option =
   if Array.length vargs <> 3 || ci.Instr.ty <> Ty.Void then None
@@ -510,18 +495,12 @@ let fuse_check_access t (ci : Instr.t) (vargs : Value.t array) cost_native
       let mpid = cmp_id fr in
       let ptr = cptr fr in
       let len = clen fr in
-      let mediated = t.I.im_sys.Svaos.mode = Svaos.Sva_mediated in
-      let splay0 = Splay.comparisons () in
-      let hits0 = Stats.cache_hits () in
+      let m0 = I.meter () in
       Metapool_rt.lscheck
         (I.get_mp t (I.to_addr mpid))
         ~addr:(I.to_addr ptr)
         ~access_len:(I.to_addr len);
-      t.I.ncycles <-
-        t.I.ncycles
-        + (if mediated then cost_mediated else cost_native)
-        + (I.splay_cmp_cost * (Splay.comparisons () - splay0))
-        + (I.cache_hit_cost * (Stats.cache_hits () - hits0));
+      I.charge t m0 cost_native cost_mediated;
       ptr
     in
     match acc with
@@ -950,8 +929,6 @@ let translate (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
 let enable ?(threshold = 16) (t : I.t) =
   I.set_jit t
     (Some { I.jit_threshold = max 1 threshold; I.jit_translate = translate })
-
-let disable (t : I.t) = I.set_jit t None
 
 (* Whole-kernel ahead-of-time mode: translate every loaded function at
    instantiate time (deterministic name order), so the first call of

@@ -21,8 +21,6 @@ val enable : ?threshold:int -> Interp.t -> unit
     times (default 16, clamped to at least 1) are translated and run
     compiled from then on. *)
 
-val disable : Interp.t -> unit
-
 val compile_all : Interp.t -> unit
 (** Whole-kernel AOT: translate every loaded function now (in
     deterministic name order), through the same signed cache — against a

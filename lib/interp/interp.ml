@@ -739,11 +739,29 @@ let cls_of_code = function
 let splay_cmp_cost = 3
 let cache_hit_cost = 1
 
+(* The check runtime's lookup work so far, in modeled cycles.  It is
+   linear in the two counters, so the difference of two readings prices
+   every comparison and cache hit made between them. *)
+let meter () =
+  (splay_cmp_cost * Sva_rt.Splay.comparisons ())
+  + (cache_hit_cost * Sva_rt.Stats.cache_hits ())
+
+(* Charge an intrinsic that has just run: its base cost in the SVA-OS
+   mode plus its lookup work since [m0], a [meter ()] reading taken
+   before it ran.  The mode is fixed once a machine is instantiated, so
+   reading it here equals reading it on entry. *)
+let charge t m0 cost_native cost_mediated =
+  t.ncycles <-
+    t.ncycles
+    + (if t.im_sys.Svaos.mode = Svaos.Sva_mediated then cost_mediated
+       else cost_native)
+    + (meter () - m0)
+
 (* Execute a decoded intrinsic on already-evaluated arguments.  [vargs]
    (the original operands) are still needed by [pchk_funccheck], whose
    allowed-set diagnostics use the constant [Value.Fn] names.  Shared by
    the interpreter and the compiled tier (which pre-compiles the operand
-   fetches). *)
+   fetches) through [run_intr]. *)
 let rec exec_intr t intr (vargs : Value.t array) (args : int64 array) :
     int64 option =
   (* Emitting here (rather than per-tier) is what makes the interpreter
@@ -946,6 +964,19 @@ let rec exec_intr t intr (vargs : Value.t array) (args : int64 array) :
   | I_panic -> vm_err "kernel panic: code %Ld" (a 0)
   | I_unknown name -> vm_err "unknown intrinsic @%s" name
 
+(* [exec_intr] with its modeled cost, for both engines: [charge], plus
+   the page-table walk that duplicating an MMU space costs. *)
+and run_intr t intr vargs args cost_native cost_mediated =
+  let m0 = meter () in
+  let r = exec_intr t intr vargs args in
+  charge t m0 cost_native cost_mediated;
+  (match (intr, r) with
+  | I_mmu_clone_space, Some sid ->
+      t.ncycles <-
+        t.ncycles + (2 * Svaos.mmu_page_count t.im_sys ~sid:(Int64.to_int sid))
+  | _ -> ());
+  r
+
 (* ---------- the main execution loop ---------- *)
 
 and exec_func t (pf : prepared_func) (args : int64 list) : int64 option =
@@ -999,23 +1030,11 @@ and exec_func t (pf : prepared_func) (args : int64 list) : int64 option =
       | _ -> ());
       match body.(bi) with
       | P_intr (i, intr, vargs, cost_native, cost_mediated) -> (
-          let mediated = t.im_sys.Svaos.mode = Svaos.Sva_mediated in
-          let splay0 = Sva_rt.Splay.comparisons () in
-          let hits0 = Sva_rt.Stats.cache_hits () in
-          let r = exec_intr t intr vargs (Array.map (eval t regs) vargs) in
-          t.ncycles <-
-            t.ncycles
-            + (if mediated then cost_mediated else cost_native)
-            + (splay_cmp_cost * (Sva_rt.Splay.comparisons () - splay0))
-            + (cache_hit_cost * (Sva_rt.Stats.cache_hits () - hits0));
-          (* MMU space duplication costs a page-table walk. *)
-          (match (intr, r) with
-          | I_mmu_clone_space, Some sid ->
-              t.ncycles <-
-                t.ncycles
-                + (2 * Svaos.mmu_page_count t.im_sys ~sid:(Int64.to_int sid))
-          | _ -> ());
-          match r with
+          match
+            run_intr t intr vargs
+              (Array.map (eval t regs) vargs)
+              cost_native cost_mediated
+          with
           | Some v -> if i.Instr.ty <> Ty.Void then regs.(i.Instr.id) <- v
           | None -> ())
       | P_call (i, callee, cargs, cache) -> (

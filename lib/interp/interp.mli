@@ -252,11 +252,25 @@ val get_mp : t -> int -> Sva_rt.Metapool_rt.t
 val builtin : t -> string -> int64 array -> int64 option
 val is_builtin : string -> bool
 
-val exec_intr : t -> intr -> Value.t array -> int64 array -> int64 option
-(** Execute a decoded intrinsic on already-evaluated arguments (the
-    [Value.t array] carries the original operands for [pchk_funccheck]
-    diagnostics).  Performs no cycle accounting — the caller charges the
-    base cost and the splay/cache deltas. *)
+val meter : unit -> int
+(** The check runtime's lookup work so far in modeled cycles, at the
+    cycle model's rates per splay comparison and per object-cache hit
+    (DESIGN.md Section 6).  Linear in both counters, so the difference
+    of two readings prices the lookups made between them. *)
+
+val charge : t -> int -> int -> int -> unit
+(** [charge t m0 cost_native cost_mediated] adds an intrinsic's modeled
+    cost after it ran: the base cost for the current SVA-OS mode plus
+    [meter () - m0], where [m0] was read before it ran. *)
+
+val run_intr :
+  t -> intr -> Value.t array -> int64 array -> int -> int -> int64 option
+(** [run_intr t intr vargs args cost_native cost_mediated] executes a
+    decoded intrinsic on already-evaluated arguments [args] ([vargs]
+    carries the original operands for [pchk_funccheck] diagnostics) and
+    charges it: {!charge}, plus the page-table walk that
+    [sva_mmu_clone_space] costs.  Both engines execute intrinsics
+    through it. *)
 
 val exec_func : t -> prepared_func -> int64 list -> int64 option
 (** The interpreter tier: run a prepared function body directly. *)
@@ -270,10 +284,6 @@ val enter : t -> prepared_func -> int64 list -> int64 option
 
 val dispatch_call : t -> string -> int64 list -> int64 option
 (** Call by name through tier dispatch; falls back to builtins. *)
-
-val splay_cmp_cost : int
-val cache_hit_cost : int
-(** Cycle-model constants for the check runtime (DESIGN.md Section 6). *)
 
 val set_jit : t -> jit option -> unit
 (** Install (or remove) the second execution tier. *)

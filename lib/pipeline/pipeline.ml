@@ -175,6 +175,16 @@ let load_file path =
     ~name:(Filename.basename path)
     (In_channel.with_open_bin path In_channel.input_all)
 
+let load_error file = function
+  | Sva_bytecode.Codec.Decode_error msg ->
+      Some (Printf.sprintf "%s: undecodable bytecode: %s" file msg)
+  | Minic.Parser.Parse_error (msg, loc) ->
+      Some
+        (Printf.sprintf "%s:%d:%d: parse error: %s" file loc.Minic.Token.line
+           loc.Minic.Token.col msg)
+  | Minic.Lower.Lower_error msg -> Some (Printf.sprintf "%s: error: %s" file msg)
+  | _ -> None
+
 (* ---------- building ---------- *)
 
 (* Loads/stores whose lint proof needed a range fact. *)

@@ -158,6 +158,13 @@ val load_source : name:string -> string -> Irmod.t
 val load_file : string -> Irmod.t
 (** {!load_source} on a file's contents, named after its basename. *)
 
+val load_error : string -> exn -> string option
+(** [load_error file e]: the one-line [FILE: ...] diagnostic for an
+    exception {!load_source} (or {!compile}) raises on unreadable input
+    — corrupt bytecode, a MiniC parse or lowering error — and [None]
+    for any other exception.  The command-line tools print it instead
+    of letting the exception escape. *)
+
 val build :
   ?conf:conf ->
   ?aconfig:Pointsto.config ->

@@ -11,135 +11,66 @@ type snapshot = {
   cache_misses : int;
 }
 
-let zero =
-  {
-    bounds_checks = 0;
-    getbounds = 0;
-    ls_checks = 0;
-    funcchecks = 0;
-    registrations = 0;
-    drops = 0;
-    reduced_checks = 0;
-    violations = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-  }
-
-(* The dynamic-event counters (this snapshot family and the concurrency
-   family below) live in per-CPU banks: every bump lands in the bank of
-   the CPU the SMP scheduler last selected with [set_cpu], and the read
-   accessors sum across banks.  Totals are therefore invariant under bank
-   switching — an N-CPU run that executes the same work observes the same
-   [read ()] as a 1-CPU run by construction, which is what the bench's
-   check-count-identity gate leans on.  Bank 0 is the default, so code
-   that never calls [set_cpu] behaves exactly as the old flat refs did.
-   Tier counters stay global: they are whole-process facts with no
-   per-CPU attribution. *)
-
-type bank = {
-  mutable b_bounds : int;
-  mutable b_gb : int;
-  mutable b_ls : int;
-  mutable b_fc : int;
-  mutable b_regs : int;
-  mutable b_drops : int;
-  mutable b_reduced : int;
-  mutable b_viols : int;
-  mutable b_chits : int;
-  mutable b_cmisses : int;
-  (* concurrency family (read out further below) *)
-  mutable b_cli : int;
-  mutable b_sti : int;
-  mutable b_lacq : int;
-  mutable b_lrel : int;
-  mutable b_ipis_sent : int;
-  mutable b_ipis_delivered : int;
+type tier_snapshot = {
+  promotions : int;
+  tcache_hits : int;
+  tcache_misses : int;
+  sig_verifications : int;
+  tcache_disk_hits : int;
+  tcache_disk_stale : int;
+  tcache_disk_writes : int;
+  superblocks : int;
 }
 
-let make_bank () =
-  {
-    b_bounds = 0; b_gb = 0; b_ls = 0; b_fc = 0; b_regs = 0; b_drops = 0;
-    b_reduced = 0; b_viols = 0; b_chits = 0; b_cmisses = 0; b_cli = 0;
-    b_sti = 0; b_lacq = 0; b_lrel = 0; b_ipis_sent = 0; b_ipis_delivered = 0;
-  }
+type conc_snapshot = {
+  cli_count : int;
+  sti_count : int;
+  lock_acquires : int;
+  lock_releases : int;
+  ipis_sent : int;
+  ipis_delivered : int;
+}
 
-let banks = ref [| make_bank () |]
-let cur = ref !banks.(0)
-let cur_cpu_ = ref 0
+(* Every counter is one slot of [c].  Each family owns a fixed index
+   range — check [0, 10), tier [10, 18), concurrency [18, 24) — so a
+   bump is one array increment, a read builds the family's record from
+   its slots, and a family reset is one fill over its range.  The
+   families stay separate because the differential tests compare
+   [read ()] across engines and configurations, while tier and
+   concurrency counts differ between them by design. *)
+let c = Array.make 24 0
+let[@inline] bump i = c.(i) <- c.(i) + 1
 
-let set_cpu i =
-  if i < 0 then invalid_arg "Stats.set_cpu: negative cpu";
-  if i >= Array.length !banks then
-    banks :=
-      Array.init (i + 1) (fun j ->
-          if j < Array.length !banks then !banks.(j) else make_bank ());
-  cur_cpu_ := i;
-  cur := !banks.(i)
+(* ---------- check family: [0, 10) ---------- *)
 
-let current_cpu () = !cur_cpu_
-let sum f = Array.fold_left (fun acc b -> acc + f b) 0 !banks
-
-let bump_bounds () = let b = !cur in b.b_bounds <- b.b_bounds + 1
-let bump_getbounds () = let b = !cur in b.b_gb <- b.b_gb + 1
-let bump_ls () = let b = !cur in b.b_ls <- b.b_ls + 1
-let bump_funccheck () = let b = !cur in b.b_fc <- b.b_fc + 1
-let bump_reg () = let b = !cur in b.b_regs <- b.b_regs + 1
-let bump_drop () = let b = !cur in b.b_drops <- b.b_drops + 1
-let bump_reduced () = let b = !cur in b.b_reduced <- b.b_reduced + 1
-let bump_violation () = let b = !cur in b.b_viols <- b.b_viols + 1
-let bump_cache_hit () = let b = !cur in b.b_chits <- b.b_chits + 1
-let bump_cache_miss () = let b = !cur in b.b_cmisses <- b.b_cmisses + 1
-
-let cache_hits () = sum (fun b -> b.b_chits)
-let cache_misses () = sum (fun b -> b.b_cmisses)
-let checks_now () = sum (fun b -> b.b_bounds + b.b_ls + b.b_fc)
-
-let snapshot_of_bank b =
-  {
-    bounds_checks = b.b_bounds;
-    getbounds = b.b_gb;
-    ls_checks = b.b_ls;
-    funcchecks = b.b_fc;
-    registrations = b.b_regs;
-    drops = b.b_drops;
-    reduced_checks = b.b_reduced;
-    violations = b.b_viols;
-    cache_hits = b.b_chits;
-    cache_misses = b.b_cmisses;
-  }
+let bump_bounds () = bump 0
+let bump_getbounds () = bump 1
+let bump_ls () = bump 2
+let bump_funccheck () = bump 3
+let bump_reg () = bump 4
+let bump_drop () = bump 5
+let bump_reduced () = bump 6
+let bump_violation () = bump 7
+let bump_cache_hit () = bump 8
+let bump_cache_miss () = bump 9
+let cache_hits () = c.(8)
+let checks_now () = c.(0) + c.(2) + c.(3)
 
 let read () =
   {
-    bounds_checks = sum (fun b -> b.b_bounds);
-    getbounds = sum (fun b -> b.b_gb);
-    ls_checks = sum (fun b -> b.b_ls);
-    funcchecks = sum (fun b -> b.b_fc);
-    registrations = sum (fun b -> b.b_regs);
-    drops = sum (fun b -> b.b_drops);
-    reduced_checks = sum (fun b -> b.b_reduced);
-    violations = sum (fun b -> b.b_viols);
-    cache_hits = sum (fun b -> b.b_chits);
-    cache_misses = sum (fun b -> b.b_cmisses);
+    bounds_checks = c.(0);
+    getbounds = c.(1);
+    ls_checks = c.(2);
+    funcchecks = c.(3);
+    registrations = c.(4);
+    drops = c.(5);
+    reduced_checks = c.(6);
+    violations = c.(7);
+    cache_hits = c.(8);
+    cache_misses = c.(9);
   }
 
-let read_cpu i =
-  if i < 0 || i >= Array.length !banks then zero
-  else snapshot_of_bank !banks.(i)
-
-let reset () =
-  Array.iter
-    (fun b ->
-      b.b_bounds <- 0;
-      b.b_gb <- 0;
-      b.b_ls <- 0;
-      b.b_fc <- 0;
-      b.b_regs <- 0;
-      b.b_drops <- 0;
-      b.b_reduced <- 0;
-      b.b_viols <- 0;
-      b.b_chits <- 0;
-      b.b_cmisses <- 0)
-    !banks
+let reset () = Array.fill c 0 10 0
 
 let diff a b =
   {
@@ -170,23 +101,7 @@ let to_string s =
     s.drops s.reduced_checks s.violations s.cache_hits
     (s.cache_hits + s.cache_misses)
 
-(* ---------- execution-tier counters ----------
-
-   Kept out of [snapshot] deliberately: the tiered engine must leave every
-   check statistic identical to the interpreter's, and the differential
-   tests compare [read ()] across engines while promotion counts differ
-   by design. *)
-
-type tier_snapshot = {
-  promotions : int;
-  tcache_hits : int;
-  tcache_misses : int;
-  sig_verifications : int;
-  tcache_disk_hits : int;
-  tcache_disk_stale : int;
-  tcache_disk_writes : int;
-  superblocks : int;
-}
+(* ---------- execution-tier family: [10, 18) ---------- *)
 
 let tier_zero =
   {
@@ -200,45 +115,28 @@ let tier_zero =
     superblocks = 0;
   }
 
-let promo = ref 0
-let tc_hits = ref 0
-let tc_misses = ref 0
-let sig_verifies = ref 0
-let tcd_hits = ref 0
-let tcd_stale = ref 0
-let tcd_writes = ref 0
-let sblocks = ref 0
-
-let bump_promotion () = incr promo
-let bump_tcache_hit () = incr tc_hits
-let bump_tcache_miss () = incr tc_misses
-let bump_sig_verification () = incr sig_verifies
-let bump_tcache_disk_hit () = incr tcd_hits
-let bump_tcache_disk_stale () = incr tcd_stale
-let bump_tcache_disk_write () = incr tcd_writes
-let add_superblocks n = sblocks := !sblocks + n
+let bump_promotion () = bump 10
+let bump_tcache_hit () = bump 11
+let bump_tcache_miss () = bump 12
+let bump_sig_verification () = bump 13
+let bump_tcache_disk_hit () = bump 14
+let bump_tcache_disk_stale () = bump 15
+let bump_tcache_disk_write () = bump 16
+let add_superblocks n = c.(17) <- c.(17) + n
 
 let read_tier () =
   {
-    promotions = !promo;
-    tcache_hits = !tc_hits;
-    tcache_misses = !tc_misses;
-    sig_verifications = !sig_verifies;
-    tcache_disk_hits = !tcd_hits;
-    tcache_disk_stale = !tcd_stale;
-    tcache_disk_writes = !tcd_writes;
-    superblocks = !sblocks;
+    promotions = c.(10);
+    tcache_hits = c.(11);
+    tcache_misses = c.(12);
+    sig_verifications = c.(13);
+    tcache_disk_hits = c.(14);
+    tcache_disk_stale = c.(15);
+    tcache_disk_writes = c.(16);
+    superblocks = c.(17);
   }
 
-let reset_tier () =
-  promo := 0;
-  tc_hits := 0;
-  tc_misses := 0;
-  sig_verifies := 0;
-  tcd_hits := 0;
-  tcd_stale := 0;
-  tcd_writes := 0;
-  sblocks := 0
+let reset_tier () = Array.fill c 10 8 0
 
 let tier_to_string s =
   Printf.sprintf
@@ -248,56 +146,26 @@ let tier_to_string s =
     s.tcache_disk_hits s.tcache_disk_stale s.tcache_disk_writes
     s.sig_verifications s.superblocks
 
-(* ---------- concurrency counters ----------
+(* ---------- concurrency family: [18, 24) ---------- *)
 
-   Dynamic accounting for the SVA-OS concurrency primitives: interrupt
-   masking ([sva_cli]/[sva_sti]) and the spinlock operations.  Kept out
-   of [snapshot] like the tier family: the differential
-   tests compare [read ()] across configurations, and a build that adds
-   explicit critical sections changes these counts by design while the
-   check counts must stay comparable. *)
-
-type conc_snapshot = {
-  cli_count : int;
-  sti_count : int;
-  lock_acquires : int;
-  lock_releases : int;
-  ipis_sent : int;
-  ipis_delivered : int;
-}
-
-(* Same per-CPU banks as the check counters above: these are dynamic
-   events attributable to the executing CPU. *)
-let bump_cli () = let b = !cur in b.b_cli <- b.b_cli + 1
-let bump_sti () = let b = !cur in b.b_sti <- b.b_sti + 1
-let bump_lock_acquire () = let b = !cur in b.b_lacq <- b.b_lacq + 1
-let bump_lock_release () = let b = !cur in b.b_lrel <- b.b_lrel + 1
-let bump_ipi_sent () = let b = !cur in b.b_ipis_sent <- b.b_ipis_sent + 1
-
-let bump_ipi_delivered () =
-  let b = !cur in
-  b.b_ipis_delivered <- b.b_ipis_delivered + 1
+let bump_cli () = bump 18
+let bump_sti () = bump 19
+let bump_lock_acquire () = bump 20
+let bump_lock_release () = bump 21
+let bump_ipi_sent () = bump 22
+let bump_ipi_delivered () = bump 23
 
 let read_conc () =
   {
-    cli_count = sum (fun b -> b.b_cli);
-    sti_count = sum (fun b -> b.b_sti);
-    lock_acquires = sum (fun b -> b.b_lacq);
-    lock_releases = sum (fun b -> b.b_lrel);
-    ipis_sent = sum (fun b -> b.b_ipis_sent);
-    ipis_delivered = sum (fun b -> b.b_ipis_delivered);
+    cli_count = c.(18);
+    sti_count = c.(19);
+    lock_acquires = c.(20);
+    lock_releases = c.(21);
+    ipis_sent = c.(22);
+    ipis_delivered = c.(23);
   }
 
-let reset_conc () =
-  Array.iter
-    (fun b ->
-      b.b_cli <- 0;
-      b.b_sti <- 0;
-      b.b_lacq <- 0;
-      b.b_lrel <- 0;
-      b.b_ipis_sent <- 0;
-      b.b_ipis_delivered <- 0)
-    !banks
+let reset_conc () = Array.fill c 18 6 0
 
 let diff_conc a b =
   {
@@ -314,11 +182,7 @@ let conc_to_string s =
     s.cli_count s.sti_count s.lock_acquires s.lock_releases s.ipis_delivered
     s.ipis_sent
 
-(* Full reset across all three counter families.  The individual resets
-   stay available for the measurements that deliberately reset one family
-   (e.g. the tiered bench resets check counters per run but accumulates
-   tier counters across warm-up and measurement). *)
-let reset_all () =
-  reset ();
-  reset_tier ();
-  reset_conc ()
+(* The single-family resets stay for measurements that reset one family
+   on purpose (the tiered bench resets check counters per run but
+   accumulates tier counters across warm-up and measurement). *)
+let reset_all () = Array.fill c 0 (Array.length c) 0

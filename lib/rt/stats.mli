@@ -1,7 +1,11 @@
 (** Run-time check accounting.
 
     Global counters for every kind of dynamic event the SVA runtime
-    performs.  The benchmark harness snapshots these to attribute overhead
+    performs, in three families (check, execution tier, concurrency),
+    each with its own snapshot record, read, reset and printer.  Every
+    counter is a slot of one flat array: a bump is one array increment
+    and a family reset is one fill over its slots.  The benchmark
+    harness snapshots these to attribute overhead
     (Section 7.1.2 observes that cheap syscalls are dominated by SVA-OS
     cost while heavier ones are dominated by run-time checks), and the
     tests use them to assert that checks are actually exercised or
@@ -20,32 +24,6 @@ type snapshot = {
   cache_misses : int;  (** object lookups that fell through to the splay *)
 }
 
-val zero : snapshot
-
-(** {1 Per-CPU banks}
-
-    The dynamic-event families ({!snapshot} and {!conc_snapshot}) are
-    kept in per-CPU counter banks: each bump lands in the bank selected
-    by {!set_cpu} (the simulated-SMP scheduler switches it at CPU-switch
-    points), and the summing accessors ({!read}, {!cache_hits},
-    {!checks_now}, {!read_conc}) report totals across all banks.  Totals
-    are therefore invariant under bank switching, so an N-CPU schedule of
-    the same work keeps every aggregate counter identical to the 1-CPU
-    run.  Bank 0 is the default — code that never calls [set_cpu] is
-    bit-compatible with the pre-SMP flat counters.  The tier family is
-    not banked. *)
-
-val set_cpu : int -> unit
-(** Direct subsequent bumps at CPU [i]'s bank (grown on demand).
-    @raise Invalid_argument on a negative index. *)
-
-val current_cpu : unit -> int
-(** The bank index currently receiving bumps (0 by default). *)
-
-val read_cpu : int -> snapshot
-(** One CPU's bank alone ({!zero} for a never-selected index); {!read}
-    is the sum of these over all banks. *)
-
 val bump_bounds : unit -> unit
 val bump_getbounds : unit -> unit
 val bump_ls : unit -> unit
@@ -60,8 +38,6 @@ val bump_cache_miss : unit -> unit
 val cache_hits : unit -> int
 (** Current value of the cache-hit counter — cheap accessor for the cycle
     model, which charges a hit far less than a splay comparison. *)
-
-val cache_misses : unit -> int
 
 val checks_now : unit -> int
 (** Current bounds + load/store + indirect-call check count, without

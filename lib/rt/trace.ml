@@ -61,7 +61,6 @@ type event = {
    build-time emission) stays on CPU 0, preserving pre-SMP traces. *)
 let cur_cpu = ref 0
 let set_cpu i = cur_cpu := i
-let current_cpu () = !cur_cpu
 
 (* The timestamp source.  The SVM installs its modeled-cycle counter at
    load time; events emitted outside any VM (build-time range elisions)

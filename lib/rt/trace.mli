@@ -54,8 +54,6 @@ val set_cpu : int -> unit
     CPU 0, so pre-SMP traces are unchanged.  The Chrome export maps it to
     the thread id. *)
 
-val current_cpu : unit -> int
-
 val clock : (unit -> int) ref
 (** Timestamp source, read at each emission.  {!Sva_interp.Interp.load}
     installs the VM's modeled-cycle counter; outside any VM it reads 0.

@@ -56,8 +56,8 @@ let op t = t.ops_count <- t.ops_count + 1
 
    The SVM interleaves the modeled CPUs on one host thread, so "the
    current CPU" is the one the scheduler last selected.  Switching also
-   redirects the per-CPU stats banks and the trace's CPU tag, so every
-   dynamic counter and event lands on the executing CPU. *)
+   retags the trace, so every event is attributed to the executing
+   CPU. *)
 
 let smpctx t = t.smp
 let ncpus t = Array.length t.cpus
@@ -68,7 +68,6 @@ let cpu_state t ~cpu = t.cpus.(cpu).pc_cpu
 
 let switch_cpu t i =
   Sva_rt.Smp.set_cur t.smp i;
-  Sva_rt.Stats.set_cpu i;
   Sva_rt.Trace.set_cpu i
 
 (* Inter-processor interrupts: Table 2's missing multiprocessor piece.

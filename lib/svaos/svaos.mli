@@ -61,8 +61,7 @@ val set_mode : t -> mode -> unit
 
     The SVM interleaves the modeled CPUs on one host thread; the
     scheduler ([Ukern.Boot.run_smp]) selects which CPU executes with
-    {!switch_cpu}, which also redirects the per-CPU {!Sva_rt.Stats}
-    banks and the {!Sva_rt.Trace} CPU tag so every dynamic counter and
+    {!switch_cpu}, which also sets the {!Sva_rt.Trace} CPU tag so every
     event is attributed to the executing CPU. *)
 
 val smpctx : t -> Sva_rt.Smp.t

@@ -237,6 +237,69 @@ let test_stats_counting () =
   Alcotest.(check int) "getbounds" 1 s.Stats.getbounds;
   Alcotest.(check int) "violations" 1 s.Stats.violations
 
+(* The counter store: each family is its own slice of one array, so a
+   shared slot or an off-by-one reset range shows up as a field of the
+   wrong view reading 0 or 2. *)
+let stat_views () =
+  let s = Stats.read () and t = Stats.read_tier () and c = Stats.read_conc () in
+  Stats.
+    [
+      ( "check",
+        [ s.bounds_checks; s.getbounds; s.ls_checks; s.funcchecks;
+          s.registrations; s.drops; s.reduced_checks; s.violations;
+          s.cache_hits; s.cache_misses ] );
+      ( "tier",
+        [ t.promotions; t.tcache_hits; t.tcache_misses; t.sig_verifications;
+          t.tcache_disk_hits; t.tcache_disk_stale; t.tcache_disk_writes;
+          t.superblocks ] );
+      ( "conc",
+        [ c.cli_count; c.sti_count; c.lock_acquires; c.lock_releases;
+          c.ipis_sent; c.ipis_delivered ] );
+    ]
+
+let bump_every_counter () =
+  Stats.(
+    List.iter
+      (fun bump -> bump ())
+      [ bump_bounds; bump_getbounds; bump_ls; bump_funccheck; bump_reg;
+        bump_drop; bump_reduced; bump_violation; bump_cache_hit;
+        bump_cache_miss; bump_promotion; bump_tcache_hit; bump_tcache_miss;
+        bump_sig_verification; bump_tcache_disk_hit; bump_tcache_disk_stale;
+        bump_tcache_disk_write; bump_cli; bump_sti; bump_lock_acquire;
+        bump_lock_release; bump_ipi_sent; bump_ipi_delivered ];
+    add_superblocks 1)
+
+(* Every field of the families in [ones] reads 1, every other field 0. *)
+let expect_views what ones =
+  List.iter
+    (fun (family, fields) ->
+      let want = if List.mem family ones then 1 else 0 in
+      List.iteri
+        (fun i v ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s field %d" what family i)
+            want v)
+        fields)
+    (stat_views ())
+
+let test_stats_families () =
+  let families = [ "check"; "tier"; "conc" ] in
+  Stats.reset_all ();
+  bump_every_counter ();
+  expect_views "one bump each" families;
+  List.iter
+    (fun (family, reset) ->
+      Stats.reset_all ();
+      bump_every_counter ();
+      reset ();
+      expect_views (family ^ " reset") (List.filter (( <> ) family) families))
+    [ ("check", Stats.reset); ("tier", Stats.reset_tier);
+      ("conc", Stats.reset_conc) ];
+  Stats.reset_all ();
+  bump_every_counter ();
+  Stats.reset_all ();
+  expect_views "reset_all" []
+
 (* ---------- object-lookup cache ---------- *)
 
 (* The cache is pure memoization of the splay lookup: every observable —
@@ -411,6 +474,8 @@ let () =
           Alcotest.test_case "known-bounds fast path" `Quick
             test_boundscheck_known_fast_path;
           Alcotest.test_case "stats counting" `Quick test_stats_counting;
+          Alcotest.test_case "stats families reset apart" `Quick
+            test_stats_families;
         ] );
       ( "objcache",
         [

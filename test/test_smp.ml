@@ -4,8 +4,8 @@
    per-CPU cache shards cohere with an uncached oracle under interleaved
    register/drop from different CPUs, the same seed reproduces the same
    schedule, and the per-CPU machine state (interrupt flags, IPI queues,
-   icontext stacks, trap scratch, stats banks, lock ownership) is
-   actually private to each modeled CPU. *)
+   icontext stacks, trap scratch, lock ownership) is actually private
+   to each modeled CPU. *)
 
 module Machine = Sva_hw.Machine
 module Svaos = Sva_os.Svaos
@@ -293,27 +293,6 @@ let test_icontext_stack_is_per_cpu () =
   Svaos.icontext_destroy sys ~icp:icp0;
   Alcotest.(check int) "balanced" 0 (Svaos.icontext_depth sys)
 
-(* ---------- per-CPU stats banks ---------- *)
-
-let test_stats_banks_sum () =
-  Stats.reset ();
-  Stats.set_cpu 0;
-  Stats.bump_bounds ();
-  Stats.set_cpu 2;
-  Stats.bump_bounds ();
-  Stats.bump_ls ();
-  Alcotest.(check int) "bumps land in the selected bank" 1
-    (Stats.read_cpu 2).Stats.ls_checks;
-  Alcotest.(check int) "other banks unaffected" 0
-    (Stats.read_cpu 0).Stats.ls_checks;
-  Alcotest.(check int) "read sums all banks" 2 (Stats.read ()).Stats.bounds_checks;
-  Alcotest.(check int) "never-selected bank reads zero" 0
-    (Stats.read_cpu 7).Stats.bounds_checks;
-  Stats.set_cpu 0;
-  Stats.reset ();
-  Alcotest.(check int) "reset clears every bank" 0
-    (Stats.read ()).Stats.bounds_checks
-
 let () =
   Alcotest.run "sva-smp"
     [
@@ -343,7 +322,5 @@ let () =
             test_percpu_trap_scratch;
           Alcotest.test_case "icontext stacks are per-CPU" `Quick
             test_icontext_stack_is_per_cpu;
-          Alcotest.test_case "stats banks sum to the totals" `Quick
-            test_stats_banks_sum;
         ] );
     ]
