@@ -16,8 +16,9 @@
    sections plus the bechamel cross-check defined here; the usage message
    prints it.  Unknown flags and unknown section names are errors (exit
    2): a typo must not silently select nothing and report success.  A
-   section that fails makes the run exit nonzero even without --strict;
-   --strict additionally stops at the first failure. *)
+   section whose check fails ends its report with a FAIL verdict; only
+   under --strict does that stop the run with exit 1.  Without --strict
+   only a section that raises makes the run exit nonzero. *)
 
 module Tables = Harness.Tables
 module Pipeline = Sva_pipeline.Pipeline
@@ -195,8 +196,8 @@ let () =
 let selected =
   List.filter (fun s -> !only = [] || List.mem s.Tables.name !only) sections
 
-(* Sections that printed a failure; a nonempty list means a nonzero exit
-   even without --strict (which instead stops at the first failure). *)
+(* Sections that raised; a nonempty list means a nonzero exit even
+   without --strict (which instead stops at the first failure). *)
 let failed_sections : string list ref = ref []
 
 (* [f ()], or [None] after reporting its exception as [shown] and

@@ -18,26 +18,12 @@
 open Cmdliner
 module Pipeline = Sva_pipeline.Pipeline
 
-let conf_of_string = function
-  | "native" -> Pipeline.Native
-  | "gcc" -> Pipeline.Sva_gcc
-  | "llvm" -> Pipeline.Sva_llvm
-  | "safe" -> Pipeline.Sva_safe
-  | s -> failwith ("unknown configuration " ^ s)
-
-let engine_of_string = function
-  | "interp" -> Pipeline.Interp
-  | "tiered" -> Pipeline.Tiered
-  | "aot" -> Pipeline.Aot
-  | s -> failwith ("unknown engine " ^ s)
-
-let run file func args conf_name engine_name jit_threshold tcache_dir ranges
-    trace trace_out profile dump_ir emit_bytecode =
+let run file func args conf eng_kind jit_threshold tcache_dir ranges trace
+    trace_out profile dump_ir emit_bytecode =
   let source = In_channel.with_open_bin file In_channel.input_all in
-  let conf = conf_of_string conf_name in
   let engine =
     {
-      Pipeline.eng_kind = engine_of_string engine_name;
+      Pipeline.eng_kind;
       eng_threshold = jit_threshold;
       eng_tcache_dir = tcache_dir;
     }
@@ -133,12 +119,27 @@ let func =
 
 let args = Arg.(value & opt_all int [] & info [ "a"; "arg" ] ~docv:"INT")
 
+(* A converter over one of Pipeline's name parsers: a value it does not
+   know is a usage error, like an unknown flag. *)
+let named what parse print =
+  Arg.conv'
+    ( (fun s ->
+        Option.to_result ~none:(Printf.sprintf "unknown %s '%s'" what s)
+          (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (print v) )
+
 let conf =
-  Arg.(value & opt string "safe" & info [ "conf" ] ~docv:"CONF"
-         ~doc:"Pipeline configuration: native, gcc, llvm or safe.")
+  Arg.(value
+       & opt (named "configuration" Pipeline.conf_of_string Pipeline.conf_name)
+           Pipeline.Sva_safe
+       & info [ "conf" ] ~docv:"CONF" ~absent:"safe"
+           ~doc:"Pipeline configuration: native, gcc, llvm or safe.")
 
 let engine =
-  Arg.(value & opt string "interp" & info [ "engine" ] ~docv:"ENGINE"
+  Arg.(value
+       & opt (named "engine" Pipeline.engine_of_string Pipeline.engine_name)
+           Pipeline.Interp
+       & info [ "engine" ] ~docv:"ENGINE"
          ~doc:"Execution engine: interp (pre-decoded interpreter), \
                tiered (closure-compiled hot functions with a signed \
                translation cache) or aot (whole-kernel closure \
@@ -199,5 +200,11 @@ let cmd =
       $ emit_bytecode)
 
 (* Unknown or malformed flags print usage and exit 2, like the other
-   SVA binaries. *)
-let () = exit (Cmd.eval ~term_err:2 cmd)
+   SVA binaries.  Cmdliner reports an unknown flag as a term error but a
+   value its converter rejects (an unknown --conf or --engine, a
+   non-integer -a) as a command-line error, exit 124. *)
+let () =
+  exit
+    (match Cmd.eval ~term_err:2 cmd with
+    | c when c = Cmd.Exit.cli_error -> 2
+    | c -> c)

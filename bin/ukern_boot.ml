@@ -25,13 +25,6 @@ let usage = "usage: ukern_boot [native|gcc|llvm|safe] \
              [--races] [--poolcert] [--trace[=N]] [--trace-out=FILE] \
              [--profile]"
 
-let conf_of_string = function
-  | "native" -> Some Pipeline.Native
-  | "gcc" -> Some Pipeline.Sva_gcc
-  | "llvm" -> Some Pipeline.Sva_llvm
-  | "safe" -> Some Pipeline.Sva_safe
-  | _ -> None
-
 (* An argument that is neither a configuration name nor a recognized
    flag is an error, not silently the default configuration. *)
 let reject msg =
@@ -70,7 +63,7 @@ let () =
                         smp := s;
                         true
                     | None -> (
-                        match conf_of_string arg with
+                        match Pipeline.conf_of_string arg with
                         | Some c ->
                             conf := c;
                             true
@@ -182,13 +175,7 @@ let () =
     print_string (Harness.Traceout.summary_table ());
     print_string
       (Harness.Traceout.pool_metrics_table
-         (List.filter
-            (fun (m : Sva_rt.Metapool_rt.metrics) ->
-              m.Sva_rt.Metapool_rt.m_regs > 0
-              || m.Sva_rt.Metapool_rt.m_lookups > 0)
-            (List.map
-               (fun (_, mp) -> Sva_rt.Metapool_rt.metrics mp)
-               (Sva_interp.Interp.metapools t.Boot.vm))));
+         (Harness.Traceout.pool_metrics t.Boot.vm));
     match obs.Pipeline.obs_trace_out with
     | Some path ->
         Harness.Traceout.write_chrome path;

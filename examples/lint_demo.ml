@@ -145,16 +145,16 @@ let () =
     }
   |}
   in
-  let build lint =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~lint ~lint_config:lconfig
-      ~name:"demo" [ allocator_src; provable ]
+  let build ?lint () =
+    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ?lint ~name:"demo"
+      [ allocator_src; provable ]
   in
   let stats b =
     match b.Pipeline.bl_summary with
     | Some (s : Checkinsert.summary) -> s.Checkinsert.ls_inserted
     | None -> 0
   in
-  let plain = build false and linted = build true in
+  let plain = build () and linted = build ~lint:lconfig () in
   Printf.printf "  load/store checks inserted: %d without lint, %d with\n"
     (stats plain) (stats linted);
   let run b =

@@ -262,3 +262,13 @@ let to_string = function
 let to_list = function
   | List l -> l
   | _ -> raise (Parse_error "expected a list")
+
+(* [conv] of the value at a dotted path; the message names the path. *)
+let field conv path j =
+  let step v k = match member k v with Some v -> v | None -> raise Not_found in
+  try conv (List.fold_left step j (String.split_on_char '.' path))
+  with Not_found | Parse_error _ ->
+    raise (Parse_error ("missing or mistyped field " ^ path))
+
+let int = field to_int
+let num = field to_float

@@ -39,3 +39,15 @@ val to_string : t -> string
 
 val to_list : t -> t list
 (** {!List} payload.  @raise Parse_error otherwise. *)
+
+val field : (t -> 'a) -> string -> t -> 'a
+(** [field conv path j] is [conv] applied to the value at the dotted
+    [path] in [j] (["a.b"] is field [b] of field [a]).
+    @raise Parse_error naming [path] when a step is missing or [conv]
+    rejects the value. *)
+
+val int : string -> t -> int
+(** [field to_int]. *)
+
+val num : string -> t -> float
+(** [field to_float]. *)

@@ -32,42 +32,26 @@ let memo f =
 (* One failure message per PASS/FAIL criterion that does not hold. *)
 let gate ok msg = if ok then [] else [ msg ]
 
-(* The verdict line that ends a gated section; under [strict] a failure
-   raises instead of being reported. *)
-let verdict ~strict name failures table =
-  match failures with
-  | [] -> table ^ "  " ^ name ^ " check: PASS\n"
-  | fs ->
-      let msg = String.concat "; " fs in
-      if strict then failwith (name ^ " check FAILED: " ^ msg)
-      else table ^ "  " ^ name ^ " check: FAIL - " ^ msg ^ "\n"
+(* ---------- section payloads and checks ----------
 
-(* ---------- section checks ----------
+   A gated section keeps its numbers once, in its JSON payload: the
+   report renders its table from the payload and ends with the verdict
+   of the section's check on it, and json_check runs the same check on a
+   payload read back from a file.  The accessors take Jsonout's dotted
+   paths; a missing or mistyped field raises Parse_error.  A failure
+   message names the field that failed. *)
 
-   A JSON-bearing section writes its PASS/FAIL criteria once, as a check
-   over its payload: the report ends with the check's verdict on its own
-   payload, and json_check runs it on a payload read back from a file.
-   [field conv path j] is the value at the dotted [path] in [j]; a
-   missing or mistyped field raises Parse_error.  A failure message
-   names the field that failed. *)
-
-let field conv path j =
-  let step v k =
-    match J.member k v with Some v -> v | None -> raise Not_found
-  in
-  try conv (List.fold_left step j (String.split_on_char '.' path))
-  with Not_found | J.Parse_error _ ->
-    raise (J.Parse_error ("missing or mistyped field " ^ path))
-
-let int = field J.to_int
-let num = field J.to_float
+let field = J.field
+let int = J.int
+let num = J.num
+let count path j = string_of_int (int path j)
 
 let obj = function
   | J.Obj fields -> fields
   | _ -> raise (J.Parse_error "expected an object")
 
-let yes path j =
-  gate (field (( = ) (J.Bool true)) path j) (path ^ " is not true")
+let flag = field (( = ) (J.Bool true))
+let yes path j = gate (flag path j) (path ^ " is not true")
 
 let zero path j = gate (int path j = 0) (path ^ " is not 0")
 
@@ -97,12 +81,27 @@ let all_zero path j =
     (fun (k, v) -> gate (J.to_int v = 0) (path ^ "." ^ k ^ " is not 0"))
     (field obj path j)
 
+(* A certificate-bug injection experiment ([Cert.experiment]): how many
+   bugs it injected and how many the trusted checker caught. *)
+let injection results =
+  let caught = List.filter (fun (_, _, c) -> c) results in
+  J.Obj
+    [
+      ("injected", J.Int (List.length results));
+      ("caught", J.Int (List.length caught));
+    ]
+
 let all_caught j =
   let injected = int "injection.injected" j
   and caught = int "injection.caught" j in
   gate
     (injected > 0 && caught = injected)
     (Printf.sprintf "injection experiment caught %d/%d bugs" caught injected)
+
+let caught_row j =
+  [ "injected certificate bugs caught";
+    Printf.sprintf "%d/%d" (int "injection.caught" j)
+      (int "injection.injected" j) ]
 
 (* Build each kernel configuration once and reuse it across tables. *)
 let image = memo (fun conf -> Kbuild.build ~conf Kbuild.as_tested)
@@ -193,41 +192,39 @@ let sva_overheads cell =
   let native = cell Pipeline.Native in
   (native, List.map (fun conf -> overhead ~baseline:native (cell conf)) sva_confs)
 
+(* A measured% (paper%) cell. *)
+let vs_paper_cell measured paper = T.pct measured ^ " " ^ T.pct_paper paper
+
 (* The measured% (paper%) cells of the three SVA columns. *)
 let vs_paper overheads paper =
-  List.mapi (fun i o -> T.pct o ^ " " ^ T.pct_paper paper.(i)) overheads
+  List.mapi (fun i o -> vs_paper_cell o paper.(i)) overheads
 
-(* Per Table 7 operation: name, native cycles, SVA overheads, paper
-   overheads. *)
-let table7_data =
+(* Per Table 7 operation: native cycles, and each SVA configuration's
+   overhead beside the paper's. *)
+let table7_payload =
   memo (fun quick ->
       let scale r = if quick then max 5 (r / 4) else r in
-      List.map
-        (fun (nm, paper, op, reps) ->
-          let native, ovs =
-            sva_overheads (fun conf -> cycles_per_op conf ~reps:(scale reps) op)
-          in
-          (nm, native, ovs, paper))
-        Workloads.latency_ops)
-
-let table7_json ~quick =
-  J.List
-    (List.map
-       (fun (nm, native, ovs, paper) ->
-         J.Obj
-           [
-             ("operation", J.Str nm);
-             ("native-cycles", J.Float native);
-             ("overheads-pct",
-              J.Obj
-                (List.mapi
-                   (fun i (conf, measured) ->
-                     (Pipeline.conf_name conf,
-                      J.Obj [ ("measured", J.Float measured);
-                              ("paper", J.Float paper.(i)) ]))
-                   (List.combine sva_confs ovs)));
-           ])
-       (table7_data quick))
+      J.List
+        (List.map
+           (fun (nm, paper, op, reps) ->
+             let native, ovs =
+               sva_overheads (fun conf ->
+                   cycles_per_op conf ~reps:(scale reps) op)
+             in
+             J.Obj
+               [
+                 ("operation", J.Str nm);
+                 ("native-cycles", J.Float native);
+                 ("overheads-pct",
+                  J.Obj
+                    (List.mapi
+                       (fun i (conf, measured) ->
+                         (Pipeline.conf_name conf,
+                          J.Obj [ ("measured", J.Float measured);
+                                  ("paper", J.Float paper.(i)) ]))
+                       (List.combine sva_confs ovs)));
+               ])
+           Workloads.latency_ops))
 
 let table7_check j =
   let ops = J.to_list j in
@@ -247,27 +244,25 @@ let table7_check j =
             confs)
       ops
 
-let table7 ~quick ~strict =
-  let rows =
-    List.map
-      (fun (nm, native, ovs, paper) ->
-        [ nm; Printf.sprintf "%.0fcy" native ] @ vs_paper ovs paper)
-      (table7_data quick)
-  in
-  let table =
-    T.render
-      ~title:"Table 7: latency increase for raw kernel operations (vs native)"
-      ~note:
-        "Columns: measured% (paper%).  Shape to check: cheap syscalls \
-         (getpid/gettimeofday) are dominated by SVA-OS cost so all three SVA \
-         kernels pay similar moderate overhead; syscalls that do real work \
-         (open/close, pipe, fork) blow up only under SVA-Safe where run-time \
-         checks dominate (Section 7.1.2)."
-      [ T.L; T.R; T.R; T.R; T.R ]
-      [ "Operation"; "Native"; "SVA-GCC"; "SVA-LLVM"; "SVA-Safe" ]
-      rows
-  in
-  verdict ~strict "table7" (table7_check (table7_json ~quick)) table
+let table7_report j =
+  T.render
+    ~title:"Table 7: latency increase for raw kernel operations (vs native)"
+    ~note:
+      "Columns: measured% (paper%).  Shape to check: cheap syscalls \
+       (getpid/gettimeofday) are dominated by SVA-OS cost so all three SVA \
+       kernels pay similar moderate overhead; syscalls that do real work \
+       (open/close, pipe, fork) blow up only under SVA-Safe where run-time \
+       checks dominate (Section 7.1.2)."
+    [ T.L; T.R; T.R; T.R; T.R ]
+    [ "Operation"; "Native"; "SVA-GCC"; "SVA-LLVM"; "SVA-Safe" ]
+    (List.map
+       (fun op ->
+         [ field J.to_string "operation" op;
+           Printf.sprintf "%.0fcy" (num "native-cycles" op) ]
+         @ List.map
+             (fun (_, o) -> vs_paper_cell (num "measured" o) (num "paper" o))
+             (field obj "overheads-pct" op))
+       (J.to_list j))
 
 let table8 ~quick ~strict:_ =
   let rows =
@@ -499,8 +494,8 @@ let table9 ~quick:_ ~strict:_ =
                  Printf.sprintf "%s (%.1f%% sites seen)" name seen_pct
                else "");
               label;
-              T.pct inc ^ " " ^ T.pct_paper pinc;
-              T.pct th ^ " " ^ T.pct_paper pth;
+              vs_paper_cell inc pinc;
+              vs_paper_cell th pth;
             ])
           kinds)
       [ Kbuild.as_tested; Kbuild.entire_kernel ]
@@ -628,14 +623,13 @@ let ablation_workload ctx =
 
 let ablation ~quick ~strict:_ =
   let reps = if quick then 10 else 40 in
+  let lint = Kbuild.lint_config Kbuild.as_tested in
   let build ?(options = Sva_safety.Checkinsert.default_options)
-      ?(clone = false) ?(devirt = false) ?(checkopt = false) ?(lint = false)
+      ?(clone = false) ?(devirt = false) ?(checkopt = false) ?lint
       ?(ranges = false) () =
     Pipeline.build ~conf:Pipeline.Sva_safe
       ~aconfig:(Kbuild.aconfig Kbuild.as_tested)
-      ~options ~clone ~devirt ~checkopt ~lint ~ranges
-      ~lint_config:(Kbuild.lint_config Kbuild.as_tested)
-      ~name:"ukern-ablation"
+      ~options ~clone ~devirt ~checkopt ?lint ~ranges ~name:"ukern-ablation"
       (Kbuild.sources Kbuild.as_tested)
   in
   let measure built =
@@ -674,9 +668,9 @@ let ablation ~quick ~strict:_ =
           ~options:
             { Sva_safety.Checkinsert.default_options with
               Sva_safety.Checkinsert.th_elides_lscheck = false }
-          ~lint:true () );
+          ~lint () );
       ("+ cloning + devirtualization (Sec 4.8)", build ~clone:true ~devirt:true ());
-      ("+ range-certified elision (Sec 5)", build ~lint:true ~ranges:true ());
+      ("+ range-certified elision (Sec 5)", build ~lint ~ranges:true ());
     ]
   in
   let baseline_cycles = ref 0.0 in
@@ -744,18 +738,20 @@ let ablation ~quick ~strict:_ =
 
 (* ---------- check-insertion summary ---------- *)
 
+(* A two-column report of named counts. *)
+let metric_table ~title ~note rows =
+  T.render ~title ~note [ T.L; T.R ] [ "Metric"; "Count" ] rows
+
 let check_summary ~quick:_ ~strict:_ =
   let s = Option.get (image Pipeline.Sva_safe).Pipeline.bl_summary in
   let lint_s = Option.get (snd (entire_pair ())).Pipeline.bl_summary in
   let open Sva_safety.Checkinsert in
-  T.render ~title:"Safety-checking compiler: static instrumentation summary"
+  metric_table ~title:"Safety-checking compiler: static instrumentation summary"
     ~note:
       "Supports the Section 7.1.3 discussion: the static-bounds column \
        is the optimization that removes provably-safe indexing checks; \
        the lint-proved row is what the sva_lint safe-access prover \
        additionally elides when the lint stage is enabled."
-    [ T.L; T.R ]
-    [ "Metric"; "Count" ]
     [
       [ "load/store checks inserted"; string_of_int s.ls_inserted ];
       [ "load/store checks elided (TH pools)"; string_of_int s.ls_elided_th ];
@@ -800,51 +796,23 @@ let fastpath_measure ~reps ~cache =
     Sva_rt.Stats.total_checks s / reps,
     Sva_rt.Stats.hit_rate s )
 
-type fastpath_data = {
-  fp_cmp_off : float;  (** splay comparisons per op, cache off *)
-  fp_cmp_on : float;
-  fp_cycles_off : float;
-  fp_cycles_on : float;
-  fp_checks_off : int;
-  fp_checks_on : int;
-  fp_hit_rate : float;  (** cache hit rate, percent *)
-  fp_reduction : float;  (** comparison reduction factor (off / on) *)
-}
-
-let fastpath_data =
+let fastpath_payload =
   memo (fun quick ->
       let reps = if quick then 10 else 40 in
       let cmp_off, cyc_off, checks_off, _ =
         fastpath_measure ~reps ~cache:false
       in
       let cmp_on, cyc_on, checks_on, hit = fastpath_measure ~reps ~cache:true in
-      {
-        fp_cmp_off = cmp_off;
-        fp_cmp_on = cmp_on;
-        fp_cycles_off = cyc_off;
-        fp_cycles_on = cyc_on;
-        fp_checks_off = checks_off;
-        fp_checks_on = checks_on;
-        fp_hit_rate = hit;
-        fp_reduction = (if cmp_on > 0.0 then cmp_off /. cmp_on else infinity);
-      })
-
-let fastpath_json ~quick =
-  let d = fastpath_data quick in
-  J.Obj
-    [
-      ("splay-comparisons-per-op",
-       J.Obj [ ("cache-off", J.Float d.fp_cmp_off);
-               ("cache-on", J.Float d.fp_cmp_on) ]);
-      ("cycles-per-op",
-       J.Obj [ ("cache-off", J.Float d.fp_cycles_off);
-               ("cache-on", J.Float d.fp_cycles_on) ]);
-      ("checks-per-op",
-       J.Obj [ ("cache-off", J.Int d.fp_checks_off);
-               ("cache-on", J.Int d.fp_checks_on) ]);
-      ("hit-rate-pct", J.Float d.fp_hit_rate);
-      ("comparison-reduction", J.Float d.fp_reduction);
-    ]
+      let pair off on = J.Obj [ ("cache-off", off); ("cache-on", on) ] in
+      J.Obj
+        [
+          ("splay-comparisons-per-op", pair (J.Float cmp_off) (J.Float cmp_on));
+          ("cycles-per-op", pair (J.Float cyc_off) (J.Float cyc_on));
+          ("checks-per-op", pair (J.Int checks_off) (J.Int checks_on));
+          ("hit-rate-pct", J.Float hit);
+          ("comparison-reduction",
+           J.Float (if cmp_on > 0.0 then cmp_off /. cmp_on else infinity));
+        ])
 
 (* The lookup cache is semantically invisible and pays for itself. *)
 let fastpath_check j =
@@ -858,40 +826,35 @@ let fastpath_check j =
         "cached run costs more model cycles";
     ]
 
-let fastpath ~quick ~strict =
-  let d = fastpath_data quick in
-  let row name cmp cyc checks rate =
+let fastpath_report j =
+  let row name k rate =
     [
       name;
-      Printf.sprintf "%.0f" cmp;
-      Printf.sprintf "%.0fcy" cyc;
-      string_of_int checks;
+      Printf.sprintf "%.0f" (num ("splay-comparisons-per-op." ^ k) j);
+      Printf.sprintf "%.0fcy" (num ("cycles-per-op." ^ k) j);
+      count ("checks-per-op." ^ k) j;
       rate;
     ]
   in
-  let table =
-    T.render
-      ~title:"Fast path: object-lookup cache on the Table 7 syscall mix (SVA-Safe)"
-      ~note:
-        (Printf.sprintf
-           "Workload: open/close + write + pipe round-trip + getpid per rep. \
-            The direct-mapped per-metapool cache answers repeated object \
-            lookups without restructuring the splay tree; a hit is charged \
-            1 cycle against 3 per splay comparison (DESIGN.md Section 6). \
-            Splay comparison reduction: %.1fx (>= 2x required). Checks per \
-            op are identical by construction - the cache is semantically \
-            invisible."
-           d.fp_reduction)
-      [ T.L; T.R; T.R; T.R; T.R ]
-      [ "Configuration"; "Splay cmp/op"; "Cycles/op"; "Checks/op"; "Hit rate" ]
-      [
-        row "cache off (seed lookup path)" d.fp_cmp_off d.fp_cycles_off
-          d.fp_checks_off "-";
-        row "cache on" d.fp_cmp_on d.fp_cycles_on d.fp_checks_on
-          (Printf.sprintf "%.1f%%" d.fp_hit_rate);
-      ]
-  in
-  verdict ~strict "fastpath" (fastpath_check (fastpath_json ~quick)) table
+  T.render
+    ~title:"Fast path: object-lookup cache on the Table 7 syscall mix (SVA-Safe)"
+    ~note:
+      (Printf.sprintf
+         "Workload: open/close + write + pipe round-trip + getpid per rep. \
+          The direct-mapped per-metapool cache answers repeated object \
+          lookups without restructuring the splay tree; a hit is charged \
+          1 cycle against 3 per splay comparison (DESIGN.md Section 6). \
+          Splay comparison reduction: %.1fx (>= 2x required). Checks per \
+          op are identical by construction - the cache is semantically \
+          invisible."
+         (num "comparison-reduction" j))
+    [ T.L; T.R; T.R; T.R; T.R ]
+    [ "Configuration"; "Splay cmp/op"; "Cycles/op"; "Checks/op"; "Hit rate" ]
+    [
+      row "cache off (seed lookup path)" "cache-off" "-";
+      row "cache on" "cache-on"
+        (Printf.sprintf "%.1f%%" (num "hit-rate-pct" j));
+    ]
 
 (* ---------- simulated-SMP scaling ---------- *)
 
@@ -900,30 +863,6 @@ let fastpath ~quick ~strict =
    (Boot.run_smp).  The aggregate check counts must be identical at
    every CPU count — the per-CPU cache shards are semantically
    invisible — and the modeled makespan must scale. *)
-
-type smp_point = {
-  sp_cpus : int;
-  sp_makespan : int;  (** modeled wall time: max per-CPU clock *)
-  sp_total : int;  (** total modeled work: sum of per-CPU clocks *)
-  sp_speedup : float;  (** makespan(1) / makespan(N) *)
-  sp_steals : int;
-  sp_ipis_sent : int;
-  sp_ipis_delivered : int;
-  sp_checks : int;  (** aggregate run-time checks over the whole run *)
-}
-
-type smp_data = {
-  sd_seed : int;
-  sd_jobs : int;
-  sd_points : smp_point list;  (** cpus = 1, 2, 4 *)
-  sd_seq_cycles : int;  (** the jobs called in sequence, no scheduler *)
-  sd_seq_checks : int;
-  sd_seq_identical : bool;
-      (** run_smp at cpus=1 is bit-identical to the sequential calls *)
-  sd_rerun_identical : bool;
-      (** a second fresh boot at cpus=4, same seed, reproduced the
-          schedule exactly (makespan, steals, IPIs, checks) *)
-}
 
 let smp_speedup_floor = 3.0
 let smp_cpu_counts = [ 1; 2; 4 ]
@@ -946,7 +885,11 @@ let smp_run ~cpus ~seed ~njobs =
        (image Pipeline.Sva_safe) ~variant:Kbuild.as_tested)
     (fun t jobs -> Boot.run_smp t ~cpus ~seed jobs)
 
-let smp_data =
+(* Every point at cpus = 1, 2 and 4, the jobs called in sequence with no
+   scheduler, whether run_smp at cpus=1 is bit-identical to that
+   sequence, and whether a second fresh boot at cpus=4 with the same
+   seed reproduced the schedule exactly. *)
+let smp_payload =
   memo (fun quick ->
       let njobs = if quick then 16 else 32 in
       let seed = 1 in
@@ -962,24 +905,6 @@ let smp_data =
         match runs with
         | (st, _) :: _ -> st.Boot.ss_makespan
         | [] -> 0
-      in
-      let points =
-        List.map
-          (fun ((st : Boot.smp_stats), checks) ->
-            {
-              sp_cpus = st.Boot.ss_cpus;
-              sp_makespan = st.Boot.ss_makespan;
-              sp_total = st.Boot.ss_total;
-              sp_speedup =
-                (if st.Boot.ss_makespan > 0 then
-                   float_of_int base /. float_of_int st.Boot.ss_makespan
-                 else infinity);
-              sp_steals = st.Boot.ss_steals;
-              sp_ipis_sent = st.Boot.ss_ipis_sent;
-              sp_ipis_delivered = st.Boot.ss_ipis_delivered;
-              sp_checks = checks;
-            })
-          runs
       in
       let seq_identical =
         match runs with
@@ -1001,44 +926,39 @@ let smp_data =
             && c0 = c1
         | [] -> false
       in
-      {
-        sd_seed = seed;
-        sd_jobs = njobs;
-        sd_points = points;
-        sd_seq_cycles = seq_cycles;
-        sd_seq_checks = seq_checks;
-        sd_seq_identical = seq_identical;
-        sd_rerun_identical = rerun_identical;
-      })
-
-let smp_json ~quick =
-  let d = smp_data quick in
-  J.Obj
-    [
-      ("seed", J.Int d.sd_seed);
-      ("jobs", J.Int d.sd_jobs);
-      ("sequential",
-       J.Obj [ ("cycles", J.Int d.sd_seq_cycles);
-               ("checks", J.Int d.sd_seq_checks) ]);
-      ("points",
-       J.List
-         (List.map
-            (fun p ->
-              J.Obj
-                [
-                  ("cpus", J.Int p.sp_cpus);
-                  ("makespan-cycles", J.Int p.sp_makespan);
-                  ("total-cycles", J.Int p.sp_total);
-                  ("speedup", J.Float p.sp_speedup);
-                  ("steals", J.Int p.sp_steals);
-                  ("ipis-sent", J.Int p.sp_ipis_sent);
-                  ("ipis-delivered", J.Int p.sp_ipis_delivered);
-                  ("checks", J.Int p.sp_checks);
-                ])
-            d.sd_points));
-      ("single-cpu-identical", J.Bool d.sd_seq_identical);
-      ("rerun-identical", J.Bool d.sd_rerun_identical);
-    ]
+      J.Obj
+        [
+          ("seed", J.Int seed);
+          ("jobs", J.Int njobs);
+          ("sequential",
+           J.Obj [ ("cycles", J.Int seq_cycles);
+                   ("checks", J.Int seq_checks) ]);
+          ("points",
+           J.List
+             (List.map
+                (fun ((st : Boot.smp_stats), checks) ->
+                  J.Obj
+                    [
+                      ("cpus", J.Int st.Boot.ss_cpus);
+                      (* modeled wall time: the max per-CPU clock *)
+                      ("makespan-cycles", J.Int st.Boot.ss_makespan);
+                      (* total modeled work: the sum of per-CPU clocks *)
+                      ("total-cycles", J.Int st.Boot.ss_total);
+                      ("speedup",
+                       J.Float
+                         (if st.Boot.ss_makespan > 0 then
+                            float_of_int base
+                            /. float_of_int st.Boot.ss_makespan
+                          else infinity));
+                      ("steals", J.Int st.Boot.ss_steals);
+                      ("ipis-sent", J.Int st.Boot.ss_ipis_sent);
+                      ("ipis-delivered", J.Int st.Boot.ss_ipis_delivered);
+                      ("checks", J.Int checks);
+                    ])
+                runs));
+          ("single-cpu-identical", J.Bool seq_identical);
+          ("rerun-identical", J.Bool rerun_identical);
+        ])
 
 (* The schedule is semantically invisible, deterministic, and scales. *)
 let smp_check j =
@@ -1059,37 +979,33 @@ let smp_check j =
       yes "rerun-identical" j;
     ]
 
-let smp ~quick ~strict =
-  let d = smp_data quick in
-  let table =
-    T.render
-      ~title:
-        "Simulated SMP: parallel syscall mix over modeled CPUs (SVA-Safe)"
-      ~note:
-        (Printf.sprintf
-           "%d identical jobs (getpid + getrusage + gettimeofday + sbrk + \
-            sigaction + write + pipe round-trip each), distributed \
-            round-robin and balanced by the seeded work-stealing scheduler \
-            (seed %d).  Makespan is the max per-CPU modeled clock; speedup \
-            is makespan(1)/makespan(N) (>= %.1fx at 4 CPUs required).  \
-            Aggregate checks are identical at every CPU count - per-CPU \
-            cache shards are semantically invisible."
-           d.sd_jobs d.sd_seed smp_speedup_floor)
-      [ T.R; T.R; T.R; T.R; T.R; T.R ]
-      [ "CPUs"; "Makespan"; "Speedup"; "Steals"; "IPIs d/s"; "Checks" ]
-      (List.map
-         (fun p ->
-           [
-             string_of_int p.sp_cpus;
-             Printf.sprintf "%dcy" p.sp_makespan;
-             Printf.sprintf "%.2fx" p.sp_speedup;
-             string_of_int p.sp_steals;
-             Printf.sprintf "%d/%d" p.sp_ipis_delivered p.sp_ipis_sent;
-             string_of_int p.sp_checks;
-           ])
-         d.sd_points)
-  in
-  verdict ~strict "smp" (smp_check (smp_json ~quick)) table
+let smp_report j =
+  T.render
+    ~title:
+      "Simulated SMP: parallel syscall mix over modeled CPUs (SVA-Safe)"
+    ~note:
+      (Printf.sprintf
+         "%d identical jobs (getpid + getrusage + gettimeofday + sbrk + \
+          sigaction + write + pipe round-trip each), distributed \
+          round-robin and balanced by the seeded work-stealing scheduler \
+          (seed %d).  Makespan is the max per-CPU modeled clock; speedup \
+          is makespan(1)/makespan(N) (>= %.1fx at 4 CPUs required).  \
+          Aggregate checks are identical at every CPU count - per-CPU \
+          cache shards are semantically invisible."
+         (int "jobs" j) (int "seed" j) smp_speedup_floor)
+    [ T.R; T.R; T.R; T.R; T.R; T.R ]
+    [ "CPUs"; "Makespan"; "Speedup"; "Steals"; "IPIs d/s"; "Checks" ]
+    (List.map
+       (fun p ->
+         [
+           count "cpus" p;
+           Printf.sprintf "%dcy" (int "makespan-cycles" p);
+           Printf.sprintf "%.2fx" (num "speedup" p);
+           count "steals" p;
+           Printf.sprintf "%d/%d" (int "ipis-delivered" p) (int "ipis-sent" p);
+           count "checks" p;
+         ])
+       (field J.to_list "points" j))
 
 (* ---------- tiered execution engine ---------- *)
 
@@ -1097,26 +1013,6 @@ let smp ~quick ~strict =
    modeled cycle counts and check statistics must be bit-identical — the
    tiered engine is semantically invisible — so the only differing
    columns are host wall-clock time and the tier counters. *)
-
-type tiered_data = {
-  td_cycles_interp : float;  (** model cycles per rep *)
-  td_cycles_tiered : float;
-  td_steps_interp : float;
-  td_steps_tiered : float;
-  td_checks_interp : int;  (** run-time checks per rep *)
-  td_checks_tiered : int;
-  td_ns_interp : float;  (** host wall-clock ns per rep (median batch) *)
-  td_ns_tiered : float;
-  td_speedup : float;  (** host speedup, interp / tiered *)
-  td_promotions : int;
-  td_tcache_hits : int;
-  td_tcache_misses : int;
-  td_sig_verifications : int;
-  td_disk_hits : int;
-  td_disk_stale : int;
-  td_disk_writes : int;
-  td_superblocks : int;
-}
 
 (* Promote early in the bench so the warm-up pass already compiles the
    hot functions; measurement then runs fully on the second tier. *)
@@ -1158,7 +1054,10 @@ let interp_run =
       engine_per_op ~reps
         (Boot.boot_built (image Pipeline.Sva_safe) ~variant:Kbuild.as_tested))
 
-let tiered_data =
+(* Modeled cycles, steps and checks per rep on both tiers, host ns per
+   rep (median batch) and the host speedup interp / tiered, and the tier
+   counters. *)
+let tiered_payload =
   memo (fun quick ->
       let reps = if quick then 10 else 40 in
       let ictx, icyc, istep, ichk = interp_run quick in
@@ -1171,67 +1070,45 @@ let tiered_data =
       in
       let wall = engine_timing ~reps ictx tctx in
       let tier = Sva_rt.Stats.read_tier () in
-      {
-        td_cycles_interp = icyc;
-        td_cycles_tiered = tcyc;
-        td_steps_interp = istep;
-        td_steps_tiered = tstep;
-        td_checks_interp = ichk;
-        td_checks_tiered = tchk;
-        td_ns_interp = wall.Timing.p_base_ns;
-        td_ns_tiered = wall.Timing.p_test_ns;
-        td_speedup = wall.Timing.p_ratio;
-        td_promotions = tier.Sva_rt.Stats.promotions;
-        td_tcache_hits = tier.Sva_rt.Stats.tcache_hits;
-        td_tcache_misses = tier.Sva_rt.Stats.tcache_misses;
-        td_sig_verifications = tier.Sva_rt.Stats.sig_verifications;
-        td_disk_hits = tier.Sva_rt.Stats.tcache_disk_hits;
-        td_disk_stale = tier.Sva_rt.Stats.tcache_disk_stale;
-        td_disk_writes = tier.Sva_rt.Stats.tcache_disk_writes;
-        td_superblocks = tier.Sva_rt.Stats.superblocks;
-      })
+      let pair interp tiered =
+        J.Obj [ ("interp", interp); ("tiered", tiered) ]
+      in
+      J.Obj
+        [
+          ("cycles-per-op", pair (J.Float icyc) (J.Float tcyc));
+          ("steps-per-op", pair (J.Float istep) (J.Float tstep));
+          ("checks-per-op", pair (J.Int ichk) (J.Int tchk));
+          ("host-ns-per-op",
+           pair (J.Float wall.Timing.p_base_ns)
+             (J.Float wall.Timing.p_test_ns));
+          ("host-speedup", J.Float wall.Timing.p_ratio);
+          ("promotions", J.Int tier.Sva_rt.Stats.promotions);
+          ("translation-cache",
+           J.Obj [ ("hits", J.Int tier.Sva_rt.Stats.tcache_hits);
+                   ("misses", J.Int tier.Sva_rt.Stats.tcache_misses);
+                   ("signature-verifications",
+                    J.Int tier.Sva_rt.Stats.sig_verifications);
+                   ("disk-hits", J.Int tier.Sva_rt.Stats.tcache_disk_hits);
+                   ("disk-stale", J.Int tier.Sva_rt.Stats.tcache_disk_stale);
+                   ("disk-writes",
+                    J.Int tier.Sva_rt.Stats.tcache_disk_writes) ]);
+          ("superblocks", J.Int tier.Sva_rt.Stats.superblocks);
+        ])
 
 (* The wall-clock gate must hold on loaded CI machines; the measured
    speedup on the syscall mix is well above this floor. *)
 let tiered_speedup_floor = 1.3
 
-(* A row of the tiered and aot engine tables. *)
-let engine_row name cyc steps checks ns =
+(* The row of engine [k] in the tiered and aot engine tables. *)
+let engine_row name k j =
+  let per_op m = num (m ^ "." ^ k) j in
   [
     name;
-    Printf.sprintf "%.0fcy" cyc;
-    Printf.sprintf "%.0f" steps;
-    string_of_int checks;
-    Printf.sprintf "%.0fns" ns;
+    Printf.sprintf "%.0fcy" (per_op "cycles-per-op");
+    Printf.sprintf "%.0f" (per_op "steps-per-op");
+    count ("checks-per-op." ^ k) j;
+    Printf.sprintf "%.0fns" (per_op "host-ns-per-op");
   ]
-
-let tiered_json ~quick =
-  let d = tiered_data quick in
-  J.Obj
-    [
-      ("cycles-per-op",
-       J.Obj [ ("interp", J.Float d.td_cycles_interp);
-               ("tiered", J.Float d.td_cycles_tiered) ]);
-      ("steps-per-op",
-       J.Obj [ ("interp", J.Float d.td_steps_interp);
-               ("tiered", J.Float d.td_steps_tiered) ]);
-      ("checks-per-op",
-       J.Obj [ ("interp", J.Int d.td_checks_interp);
-               ("tiered", J.Int d.td_checks_tiered) ]);
-      ("host-ns-per-op",
-       J.Obj [ ("interp", J.Float d.td_ns_interp);
-               ("tiered", J.Float d.td_ns_tiered) ]);
-      ("host-speedup", J.Float d.td_speedup);
-      ("promotions", J.Int d.td_promotions);
-      ("translation-cache",
-       J.Obj [ ("hits", J.Int d.td_tcache_hits);
-               ("misses", J.Int d.td_tcache_misses);
-               ("signature-verifications", J.Int d.td_sig_verifications);
-               ("disk-hits", J.Int d.td_disk_hits);
-               ("disk-stale", J.Int d.td_disk_stale);
-               ("disk-writes", J.Int d.td_disk_writes) ]);
-      ("superblocks", J.Int d.td_superblocks);
-    ]
 
 (* A second engine is invisible: modeled cycles, steps and checks per op
    match the interpreter's bit for bit.  The host wall-clock floors are
@@ -1247,43 +1124,30 @@ let engine_check engine j =
 
 let tiered_check j = engine_check "tiered" j @ positive "promotions" j
 
-let tiered ~quick ~strict =
-  let d = tiered_data quick in
-  let table =
-    T.render
-      ~title:
-        "Tiered engine: closure-compiled hot functions on the Table 7 \
-         syscall mix (SVA-Safe)"
-      ~note:
-        (Printf.sprintf
-           "Workload: open/close + write + pipe round-trip + getpid per rep. \
-            The tiered engine promotes functions after %d calls, compiles \
-            them to fused closure chains, and records each translation in \
-            the signed cache (Section 3.4: %d promotions, %d/%d cache \
-            hits, %d signature verifications).  Modeled cycles, steps and \
-            checks are identical by construction; host speedup %.1fx, \
-            the median ratio over interleaved interpreter/tiered batch \
-            pairs (>= %.1fx required)."
-           tiered_bench_engine.Pipeline.eng_threshold d.td_promotions
-           d.td_tcache_hits
-           (d.td_tcache_hits + d.td_tcache_misses)
-           d.td_sig_verifications d.td_speedup tiered_speedup_floor)
-      [ T.L; T.R; T.R; T.R; T.R ]
-      [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
-      [
-        engine_row "interpreter" d.td_cycles_interp d.td_steps_interp
-          d.td_checks_interp d.td_ns_interp;
-        engine_row "tiered" d.td_cycles_tiered d.td_steps_tiered
-          d.td_checks_tiered d.td_ns_tiered;
-      ]
-  in
-  verdict ~strict "tiered"
-    (tiered_check (tiered_json ~quick)
-    @ gate
-        (d.td_speedup >= tiered_speedup_floor)
-        (Printf.sprintf "host speedup %.2fx is below the required %.1fx"
-           d.td_speedup tiered_speedup_floor))
-    table
+let tiered_report j =
+  let tcache k = int ("translation-cache." ^ k) j in
+  T.render
+    ~title:
+      "Tiered engine: closure-compiled hot functions on the Table 7 \
+       syscall mix (SVA-Safe)"
+    ~note:
+      (Printf.sprintf
+         "Workload: open/close + write + pipe round-trip + getpid per rep. \
+          The tiered engine promotes functions after %d calls, compiles \
+          them to fused closure chains, and records each translation in \
+          the signed cache (Section 3.4: %d promotions, %d/%d cache \
+          hits, %d signature verifications).  Modeled cycles, steps and \
+          checks are identical by construction; host speedup %.1fx, \
+          the median ratio over interleaved interpreter/tiered batch \
+          pairs (>= %.1fx required)."
+         tiered_bench_engine.Pipeline.eng_threshold (int "promotions" j)
+         (tcache "hits")
+         (tcache "hits" + tcache "misses")
+         (tcache "signature-verifications")
+         (num "host-speedup" j) tiered_speedup_floor)
+    [ T.L; T.R; T.R; T.R; T.R ]
+    [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
+    [ engine_row "interpreter" "interp" j; engine_row "tiered" "tiered" j ]
 
 (* ---------- AOT engine + persistent translation store ---------- *)
 
@@ -1296,30 +1160,18 @@ let tiered ~quick ~strict =
    numbers must match the interpreter's bit-for-bit and the hot-path
    wall clock must clear the warm-cache speedup floor. *)
 
-type aot_data = {
-  ad_cycles_aot : float;
-  ad_steps_aot : float;
-  ad_checks_aot : int;
-  ad_ns_interp : float;  (** the interpreter side of the aot timing pairs *)
-  ad_ns_aot : float;
-  ad_speedup : float;  (** host speedup over the interpreter *)
-  ad_boot_cold_ns : float;  (** instantiate + compile_all, empty store *)
-  ad_boot_warm_ns : float;  (** same, against the populated store *)
-  ad_promotions : int;  (** functions AOT-compiled per boot *)
-  ad_disk_writes_cold : int;
-  ad_disk_hits_warm : int;
-  ad_disk_stale_warm : int;
-  ad_misses_warm : int;  (** re-translations in the warm boot (want 0) *)
-  ad_superblocks : int;  (** trace superblocks formed per boot *)
-}
-
-let aot_data =
+(* Per op on each engine, with the interpreter and tiered numbers taken
+   from the tiered section except the interpreter side of the aot timing
+   pairs; the host speedup over the interpreter; each boot's host ns
+   (instantiate + compile_all, against the empty and then the populated
+   store); and the translation counters of the two boots. *)
+let aot_payload =
   memo (fun quick ->
       let reps = if quick then 10 else 40 in
       (* Measure the baseline first: computing it lazily below would boot
          interpreter/tiered kernels while the persistent store is still
          globally active. *)
-      ignore (tiered_data quick : tiered_data);
+      let td = tiered_payload quick in
       let dir = Filename.temp_dir "sva-tcache" "" in
       let engine =
         Some
@@ -1350,61 +1202,39 @@ let aot_data =
           let ctx, cycles, steps, checks = engine_per_op t ~reps in
           let ictx, _, _, _ = interp_run quick in
           let wall = engine_timing ~reps ictx ctx in
-          {
-            ad_cycles_aot = cycles;
-            ad_steps_aot = steps;
-            ad_checks_aot = checks;
-            ad_ns_interp = wall.Timing.p_base_ns;
-            ad_ns_aot = wall.Timing.p_test_ns;
-            ad_speedup = wall.Timing.p_ratio;
-            ad_boot_cold_ns = cold_ns;
-            ad_boot_warm_ns = warm_ns;
-            ad_promotions = warm.Sva_rt.Stats.promotions;
-            ad_disk_writes_cold = cold.Sva_rt.Stats.tcache_disk_writes;
-            ad_disk_hits_warm = warm.Sva_rt.Stats.tcache_disk_hits;
-            ad_disk_stale_warm = warm.Sva_rt.Stats.tcache_disk_stale;
-            ad_misses_warm = warm.Sva_rt.Stats.tcache_misses;
-            ad_superblocks = warm.Sva_rt.Stats.superblocks;
-          }))
+          let engines m interp aot =
+            J.Obj
+              [ ("interp", interp);
+                ("tiered", field Fun.id (m ^ ".tiered") td);
+                ("aot", aot) ]
+          in
+          let modeled m aot = engines m (field Fun.id (m ^ ".interp") td) aot in
+          J.Obj
+            [
+              ("cycles-per-op", modeled "cycles-per-op" (J.Float cycles));
+              ("steps-per-op", modeled "steps-per-op" (J.Float steps));
+              ("checks-per-op", modeled "checks-per-op" (J.Int checks));
+              ("host-ns-per-op",
+               engines "host-ns-per-op" (J.Float wall.Timing.p_base_ns)
+                 (J.Float wall.Timing.p_test_ns));
+              ("host-speedup", J.Float wall.Timing.p_ratio);
+              ("boot-ns",
+               J.Obj [ ("cold", J.Float cold_ns); ("warm", J.Float warm_ns) ]);
+              ("functions-compiled", J.Int warm.Sva_rt.Stats.promotions);
+              ("disk-cache",
+               J.Obj
+                 [ ("writes-cold", J.Int cold.Sva_rt.Stats.tcache_disk_writes);
+                   ("hits-warm", J.Int warm.Sva_rt.Stats.tcache_disk_hits);
+                   ("stale-warm", J.Int warm.Sva_rt.Stats.tcache_disk_stale);
+                   (* re-translations in the warm boot (want 0) *)
+                   ("misses-warm", J.Int warm.Sva_rt.Stats.tcache_misses) ]);
+              ("superblocks", J.Int warm.Sva_rt.Stats.superblocks);
+            ]))
 
 (* Table 7 mix, warm persistent cache.  Must hold on loaded CI machines;
    enforced only under --strict so the json-producing runtest rule can't
    flake on wall clock. *)
 let aot_speedup_floor = 2.0
-
-let aot_json ~quick =
-  let d = aot_data quick in
-  let td = tiered_data quick in
-  J.Obj
-    [
-      ("cycles-per-op",
-       J.Obj [ ("interp", J.Float td.td_cycles_interp);
-               ("tiered", J.Float td.td_cycles_tiered);
-               ("aot", J.Float d.ad_cycles_aot) ]);
-      ("steps-per-op",
-       J.Obj [ ("interp", J.Float td.td_steps_interp);
-               ("tiered", J.Float td.td_steps_tiered);
-               ("aot", J.Float d.ad_steps_aot) ]);
-      ("checks-per-op",
-       J.Obj [ ("interp", J.Int td.td_checks_interp);
-               ("tiered", J.Int td.td_checks_tiered);
-               ("aot", J.Int d.ad_checks_aot) ]);
-      ("host-ns-per-op",
-       J.Obj [ ("interp", J.Float d.ad_ns_interp);
-               ("tiered", J.Float td.td_ns_tiered);
-               ("aot", J.Float d.ad_ns_aot) ]);
-      ("host-speedup", J.Float d.ad_speedup);
-      ("boot-ns",
-       J.Obj [ ("cold", J.Float d.ad_boot_cold_ns);
-               ("warm", J.Float d.ad_boot_warm_ns) ]);
-      ("functions-compiled", J.Int d.ad_promotions);
-      ("disk-cache",
-       J.Obj [ ("writes-cold", J.Int d.ad_disk_writes_cold);
-               ("hits-warm", J.Int d.ad_disk_hits_warm);
-               ("stale-warm", J.Int d.ad_disk_stale_warm);
-               ("misses-warm", J.Int d.ad_misses_warm) ]);
-      ("superblocks", J.Int d.ad_superblocks);
-    ]
 
 (* Against a warm persistent store every translation is reused from
    disk and none is redone. *)
@@ -1419,66 +1249,36 @@ let aot_check j =
       positive "superblocks" j;
     ]
 
-let aot ~quick ~strict =
-  let d = aot_data quick in
-  let td = tiered_data quick in
-  let table =
-    T.render
-      ~title:
-        "AOT engine: whole-kernel closure compilation with a persistent \
-         signed translation store (SVA-Safe, Table 7 mix)"
-      ~note:
-        (Printf.sprintf
-           "Cold boot compiles %d functions (%d signed entries persisted, \
-            %d superblocks) in %.1fms; the warm boot simulates a second \
-            process against the populated store: %d verified disk hits, %d \
-            re-translations, %.1fms.  Modeled cycles, steps and checks are \
-            bit-identical to the interpreter's; warm hot-path speedup \
-            %.1fx, the median ratio over interleaved interpreter/aot batch \
-            pairs (>= %.1fx under --strict)."
-           d.ad_promotions d.ad_disk_writes_cold d.ad_superblocks
-           (d.ad_boot_cold_ns /. 1e6)
-           d.ad_disk_hits_warm d.ad_misses_warm
-           (d.ad_boot_warm_ns /. 1e6)
-           d.ad_speedup aot_speedup_floor)
-      [ T.L; T.R; T.R; T.R; T.R ]
-      [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
-      [
-        engine_row "interpreter" td.td_cycles_interp td.td_steps_interp
-          td.td_checks_interp d.ad_ns_interp;
-        engine_row "tiered (warm)" td.td_cycles_tiered td.td_steps_tiered
-          td.td_checks_tiered td.td_ns_tiered;
-        engine_row "aot (warm disk)" d.ad_cycles_aot d.ad_steps_aot
-          d.ad_checks_aot d.ad_ns_aot;
-      ]
-  in
-  verdict ~strict "aot"
-    (aot_check (aot_json ~quick)
-    @ gate
-        ((not strict) || d.ad_speedup >= aot_speedup_floor)
-        (Printf.sprintf
-           "warm-cache host speedup %.2fx is below the required %.1fx"
-           d.ad_speedup aot_speedup_floor))
-    table
+let aot_report j =
+  let disk k = int ("disk-cache." ^ k) j in
+  T.render
+    ~title:
+      "AOT engine: whole-kernel closure compilation with a persistent \
+       signed translation store (SVA-Safe, Table 7 mix)"
+    ~note:
+      (Printf.sprintf
+         "Cold boot compiles %d functions (%d signed entries persisted, \
+          %d superblocks) in %.1fms; the warm boot simulates a second \
+          process against the populated store: %d verified disk hits, %d \
+          re-translations, %.1fms.  Modeled cycles, steps and checks are \
+          bit-identical to the interpreter's; warm hot-path speedup \
+          %.1fx, the median ratio over interleaved interpreter/aot batch \
+          pairs (>= %.1fx under --strict)."
+         (int "functions-compiled" j) (disk "writes-cold")
+         (int "superblocks" j)
+         (num "boot-ns.cold" j /. 1e6)
+         (disk "hits-warm") (disk "misses-warm")
+         (num "boot-ns.warm" j /. 1e6)
+         (num "host-speedup" j) aot_speedup_floor)
+    [ T.L; T.R; T.R; T.R; T.R ]
+    [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
+    [
+      engine_row "interpreter" "interp" j;
+      engine_row "tiered (warm)" "tiered" j;
+      engine_row "aot (warm disk)" "aot" j;
+    ]
 
 (* ---------- observability: event trace + profiler ---------- *)
-
-type trace_data = {
-  tr_reps : int;
-  tr_cycles_off : int;  (** total modeled cycles, observability off *)
-  tr_cycles_on : int;  (** same workload, trace + profiler on *)
-  tr_checks_off : int;
-  tr_checks_on : int;
-  tr_emitted : int;
-  tr_retained : int;
-  tr_dropped : int;
-  tr_counts : (string * int) list;  (** retained events per kind *)
-  tr_attr_pct : float;  (** syscall-attributed share of modeled cycles *)
-  tr_fn_rows : Sva_rt.Trace.prow list;
-  tr_sys_rows : Sva_rt.Trace.prow list;
-  tr_pools : Sva_rt.Metapool_rt.metrics list;
-  tr_chrome : Jsonout.t;  (** Chrome trace-event document *)
-}
 
 (* One measured run of the Table 7 syscall mix on a fresh SVA-Safe
    kernel.  Identical reset discipline with observability on and off —
@@ -1518,101 +1318,75 @@ let trace_measure ~reps ~obs k =
       done;
       k t (Boot.cycles t) (Sva_rt.Stats.total_checks (Sva_rt.Stats.read ())))
 
-let trace_data =
+(* The top 10 rows of a profiler report. *)
+let top_scopes rows =
+  J.List
+    (List.filteri
+       (fun i _ -> i < 10)
+       (List.map
+          (fun (r : Sva_rt.Trace.prow) ->
+            J.Obj
+              [
+                ("name", J.Str r.Sva_rt.Trace.p_name);
+                ("calls", J.Int r.Sva_rt.Trace.p_calls);
+                ("self-cycles", J.Int r.Sva_rt.Trace.p_self_cycles);
+                ("total-cycles", J.Int r.Sva_rt.Trace.p_total_cycles);
+                ("self-checks", J.Int r.Sva_rt.Trace.p_self_checks);
+              ])
+          rows))
+
+(* Total modeled cycles and checks with observability off and on, the
+   event accounting with the retained events per kind, the
+   syscall-attributed share of modeled cycles, the hot scopes, the pool
+   metrics and the Chrome trace-event document. *)
+let trace_payload =
   memo (fun quick ->
       let reps = if quick then 5 else 20 in
       let cycles_off, checks_off =
         trace_measure ~reps ~obs:false (fun _ cycles checks -> (cycles, checks))
       in
       trace_measure ~reps ~obs:true (fun t cycles checks ->
-          let take n l = List.filteri (fun i _ -> i < n) l in
-          {
-            tr_reps = reps;
-            tr_cycles_off = cycles_off;
-            tr_cycles_on = cycles;
-            tr_checks_off = checks_off;
-            tr_checks_on = checks;
-            tr_emitted = Sva_rt.Trace.emitted ();
-            tr_retained = List.length (Sva_rt.Trace.events ());
-            tr_dropped = Sva_rt.Trace.dropped ();
-            tr_counts =
-              List.filter_map
-                (fun k ->
-                  let n = Sva_rt.Trace.count k in
-                  if n = 0 then None else Some (Sva_rt.Trace.ekind_name k, n))
-                Traceout.all_kinds;
-            tr_attr_pct =
-              (if cycles = 0 then 0.0
-               else
-                 100.0
-                 *. float_of_int (Sva_rt.Trace.sys_self_cycles ())
-                 /. float_of_int cycles);
-            tr_fn_rows = take 10 (Sva_rt.Trace.fn_report ());
-            tr_sys_rows = take 10 (Sva_rt.Trace.sys_report ());
-            tr_pools =
-              List.filter
-                (fun (m : Sva_rt.Metapool_rt.metrics) ->
-                  m.Sva_rt.Metapool_rt.m_regs > 0
-                  || m.Sva_rt.Metapool_rt.m_lookups > 0)
-                (List.map
-                   (fun (_, mp) -> Sva_rt.Metapool_rt.metrics mp)
-                   (Sva_interp.Interp.metapools t.Boot.vm));
-            tr_chrome = Traceout.chrome_json ();
-          }))
+          let obs_pair off on =
+            J.Obj [ ("obs-off", J.Int off); ("obs-on", J.Int on) ]
+          in
+          J.Obj
+            [
+              ("reps", J.Int reps);
+              ("invariance",
+               J.Obj
+                 [
+                   ("cycles", obs_pair cycles_off cycles);
+                   ("checks", obs_pair checks_off checks);
+                 ]);
+              ("events",
+               J.Obj
+                 [
+                   ("emitted", J.Int (Sva_rt.Trace.emitted ()));
+                   ("retained", J.Int (List.length (Sva_rt.Trace.events ())));
+                   ("dropped", J.Int (Sva_rt.Trace.dropped ()));
+                   ("by-kind",
+                    J.Obj
+                      (List.filter_map
+                         (fun k ->
+                           let n = Sva_rt.Trace.count k in
+                           if n = 0 then None
+                           else Some (Sva_rt.Trace.ekind_name k, J.Int n))
+                         Traceout.all_kinds));
+                 ]);
+              ("attribution-pct",
+               J.Float
+                 (if cycles = 0 then 0.0
+                  else
+                    100.0
+                    *. float_of_int (Sva_rt.Trace.sys_self_cycles ())
+                    /. float_of_int cycles));
+              ("hot-syscalls", top_scopes (Sva_rt.Trace.sys_report ()));
+              ("hot-functions", top_scopes (Sva_rt.Trace.fn_report ()));
+              ("pools", Traceout.pool_metrics t.Boot.vm);
+              ("chrome", Traceout.chrome_json ());
+            ]))
 
 let trace_attribution_floor = 95.0
-
-let trace_json ~quick =
-  let d = trace_data quick in
-  let prow_json (r : Sva_rt.Trace.prow) =
-    J.Obj
-      [
-        ("name", J.Str r.Sva_rt.Trace.p_name);
-        ("calls", J.Int r.Sva_rt.Trace.p_calls);
-        ("self-cycles", J.Int r.Sva_rt.Trace.p_self_cycles);
-        ("total-cycles", J.Int r.Sva_rt.Trace.p_total_cycles);
-        ("self-checks", J.Int r.Sva_rt.Trace.p_self_checks);
-      ]
-  in
-  let pool_json (m : Sva_rt.Metapool_rt.metrics) =
-    J.Obj
-      [
-        ("name", J.Str m.Sva_rt.Metapool_rt.m_name);
-        ("live", J.Int m.Sva_rt.Metapool_rt.m_live);
-        ("peak", J.Int m.Sva_rt.Metapool_rt.m_peak);
-        ("regs", J.Int m.Sva_rt.Metapool_rt.m_regs);
-        ("drops", J.Int m.Sva_rt.Metapool_rt.m_drops);
-        ("depth", J.Int m.Sva_rt.Metapool_rt.m_depth);
-        ("lookups", J.Int m.Sva_rt.Metapool_rt.m_lookups);
-        ("cache-hits", J.Int m.Sva_rt.Metapool_rt.m_cache_hits);
-      ]
-  in
-  J.Obj
-    [
-      ("invariance",
-       J.Obj
-         [
-           ("cycles",
-            J.Obj [ ("obs-off", J.Int d.tr_cycles_off);
-                    ("obs-on", J.Int d.tr_cycles_on) ]);
-           ("checks",
-            J.Obj [ ("obs-off", J.Int d.tr_checks_off);
-                    ("obs-on", J.Int d.tr_checks_on) ]);
-         ]);
-      ("events",
-       J.Obj
-         [
-           ("emitted", J.Int d.tr_emitted);
-           ("retained", J.Int d.tr_retained);
-           ("dropped", J.Int d.tr_dropped);
-           ("by-kind", J.Obj (List.map (fun (k, n) -> (k, J.Int n)) d.tr_counts));
-         ]);
-      ("attribution-pct", J.Float d.tr_attr_pct);
-      ("hot-syscalls", J.List (List.map prow_json d.tr_sys_rows));
-      ("hot-functions", J.List (List.map prow_json d.tr_fn_rows));
-      ("pools", J.List (List.map pool_json d.tr_pools));
-      ("chrome", d.tr_chrome);
-    ]
 
 (* Observability is semantically invisible and accounts for every event,
    and its Chrome export is well-formed trace-event JSON. *)
@@ -1644,8 +1418,7 @@ let trace_check j =
       spans 0 events;
     ]
 
-let trace ~quick ~strict =
-  let d = trace_data quick in
+let trace_report j =
   let invariance =
     T.render
       ~title:"Observability invariance: Table 7 syscall mix, trace+profiler"
@@ -1654,76 +1427,75 @@ let trace ~quick ~strict =
            "Same fresh kernel and reset discipline; recording %d events \
             (%d retained, %d dropped by ring wrap) must not move a single \
             modeled cycle or check."
-           d.tr_emitted d.tr_retained d.tr_dropped)
+           (int "events.emitted" j) (int "events.retained" j)
+           (int "events.dropped" j))
       [ T.L; T.R; T.R ]
       [ "Metric"; "obs off"; "obs on" ]
       [
-        [ "modeled cycles"; string_of_int d.tr_cycles_off;
-          string_of_int d.tr_cycles_on ];
-        [ "run-time checks"; string_of_int d.tr_checks_off;
-          string_of_int d.tr_checks_on ];
+        [ "modeled cycles"; count "invariance.cycles.obs-off" j;
+          count "invariance.cycles.obs-on" j ];
+        [ "run-time checks"; count "invariance.checks.obs-off" j;
+          count "invariance.checks.obs-on" j ];
       ]
   in
   let events =
     T.render ~title:"Event trace summary"
       ~note:
         (Printf.sprintf "%d reps of open/close + write + pipe + getpid"
-           d.tr_reps)
+           (int "reps" j))
       [ T.L; T.R ]
       [ "event kind"; "retained" ]
-      (List.map (fun (k, n) -> [ k; string_of_int n ]) d.tr_counts)
+      (List.map
+         (fun (k, n) -> [ k; string_of_int (J.to_int n) ])
+         (field obj "events.by-kind" j))
   in
-  let prof_rows rows =
-    List.map
-      (fun (r : Sva_rt.Trace.prow) ->
-        [
-          r.Sva_rt.Trace.p_name;
-          string_of_int r.Sva_rt.Trace.p_calls;
-          string_of_int r.Sva_rt.Trace.p_self_cycles;
-          string_of_int r.Sva_rt.Trace.p_total_cycles;
-          string_of_int r.Sva_rt.Trace.p_self_checks;
-        ])
-      rows
+  let profile ~title ~note path =
+    T.render ~title ~note
+      [ T.L; T.R; T.R; T.R; T.R ]
+      [ "scope"; "calls"; "self cyc"; "total cyc"; "checks" ]
+      (List.map
+         (fun r ->
+           [
+             field J.to_string "name" r;
+             count "calls" r;
+             count "self-cycles" r;
+             count "total-cycles" r;
+             count "self-checks" r;
+           ])
+         (field J.to_list path j))
   in
-  let prof_aligns = [ T.L; T.R; T.R; T.R; T.R ] in
-  let prof_header = [ "scope"; "calls"; "self cyc"; "total cyc"; "checks" ] in
   let hot_sys =
-    T.render ~title:"Hot syscalls (top 10 by self cycles)"
+    profile ~title:"Hot syscalls (top 10 by self cycles)"
       ~note:
         (Printf.sprintf
            "syscall scopes attribute %s of all modeled cycles (>= %s \
             required); the remainder is boot/idle work outside any trap"
-           (T.pct d.tr_attr_pct)
+           (T.pct (num "attribution-pct" j))
            (T.pct trace_attribution_floor))
-      prof_aligns prof_header (prof_rows d.tr_sys_rows)
+      "hot-syscalls"
   in
   let hot_fn =
-    T.render ~title:"Hot kernel functions (top 10 by self cycles)"
+    profile ~title:"Hot kernel functions (top 10 by self cycles)"
       ~note:"self = inclusive minus callees; totals double-count recursion"
-      prof_aligns prof_header (prof_rows d.tr_fn_rows)
+      "hot-functions"
   in
-  let pools = Traceout.pool_metrics_table d.tr_pools in
-  let table = invariance ^ events ^ hot_sys ^ hot_fn ^ pools in
-  verdict ~strict "trace" (trace_check (trace_json ~quick)) table
+  let pools = Traceout.pool_metrics_table (field Fun.id "pools" j) in
+  invariance ^ events ^ hot_sys ^ hot_fn ^ pools
 
 (* ---------- static lint layer ---------- *)
 
-type lint_data = {
-  ld_counts : (string * int) list;  (** findings per checker, clean kernel *)
-  ld_findings : int;
-  ld_proofs : int;
-  ld_funcs : int;
-  ld_iterations : int;
-  ld_ls_inserted_base : int;  (** load/store checks, lint off *)
-  ld_ls_inserted_lint : int;  (** load/store checks, lint proofs consumed *)
-  ld_ls_proved_static : int;  (** checks elided by the prover *)
-}
+(* One row per checker of the findings object. *)
+let findings_rows j =
+  List.map
+    (fun (checker, n) -> [ "findings: " ^ checker; string_of_int (J.to_int n) ])
+    (field obj "findings" j)
 
 (* The Sva_safe kernel built with the static lint stage: same sources,
    same options, plus findings and safe-access proofs (which elide
-   provably-redundant load/store checks). *)
-let lint_data =
-  memo (fun () ->
+   provably-redundant load/store checks); the load/store check counts
+   come from the entire-kernel pair. *)
+let lint_payload =
+  memo (fun _ ->
       let lb =
         Kbuild.build ~conf:Pipeline.Sva_safe ~lint:true Kbuild.as_tested
       in
@@ -1731,35 +1503,24 @@ let lint_data =
       let off, on = entire_pair () in
       let s0 = Option.get off.Pipeline.bl_summary in
       let s = Option.get on.Pipeline.bl_summary in
-      {
-        ld_counts = r.Sva_lint.Lint.lr_counts;
-        ld_findings = List.length r.Sva_lint.Lint.lr_findings;
-        ld_proofs = r.Sva_lint.Lint.lr_proof_count;
-        ld_funcs = r.Sva_lint.Lint.lr_funcs;
-        ld_iterations = r.Sva_lint.Lint.lr_iterations;
-        ld_ls_inserted_base = s0.Sva_safety.Checkinsert.ls_inserted;
-        ld_ls_inserted_lint = s.Sva_safety.Checkinsert.ls_inserted;
-        ld_ls_proved_static = s.Sva_safety.Checkinsert.ls_proved_static;
-      })
-
-let lint_json ~quick:_ =
-  let d = lint_data () in
-  J.Obj
-    [
-      ("findings",
-       J.Obj (List.map (fun (c, n) -> (c, J.Int n)) d.ld_counts));
-      ("findings-total", J.Int d.ld_findings);
-      ("accesses-proved-safe", J.Int d.ld_proofs);
-      ("functions-analyzed", J.Int d.ld_funcs);
-      ("dataflow-iterations", J.Int d.ld_iterations);
-      ("ls-checks",
-       J.Obj
-         [
-           ("lint-off", J.Int d.ld_ls_inserted_base);
-           ("lint-on", J.Int d.ld_ls_inserted_lint);
-           ("proved-static", J.Int d.ld_ls_proved_static);
-         ]);
-    ]
+      J.Obj
+        [
+          ("findings",
+           J.Obj
+             (List.map (fun (c, n) -> (c, J.Int n)) r.Sva_lint.Lint.lr_counts));
+          ("findings-total", J.Int (List.length r.Sva_lint.Lint.lr_findings));
+          ("accesses-proved-safe", J.Int r.Sva_lint.Lint.lr_proof_count);
+          ("functions-analyzed", J.Int r.Sva_lint.Lint.lr_funcs);
+          ("dataflow-iterations", J.Int r.Sva_lint.Lint.lr_iterations);
+          ("ls-checks",
+           J.Obj
+             [
+               ("lint-off", J.Int s0.Sva_safety.Checkinsert.ls_inserted);
+               ("lint-on", J.Int s.Sva_safety.Checkinsert.ls_inserted);
+               ("proved-static",
+                J.Int s.Sva_safety.Checkinsert.ls_proved_static);
+             ]);
+        ])
 
 (* The shipped kernel lints clean; the proofs elide what they claim. *)
 let lint_check j =
@@ -1770,60 +1531,38 @@ let lint_check j =
       elides "ls-checks" "lint-off" "lint-on" "proved-static" j;
     ]
 
-let lint_table ~quick ~strict =
-  let d = lint_data () in
-  let rows =
-    List.map
-      (fun (checker, n) -> [ "findings: " ^ checker; string_of_int n ])
-      d.ld_counts
+let lint_report j =
+  metric_table
+    ~title:"Static lint layer: kernel sanitizer passes + safe-access prover"
+    ~note:
+      "The shipped kernel must lint clean (every findings row 0); the \
+       sva_lint --fixture run covers the seeded-bug positives.  The prover \
+       feeds Checkinsert: on the entire-kernel build (every pool \
+       complete) the lint-on build inserts fewer load/store checks than \
+       lint-off by exactly the elided row."
+    (findings_rows j
     @ [
-        [ "accesses proved safe"; string_of_int d.ld_proofs ];
-        [ "functions analyzed"; string_of_int d.ld_funcs ];
-        [ "dataflow block visits"; string_of_int d.ld_iterations ];
+        [ "accesses proved safe"; count "accesses-proved-safe" j ];
+        [ "functions analyzed"; count "functions-analyzed" j ];
+        [ "dataflow block visits"; count "dataflow-iterations" j ];
         [ "ls checks inserted, entire kernel (lint off)";
-          string_of_int d.ld_ls_inserted_base ];
+          count "ls-checks.lint-off" j ];
         [ "ls checks inserted, entire kernel (lint on)";
-          string_of_int d.ld_ls_inserted_lint ];
-        [ "ls checks elided by proofs"; string_of_int d.ld_ls_proved_static ];
-      ]
-  in
-  let table =
-    T.render
-      ~title:"Static lint layer: kernel sanitizer passes + safe-access prover"
-      ~note:
-        "The shipped kernel must lint clean (every findings row 0); the \
-         sva_lint --fixture run covers the seeded-bug positives.  The prover \
-         feeds Checkinsert: on the entire-kernel build (every pool \
-         complete) the lint-on build inserts fewer load/store checks than \
-         lint-off by exactly the elided row."
-      [ T.L; T.R ]
-      [ "Metric"; "Count" ]
-      rows
-  in
-  verdict ~strict "lint" (lint_check (lint_json ~quick)) table
+          count "ls-checks.lint-on" j ];
+        [ "ls checks elided by proofs"; count "ls-checks.proved-static" j ];
+      ])
 
 (* ---------- value-range elision (Section 5 certificates) ---------- *)
-
-type ranges_data = {
-  rd_ls_off : int;  (** ls checks, entire kernel, lint on, ranges off *)
-  rd_ls_on : int;  (** same build with certified range elision *)
-  rd_ls_range_geps : int;  (** lint proofs whose in-bounds step used ranges *)
-  rd_bounds_off : int;
-  rd_bounds_on : int;
-  rd_bounds_cert : int;  (** geps elided via a verified bounds certificate *)
-  rd_certs_bounds : int;  (** certificates re-verified by Rangecert *)
-  rd_certs_ls : int;
-  rd_facts : int;
-  rd_iterations : int;
-}
 
 (* ranges-off is the lint-on entire-kernel build already cached by
    [entire_pair]; ranges-on rebuilds it with the interval analysis, its
    certified elisions, and the trusted-checker gate (the build fails if
    any certificate is rejected, so a successful pair implies the whole
-   bundle re-verified). *)
-let ranges_data =
-  memo (fun () ->
+   bundle re-verified).  range-geps counts the lint proofs whose
+   in-bounds step used ranges; cert-elided the geps elided via a
+   verified bounds certificate. *)
+let ranges_payload =
+  memo (fun _ ->
       let _, off = entire_pair () in
       let on =
         Kbuild.build ~conf:Pipeline.Sva_safe ~lint:true ~ranges:true
@@ -1834,47 +1573,33 @@ let ranges_data =
       let lr = Option.get on.Pipeline.bl_lint in
       let rr = Option.get on.Pipeline.bl_ranges in
       let cb, cl = Sva_analysis.Interval.cert_counts rr in
-      {
-        rd_ls_off = s0.Sva_safety.Checkinsert.ls_inserted;
-        rd_ls_on = s1.Sva_safety.Checkinsert.ls_inserted;
-        rd_ls_range_geps = lr.Sva_lint.Lint.lr_range_geps;
-        rd_bounds_off = s0.Sva_safety.Checkinsert.bounds_inserted;
-        rd_bounds_on = s1.Sva_safety.Checkinsert.bounds_inserted;
-        rd_bounds_cert = s1.Sva_safety.Checkinsert.bounds_static_range;
-        rd_certs_bounds = cb;
-        rd_certs_ls = cl;
-        rd_facts = Sva_analysis.Interval.fact_count rr;
-        rd_iterations = Sva_analysis.Interval.iterations rr;
-      })
-
-let ranges_json ~quick:_ =
-  let d = ranges_data () in
-  J.Obj
-    [
-      ("ls-checks",
-       J.Obj
-         [
-           ("ranges-off", J.Int d.rd_ls_off);
-           ("ranges-on", J.Int d.rd_ls_on);
-           ("range-geps", J.Int d.rd_ls_range_geps);
-         ]);
-      ("bounds-checks",
-       J.Obj
-         [
-           ("ranges-off", J.Int d.rd_bounds_off);
-           ("ranges-on", J.Int d.rd_bounds_on);
-           ("cert-elided", J.Int d.rd_bounds_cert);
-         ]);
-      ("certificates",
-       J.Obj
-         [
-           ("bounds", J.Int d.rd_certs_bounds);
-           ("lscheck", J.Int d.rd_certs_ls);
-           ("verified", J.Bool true);
-         ]);
-      ("facts", J.Int d.rd_facts);
-      ("iterations", J.Int d.rd_iterations);
-    ]
+      J.Obj
+        [
+          ("ls-checks",
+           J.Obj
+             [
+               ("ranges-off", J.Int s0.Sva_safety.Checkinsert.ls_inserted);
+               ("ranges-on", J.Int s1.Sva_safety.Checkinsert.ls_inserted);
+               ("range-geps", J.Int lr.Sva_lint.Lint.lr_range_geps);
+             ]);
+          ("bounds-checks",
+           J.Obj
+             [
+               ("ranges-off", J.Int s0.Sva_safety.Checkinsert.bounds_inserted);
+               ("ranges-on", J.Int s1.Sva_safety.Checkinsert.bounds_inserted);
+               ("cert-elided",
+                J.Int s1.Sva_safety.Checkinsert.bounds_static_range);
+             ]);
+          ("certificates",
+           J.Obj
+             [
+               ("bounds", J.Int cb);
+               ("lscheck", J.Int cl);
+               ("verified", J.Bool true);
+             ]);
+          ("facts", J.Int (Sva_analysis.Interval.fact_count rr));
+          ("iterations", J.Int (Sva_analysis.Interval.iterations rr));
+        ])
 
 (* Certified elision only removes checks, exactly the certified ones. *)
 let ranges_check j =
@@ -1890,59 +1615,38 @@ let ranges_check j =
         "range analysis emitted no certificates";
     ]
 
-let ranges_table ~quick ~strict =
-  let d = ranges_data () in
-  let table =
-    T.render
-      ~title:
-        "Value-range elision: interval analysis + verified certificates \
-         (entire kernel, lint on)"
-      ~note:
-        "Every elision is backed by a per-gep range certificate that the \
-         trusted checker (Sva_tyck.Rangecert) re-verified during the build \
-         - the analysis itself stays outside the TCB (Section 5).  Shape \
-         to check: both static check columns drop when ranges are on, and \
-         the bounds drop equals the certified-gep count."
-      [ T.L; T.R ]
-      [ "Metric"; "Count" ]
-      [
-        [ "ls checks inserted (ranges off)"; string_of_int d.rd_ls_off ];
-        [ "ls checks inserted (ranges on)"; string_of_int d.rd_ls_on ];
-        [ "ls-check geps proved via range facts";
-          string_of_int d.rd_ls_range_geps ];
-        [ "bounds checks inserted (ranges off)"; string_of_int d.rd_bounds_off ];
-        [ "bounds checks inserted (ranges on)"; string_of_int d.rd_bounds_on ];
-        [ "bounds elided via certificates"; string_of_int d.rd_bounds_cert ];
-        [ "certificates verified (bounds + lscheck)";
-          Printf.sprintf "%d + %d" d.rd_certs_bounds d.rd_certs_ls ];
-        [ "interval facts exported"; string_of_int d.rd_facts ];
-        [ "dataflow block visits"; string_of_int d.rd_iterations ];
-      ]
-  in
-  verdict ~strict "ranges" (ranges_check (ranges_json ~quick)) table
+let ranges_report j =
+  metric_table
+    ~title:
+      "Value-range elision: interval analysis + verified certificates \
+       (entire kernel, lint on)"
+    ~note:
+      "Every elision is backed by a per-gep range certificate that the \
+       trusted checker (Sva_tyck.Rangecert) re-verified during the build \
+       - the analysis itself stays outside the TCB (Section 5).  Shape \
+       to check: both static check columns drop when ranges are on, and \
+       the bounds drop equals the certified-gep count."
+    [
+      [ "ls checks inserted (ranges off)"; count "ls-checks.ranges-off" j ];
+      [ "ls checks inserted (ranges on)"; count "ls-checks.ranges-on" j ];
+      [ "ls-check geps proved via range facts";
+        count "ls-checks.range-geps" j ];
+      [ "bounds checks inserted (ranges off)";
+        count "bounds-checks.ranges-off" j ];
+      [ "bounds checks inserted (ranges on)";
+        count "bounds-checks.ranges-on" j ];
+      [ "bounds elided via certificates"; count "bounds-checks.cert-elided" j ];
+      [ "certificates verified (bounds + lscheck)";
+        Printf.sprintf "%d + %d" (int "certificates.bounds" j)
+          (int "certificates.lscheck" j) ];
+      [ "interval facts exported"; count "facts" j ];
+      [ "dataflow block visits"; count "iterations" j ];
+    ]
 
 (* ---------- concurrency-safety pass (lockset + atomicity certs) ---------- *)
 
 module Lockset = Sva_analysis.Lockset
 module Atomcert = Sva_tyck.Atomcert
-
-type race_data = {
-  rc_counts : (string * int) list;
-      (** findings per checker, shipped kernel (must all be 0) *)
-  rc_shared : int;
-  rc_accesses : int;
-  rc_certs : int;
-  rc_fact_claims : int;
-  rc_cert_errors : int;  (** trusted-checker rejections, clean kernel *)
-  rc_lock_edges : int;
-  rc_funcs : int;
-  rc_iterations : int;
-  rc_fixture_findings : int;
-  rc_fixture_match : bool;  (** fixture findings = seeded ground truth *)
-  rc_injected : int;  (** certificate-bug injection experiment *)
-  rc_caught : int;
-  rc_conc : Sva_rt.Stats.conc_snapshot;  (** runtime ops, smoke workload *)
-}
 
 let race_checkers =
   [ "race"; "deadlock"; "cli-imbalance"; "lock-imbalance"; "atomic-sleep" ]
@@ -1950,9 +1654,11 @@ let race_checkers =
 (* The shipped kernel built with the concurrency gate on: Pipeline.build
    runs the lockset analysis and fails the build outright if the trusted
    checker rejects any atomicity certificate, so a built image implies
-   the clean-kernel bundle re-verified. *)
-let race_data =
-  memo (fun () ->
+   the clean-kernel bundle re-verified.  Its findings per checker must
+   all be 0; certificates.errors counts the trusted checker's rejections
+   of the clean kernel, and conc the runtime ops of a smoke workload. *)
+let race_payload =
+  memo (fun _ ->
       let b =
         Kbuild.build ~conf:Pipeline.Sva_safe ~races:true Kbuild.as_tested
       in
@@ -1985,7 +1691,6 @@ let race_data =
         Sva_tyck.Cert.experiment (Atomcert.cert ~entries) fm
           (Lockset.bundle dirty) ~instances:3
       in
-      let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
       (* Runtime counters: boot the gated image and run the lock-heavy
          slice of the smoke workload (file create, socket, packet
          delivery through the masked netpoll section). *)
@@ -2000,64 +1705,45 @@ let race_data =
       Boot.inject_frame t ~proto:17 (Bytes.to_string hdr ^ "ping");
       ignore (Boot.syscall t 22 []);
       let conc = Sva_rt.Stats.read_conc () in
-      {
-        rc_counts =
-          List.map (fun c -> (c, Lockset.count_findings clean c)) race_checkers;
-        rc_shared = Lockset.shared_count clean;
-        rc_accesses = Lockset.access_count clean;
-        rc_certs = Lockset.cert_count clean;
-        rc_fact_claims = Lockset.fact_count clean;
-        rc_cert_errors = List.length clean_errs;
-        rc_lock_edges = List.length (Lockset.lock_edges clean);
-        rc_funcs = Lockset.funcs_analyzed clean;
-        rc_iterations = Lockset.iterations clean;
-        rc_fixture_findings = List.length (Lockset.findings dirty);
-        rc_fixture_match = got = want;
-        rc_injected = List.length results;
-        rc_caught = caught;
-        rc_conc = conc;
-      })
-
-let race_json ~quick:_ =
-  let d = race_data () in
-  J.Obj
-    [
-      ("findings",
-       J.Obj (List.map (fun (c, n) -> (c, J.Int n)) d.rc_counts));
-      ("shared-classes", J.Int d.rc_shared);
-      ("accesses", J.Int d.rc_accesses);
-      ("certificates",
-       J.Obj
-         [
-           ("access", J.Int d.rc_certs);
-           ("fact-claims", J.Int d.rc_fact_claims);
-           ("errors", J.Int d.rc_cert_errors);
-           ("verified", J.Bool (d.rc_cert_errors = 0));
-         ]);
-      ("lock-order-edges", J.Int d.rc_lock_edges);
-      ("functions-analyzed", J.Int d.rc_funcs);
-      ("dataflow-iterations", J.Int d.rc_iterations);
-      ("fixture",
-       J.Obj
-         [
-           ("findings", J.Int d.rc_fixture_findings);
-           ("exact-match", J.Bool d.rc_fixture_match);
-         ]);
-      ("injection",
-       J.Obj
-         [
-           ("injected", J.Int d.rc_injected);
-           ("caught", J.Int d.rc_caught);
-         ]);
-      ("conc",
-       J.Obj
-         [
-           ("cli", J.Int d.rc_conc.Sva_rt.Stats.cli_count);
-           ("sti", J.Int d.rc_conc.Sva_rt.Stats.sti_count);
-           ("lock-acquires", J.Int d.rc_conc.Sva_rt.Stats.lock_acquires);
-           ("lock-releases", J.Int d.rc_conc.Sva_rt.Stats.lock_releases);
-         ]);
-    ]
+      J.Obj
+        [
+          ("findings",
+           J.Obj
+             (List.map
+                (fun c -> (c, J.Int (Lockset.count_findings clean c)))
+                race_checkers));
+          ("shared-classes", J.Int (Lockset.shared_count clean));
+          ("accesses", J.Int (Lockset.access_count clean));
+          ("certificates",
+           J.Obj
+             [
+               ("access", J.Int (Lockset.cert_count clean));
+               ("fact-claims", J.Int (Lockset.fact_count clean));
+               ("errors", J.Int (List.length clean_errs));
+               ("verified", J.Bool (clean_errs = []));
+             ]);
+          ("lock-order-edges", J.Int (List.length (Lockset.lock_edges clean)));
+          ("functions-analyzed", J.Int (Lockset.funcs_analyzed clean));
+          ("dataflow-iterations", J.Int (Lockset.iterations clean));
+          ("fixture",
+           J.Obj
+             [
+               ("findings", J.Int (List.length (Lockset.findings dirty)));
+               (* fixture findings = seeded ground truth *)
+               ("exact-match", J.Bool (got = want));
+             ]);
+          ("injection", injection results);
+          ("conc",
+           J.Obj
+             [
+               ("cli", J.Int conc.Sva_rt.Stats.cli_count);
+               ("sti", J.Int conc.Sva_rt.Stats.sti_count);
+               ("lock-acquires", J.Int conc.Sva_rt.Stats.lock_acquires);
+               ("lock-releases", J.Int conc.Sva_rt.Stats.lock_releases);
+               ("ipis-sent", J.Int conc.Sva_rt.Stats.ipis_sent);
+               ("ipis-delivered", J.Int conc.Sva_rt.Stats.ipis_delivered);
+             ]);
+        ])
 
 (* The shipped kernel audits clean, the seeded fixture and every injected
    certificate bug are caught, and the workload's lock operations balance. *)
@@ -2074,79 +1760,60 @@ let race_check j =
       same "conc" "cli" "sti" j;
     ]
 
-let race_table ~quick ~strict =
-  let d = race_data () in
-  let rows =
-    List.map
-      (fun (checker, n) -> [ "findings: " ^ checker; string_of_int n ])
-      d.rc_counts
+let race_report j =
+  let conc k = int ("conc." ^ k) j in
+  metric_table
+    ~title:
+      "Concurrency-safety pass: interprocedural lockset + \
+       interrupt-atomicity race detector"
+    ~note:
+      "The shipped kernel must audit clean (every findings row 0) and \
+       every discharged atomicity obligation carries a certificate the \
+       trusted checker (Sva_tyck.Atomcert) re-verified; the analysis \
+       itself stays outside the TCB.  The fixture row covers the \
+       seeded-bug positives and the injection row shows the checker \
+       rejects every corrupted certificate bundle."
+    (findings_rows j
     @ [
         [ "shared memory classes (irq- and sys-reachable)";
-          string_of_int d.rc_shared ];
-        [ "classified accesses"; string_of_int d.rc_accesses ];
-        [ "atomicity certificates (re-verified)"; string_of_int d.rc_certs ];
-        [ "block-entry fact claims"; string_of_int d.rc_fact_claims ];
-        [ "certificate errors"; string_of_int d.rc_cert_errors ];
-        [ "lock-order edges"; string_of_int d.rc_lock_edges ];
-        [ "functions analyzed"; string_of_int d.rc_funcs ];
-        [ "dataflow block visits"; string_of_int d.rc_iterations ];
+          count "shared-classes" j ];
+        [ "classified accesses"; count "accesses" j ];
+        [ "atomicity certificates (re-verified)";
+          count "certificates.access" j ];
+        [ "block-entry fact claims"; count "certificates.fact-claims" j ];
+        [ "certificate errors"; count "certificates.errors" j ];
+        [ "lock-order edges"; count "lock-order-edges" j ];
+        [ "functions analyzed"; count "functions-analyzed" j ];
+        [ "dataflow block visits"; count "dataflow-iterations" j ];
         [ "fixture findings (seeded bugs)";
-          Printf.sprintf "%d (%s ground truth)" d.rc_fixture_findings
-            (if d.rc_fixture_match then "matches" else "DIVERGES from") ];
-        [ "injected certificate bugs caught";
-          Printf.sprintf "%d/%d" d.rc_caught d.rc_injected ];
+          Printf.sprintf "%d (%s ground truth)" (int "fixture.findings" j)
+            (if flag "fixture.exact-match" j then "matches"
+             else "DIVERGES from") ];
+        caught_row j;
         [ "runtime conc ops (workload)";
-          Sva_rt.Stats.conc_to_string d.rc_conc ];
-      ]
-  in
-  let table =
-    T.render
-      ~title:
-        "Concurrency-safety pass: interprocedural lockset + \
-         interrupt-atomicity race detector"
-      ~note:
-        "The shipped kernel must audit clean (every findings row 0) and \
-         every discharged atomicity obligation carries a certificate the \
-         trusted checker (Sva_tyck.Atomcert) re-verified; the analysis \
-         itself stays outside the TCB.  The fixture row covers the \
-         seeded-bug positives and the injection row shows the checker \
-         rejects every corrupted certificate bundle."
-      [ T.L; T.R ]
-      [ "Metric"; "Count" ]
-      rows
-  in
-  verdict ~strict "race" (race_check (race_json ~quick)) table
+          Sva_rt.Stats.conc_to_string
+            {
+              Sva_rt.Stats.cli_count = conc "cli";
+              sti_count = conc "sti";
+              lock_acquires = conc "lock-acquires";
+              lock_releases = conc "lock-releases";
+              ipis_sent = conc "ipis-sent";
+              ipis_delivered = conc "ipis-delivered";
+            } ];
+      ])
 
 (* ---------- pool-safety certification (poolcert) ---------- *)
 
 module Poolev = Sva_safety.Poolev
 module Poolcert = Sva_tyck.Poolcert
 
-type poolcert_data = {
-  pc_th : int;  (** TH certificates, shipped kernel *)
-  pc_comp : int;  (** completeness certificates (one per pool) *)
-  pc_complete : int;  (** pools certified complete *)
-  pc_dv : int;  (** devirtualization certificates *)
-  pc_el_th : int;  (** lscheck elisions on TH pools *)
-  pc_el_reduced : int;  (** lscheck reductions on incomplete pools *)
-  pc_el_func : int;  (** funccheck elisions *)
-  pc_cert_errors : int;  (** trusted-checker rejections, clean kernel *)
-  pc_summary_match : bool;  (** Checkinsert summary identical on vs off *)
-  pc_boot_cycles_off : int;
-  pc_boot_cycles_on : int;
-  pc_cycles_off : int;  (** workload cycles, certification off *)
-  pc_cycles_on : int;
-  pc_checks_match : bool;  (** full check snapshot identical on vs off *)
-  pc_checks : int;  (** workload checks (either build; they match) *)
-  pc_injected : int;  (** certificate-bug injection experiment *)
-  pc_caught : int;
-}
-
 (* The pipeline gate already failed the build if the trusted checker
    rejected anything, so a certified image implies acceptance; the
-   explicit re-check below records the error count for the report. *)
-let poolcert_data =
-  memo (fun () ->
+   explicit re-check below records the error count for the report.
+   The elisions are lscheck elisions on TH pools, lscheck reductions on
+   incomplete pools and funccheck elisions. *)
+let poolcert_payload =
+  memo (fun _ ->
       let v = Kbuild.as_tested in
       let off = Kbuild.build ~conf:Pipeline.Sva_safe v in
       let on = Kbuild.build ~conf:Pipeline.Sva_safe ~poolcert:true v in
@@ -2180,71 +1847,44 @@ let poolcert_data =
           (Sva_tyck.Inject.poolcert ~config:(Kbuild.aconfig v))
           on.Pipeline.bl_mod b ~instances:3
       in
-      let caught = List.length (List.filter (fun (_, _, c) -> c) results) in
-      {
-        pc_th = List.length b.Poolev.pb_th;
-        pc_comp = List.length b.Poolev.pb_comp;
-        pc_complete =
-          List.length
-            (List.filter (fun c -> c.Poolev.cc_complete) b.Poolev.pb_comp);
-        pc_dv = List.length b.Poolev.pb_dv;
-        pc_el_th = el_th;
-        pc_el_reduced = el_red;
-        pc_el_func = el_fn;
-        pc_cert_errors = List.length clean_errs;
-        pc_summary_match =
-          Option.get off.Pipeline.bl_summary = Option.get on.Pipeline.bl_summary;
-        pc_boot_cycles_off = boot_off;
-        pc_boot_cycles_on = boot_on;
-        pc_cycles_off = cyc_off;
-        pc_cycles_on = cyc_on;
-        pc_checks_match = s_off = s_on;
-        pc_checks = Sva_rt.Stats.total_checks s_on;
-        pc_injected = List.length results;
-        pc_caught = caught;
-      })
-
-let poolcert_json ~quick:_ =
-  let d = poolcert_data () in
-  J.Obj
-    [
-      ("certificates",
-       J.Obj
-         [
-           ("th", J.Int d.pc_th);
-           ("completeness", J.Int d.pc_comp);
-           ("complete-pools", J.Int d.pc_complete);
-           ("devirt", J.Int d.pc_dv);
-           ("errors", J.Int d.pc_cert_errors);
-           ("verified", J.Bool (d.pc_cert_errors = 0));
-         ]);
-      ("elisions",
-       J.Obj
-         [
-           ("th", J.Int d.pc_el_th);
-           ("reduced", J.Int d.pc_el_reduced);
-           ("funccheck", J.Int d.pc_el_func);
-         ]);
-      ("bit-identity",
-       J.Obj
-         [
-           ("summary-match", J.Bool d.pc_summary_match);
-           ("boot-cycles",
-            J.Obj [ ("off", J.Int d.pc_boot_cycles_off);
-                    ("on", J.Int d.pc_boot_cycles_on) ]);
-           ("workload-cycles",
-            J.Obj [ ("off", J.Int d.pc_cycles_off);
-                    ("on", J.Int d.pc_cycles_on) ]);
-           ("checks-match", J.Bool d.pc_checks_match);
-           ("workload-checks", J.Int d.pc_checks);
-         ]);
-      ("injection",
-       J.Obj
-         [
-           ("injected", J.Int d.pc_injected);
-           ("caught", J.Int d.pc_caught);
-         ]);
-    ]
+      let off_on off on = J.Obj [ ("off", J.Int off); ("on", J.Int on) ] in
+      J.Obj
+        [
+          ("certificates",
+           J.Obj
+             [
+               ("th", J.Int (List.length b.Poolev.pb_th));
+               ("completeness", J.Int (List.length b.Poolev.pb_comp));
+               ("complete-pools",
+                J.Int
+                  (List.length
+                     (List.filter (fun c -> c.Poolev.cc_complete)
+                        b.Poolev.pb_comp)));
+               ("devirt", J.Int (List.length b.Poolev.pb_dv));
+               ("errors", J.Int (List.length clean_errs));
+               ("verified", J.Bool (clean_errs = []));
+             ]);
+          ("elisions",
+           J.Obj
+             [
+               ("th", J.Int el_th);
+               ("reduced", J.Int el_red);
+               ("funccheck", J.Int el_fn);
+             ]);
+          ("bit-identity",
+           J.Obj
+             [
+               ("summary-match",
+                J.Bool
+                  (Option.get off.Pipeline.bl_summary
+                  = Option.get on.Pipeline.bl_summary));
+               ("boot-cycles", off_on boot_off boot_on);
+               ("workload-cycles", off_on cyc_off cyc_on);
+               ("checks-match", J.Bool (s_off = s_on));
+               ("workload-checks", J.Int (Sva_rt.Stats.total_checks s_on));
+             ]);
+          ("injection", injection results);
+        ])
 
 (* Certification elides checks, is pure observation (bit-identical on or
    off), and catches every injected certificate bug. *)
@@ -2265,85 +1905,96 @@ let poolcert_check j =
       all_caught j;
     ]
 
-let poolcert_table ~quick ~strict =
-  let d = poolcert_data () in
-  let rows =
+let poolcert_report j =
+  let off_on path =
+    Printf.sprintf "%d / %d" (int (path ^ ".off") j) (int (path ^ ".on") j)
+  in
+  metric_table
+    ~title:
+      "Pool-safety certification: points-to evidence re-verified by the \
+       trusted checker"
+    ~note:
+      "Every check elision taken on the points-to analysis's word - \
+       lschecks skipped on type-homogeneous pools, reduced checks on \
+       incomplete pools, devirtualized funcchecks - is backed by a \
+       certificate Sva_tyck.Poolcert re-verified against an independent \
+       scan of the instrumented kernel, so Pointsto and Devirt stay \
+       outside the TCB (Section 5).  Certification is pure observation: \
+       boot/workload cycles and every check counter must be \
+       bit-identical with it on or off."
     [
-      [ "TH certificates (type-homogeneous pools)"; string_of_int d.pc_th ];
-      [ "completeness certificates (one per pool)"; string_of_int d.pc_comp ];
-      [ "pools certified complete"; string_of_int d.pc_complete ];
-      [ "devirtualization certificates"; string_of_int d.pc_dv ];
-      [ "lscheck elisions on TH pools"; string_of_int d.pc_el_th ];
-      [ "lscheck reductions on incomplete pools";
-        string_of_int d.pc_el_reduced ];
-      [ "funccheck elisions"; string_of_int d.pc_el_func ];
-      [ "certificate errors (clean kernel)"; string_of_int d.pc_cert_errors ];
+      [ "TH certificates (type-homogeneous pools)"; count "certificates.th" j ];
+      [ "completeness certificates (one per pool)";
+        count "certificates.completeness" j ];
+      [ "pools certified complete"; count "certificates.complete-pools" j ];
+      [ "devirtualization certificates"; count "certificates.devirt" j ];
+      [ "lscheck elisions on TH pools"; count "elisions.th" j ];
+      [ "lscheck reductions on incomplete pools"; count "elisions.reduced" j ];
+      [ "funccheck elisions"; count "elisions.funccheck" j ];
+      [ "certificate errors (clean kernel)"; count "certificates.errors" j ];
       [ "instrumentation summary on vs off";
-        (if d.pc_summary_match then "identical" else "DIVERGES") ];
-      [ "boot cycles off / on";
-        Printf.sprintf "%d / %d" d.pc_boot_cycles_off d.pc_boot_cycles_on ];
-      [ "workload cycles off / on";
-        Printf.sprintf "%d / %d" d.pc_cycles_off d.pc_cycles_on ];
+        (if flag "bit-identity.summary-match" j then "identical"
+         else "DIVERGES") ];
+      [ "boot cycles off / on"; off_on "bit-identity.boot-cycles" ];
+      [ "workload cycles off / on"; off_on "bit-identity.workload-cycles" ];
       [ "workload check counters on vs off";
-        (if d.pc_checks_match then
-           Printf.sprintf "identical (%d checks)" d.pc_checks
+        (if flag "bit-identity.checks-match" j then
+           Printf.sprintf "identical (%d checks)"
+             (int "bit-identity.workload-checks" j)
          else "DIVERGE") ];
-      [ "injected certificate bugs caught";
-        Printf.sprintf "%d/%d" d.pc_caught d.pc_injected ];
+      caught_row j;
     ]
-  in
-  let table =
-    T.render
-      ~title:
-        "Pool-safety certification: points-to evidence re-verified by the \
-         trusted checker"
-      ~note:
-        "Every check elision taken on the points-to analysis's word - \
-         lschecks skipped on type-homogeneous pools, reduced checks on \
-         incomplete pools, devirtualized funcchecks - is backed by a \
-         certificate Sva_tyck.Poolcert re-verified against an independent \
-         scan of the instrumented kernel, so Pointsto and Devirt stay \
-         outside the TCB (Section 5).  Certification is pure observation: \
-         boot/workload cycles and every check counter must be \
-         bit-identical with it on or off."
-      [ T.L; T.R ]
-      [ "Metric"; "Count" ]
-      rows
-  in
-  verdict ~strict "poolcert" (poolcert_check (poolcert_json ~quick)) table
 
 (* ---------- the section list ---------- *)
+
+(* A gated section from its three parts: [payload], the memoized
+   measurement; [check], its PASS/FAIL criteria; and [report], which
+   renders the text from the payload alone.  The report ends with the
+   verdict of [check] and of [floor], a host wall-clock criterion the
+   report alone judges; under [strict] a failure raises instead. *)
+let gated ?(floor = fun ~strict:_ _ -> []) name payload check report =
+  let render ~quick ~strict =
+    let j = payload quick in
+    match check j @ floor ~strict j with
+    | [] -> report j ^ "  " ^ name ^ " check: PASS\n"
+    | fs ->
+        let msg = String.concat "; " fs in
+        if strict then failwith (name ^ " check FAILED: " ^ msg)
+        else report j ^ "  " ^ name ^ " check: FAIL - " ^ msg ^ "\n"
+  in
+  let payload ~quick = payload quick in
+  { name; render; json = Some { payload; check } }
+
+(* The payload's host speedup, [what] in the message, is at least
+   [floor]. *)
+let host_floor what floor j =
+  let x = num "host-speedup" j in
+  gate (x >= floor)
+    (Printf.sprintf "%s %.2fx is below the required %.1fx" what x floor)
 
 let sections =
   [
     { name = "table4"; render = table4; json = None };
     { name = "figure2"; render = figure2; json = None };
     { name = "checks"; render = check_summary; json = None };
-    { name = "lint"; render = lint_table;
-      json = Some { payload = lint_json; check = lint_check } };
-    { name = "ranges"; render = ranges_table;
-      json = Some { payload = ranges_json; check = ranges_check } };
-    { name = "race"; render = race_table;
-      json = Some { payload = race_json; check = race_check } };
-    { name = "poolcert"; render = poolcert_table;
-      json = Some { payload = poolcert_json; check = poolcert_check } };
-    { name = "table7"; render = table7;
-      json = Some { payload = table7_json; check = table7_check } };
+    gated "lint" lint_payload lint_check lint_report;
+    gated "ranges" ranges_payload ranges_check ranges_report;
+    gated "race" race_payload race_check race_report;
+    gated "poolcert" poolcert_payload poolcert_check poolcert_report;
+    gated "table7" table7_payload table7_check table7_report;
     { name = "table8"; render = table8; json = None };
     { name = "table5"; render = table5; json = None };
     { name = "table6"; render = table6; json = None };
     { name = "table9"; render = table9; json = None };
     { name = "ablation"; render = ablation; json = None };
-    { name = "fastpath"; render = fastpath;
-      json = Some { payload = fastpath_json; check = fastpath_check } };
-    { name = "smp"; render = smp;
-      json = Some { payload = smp_json; check = smp_check } };
-    { name = "tiered"; render = tiered;
-      json = Some { payload = tiered_json; check = tiered_check } };
-    { name = "aot"; render = aot;
-      json = Some { payload = aot_json; check = aot_check } };
-    { name = "trace"; render = trace;
-      json = Some { payload = trace_json; check = trace_check } };
+    gated "fastpath" fastpath_payload fastpath_check fastpath_report;
+    gated "smp" smp_payload smp_check smp_report;
+    gated "tiered" tiered_payload tiered_check tiered_report
+      ~floor:(fun ~strict:_ -> host_floor "host speedup" tiered_speedup_floor);
+    gated "aot" aot_payload aot_check aot_report ~floor:(fun ~strict j ->
+        if strict then host_floor "warm-cache host speedup" aot_speedup_floor j
+        else []);
+    gated "trace" trace_payload trace_check trace_report;
     { name = "exploits"; render = exploits_table; json = None };
     { name = "verifier"; render = verifier_experiment; json = None };
   ]

@@ -9,8 +9,10 @@
 
 type json = {
   payload : quick:bool -> Jsonout.t;
-      (** The machine-readable payload.  It views the same memoized
-          measurement as [render], so asking for both measures once. *)
+      (** The machine-readable payload: the section's memoized
+          measurement itself.  [render] draws every measured number of
+          its report from this payload, so asking for both measures
+          once. *)
   check : Jsonout.t -> string list;
       (** The section's PASS/FAIL criteria over a payload: one message per
           criterion that does not hold, [[]] when all hold.  [render]

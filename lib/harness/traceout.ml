@@ -158,21 +158,48 @@ let profile_table ?(top = 10) () =
   in
   fn ^ sys
 
-let pool_metrics_table metrics =
+let pool_metrics vm =
+  J.List
+    (List.filter_map
+       (fun (_, mp) ->
+         let m = Metapool_rt.metrics mp in
+         if m.Metapool_rt.m_regs = 0 && m.Metapool_rt.m_lookups = 0 then None
+         else
+           Some
+             (J.Obj
+                [
+                  ("name", J.Str m.Metapool_rt.m_name);
+                  ("live", J.Int m.Metapool_rt.m_live);
+                  ("peak", J.Int m.Metapool_rt.m_peak);
+                  ("regs", J.Int m.Metapool_rt.m_regs);
+                  ("drops", J.Int m.Metapool_rt.m_drops);
+                  ("depth", J.Int m.Metapool_rt.m_depth);
+                  ("lookups", J.Int m.Metapool_rt.m_lookups);
+                  ("cache-hits", J.Int m.Metapool_rt.m_cache_hits);
+                ]))
+       (Sva_interp.Interp.metapools vm))
+
+let pool_metrics_table pools =
   let rows =
     List.map
-      (fun (m : Metapool_rt.metrics) ->
+      (fun p ->
+        let count k = string_of_int (J.int k p) in
+        let lookups = J.int "lookups" p in
         [
-          m.Metapool_rt.m_name;
-          string_of_int m.Metapool_rt.m_live;
-          string_of_int m.Metapool_rt.m_peak;
-          string_of_int m.Metapool_rt.m_regs;
-          string_of_int m.Metapool_rt.m_drops;
-          string_of_int m.Metapool_rt.m_depth;
-          string_of_int m.Metapool_rt.m_lookups;
-          Tablefmt.pct (Metapool_rt.metrics_hit_rate m);
+          J.field J.to_string "name" p;
+          count "live";
+          count "peak";
+          count "regs";
+          count "drops";
+          count "depth";
+          count "lookups";
+          Tablefmt.pct
+            (if lookups = 0 then 0.0
+             else
+               float_of_int (J.int "cache-hits" p)
+               /. float_of_int lookups *. 100.0);
         ])
-      metrics
+      (J.to_list pools)
   in
   Tablefmt.render ~title:"Per-metapool metrics"
     ~note:"hit% is this pool's object-lookup cache"

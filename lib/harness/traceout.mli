@@ -26,6 +26,10 @@ val profile_table : ?top:int -> unit -> string
 (** Top-N hot functions and syscalls by self cycles (default 10), from
     the profiler accumulators. *)
 
-val pool_metrics_table : Sva_rt.Metapool_rt.metrics list -> string
-(** Live/peak object counts, registration traffic, splay depth and
-    cache hit rate for each pool. *)
+val pool_metrics : Sva_interp.Interp.t -> Jsonout.t
+(** Every pool of [vm] that saw a registration or a lookup, as a JSON
+    list of its live/peak object counts, registration traffic, splay
+    depth, lookups and cache hits. *)
+
+val pool_metrics_table : Jsonout.t -> string
+(** A {!pool_metrics} list as a table, with each pool's cache hit rate. *)

@@ -10,6 +10,13 @@ let conf_name = function
   | Sva_llvm -> "Linux-SVA-LLVM"
   | Sva_safe -> "Linux-SVA-Safe"
 
+let conf_of_string = function
+  | "native" -> Some Native
+  | "gcc" -> Some Sva_gcc
+  | "llvm" -> Some Sva_llvm
+  | "safe" -> Some Sva_safe
+  | _ -> None
+
 let all_confs = [ Native; Sva_gcc; Sva_llvm; Sva_safe ]
 
 (* ---------- execution engine selection ---------- *)
@@ -194,8 +201,8 @@ let range_ls_elided = function
 
 let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
     ?(options = Checkinsert.default_options) ?(clone = false)
-    ?(devirt = false) ?(checkopt = false) ?(lint = false) ?lint_config
-    ?(ranges = false) ?(races = false) ?(poolcert = false) ~name m =
+    ?(devirt = false) ?(checkopt = false) ?lint ?(ranges = false)
+    ?(races = false) ?(poolcert = false) ~name m =
   match conf with
   | Native | Sva_gcc | Sva_llvm ->
       {
@@ -253,14 +260,10 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         | None -> fun ~fname:_ _ -> false
       in
       let lint_res =
-        if lint then
-          let config =
-            match lint_config with
-            | Some c -> c
-            | None -> Sva_lint.Lint.config_of_aconfig aconfig
-          in
-          Some (Sva_lint.Lint.run ~config ~ranges:(range_oracle Interval.Cls) m pa)
-        else None
+        Option.map
+          (fun config ->
+            Sva_lint.Lint.run ~config ~ranges:(range_oracle Interval.Cls) m pa)
+          lint
       in
       let proofs =
         match lint_res with
@@ -329,8 +332,8 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_poolcert = pbundle;
       }
 
-let build ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint ?lint_config
-    ?ranges ?races ?poolcert ~name sources =
+let build ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint ?ranges
+    ?races ?poolcert ~name sources =
   let pipeline =
     match conf with
     | Some Native | Some Sva_gcc -> Passes.Gcc_like
@@ -338,7 +341,7 @@ let build ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint ?lint_config
   in
   let m = compile ~pipeline ~name sources in
   build_module ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint
-    ?lint_config ?ranges ?races ?poolcert ~name m
+    ?ranges ?races ?poolcert ~name m
 
 (* ---------- build-time certification counts ---------- *)
 

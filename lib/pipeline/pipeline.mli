@@ -20,6 +20,10 @@ open Sva_safety
 type conf = Native | Sva_gcc | Sva_llvm | Sva_safe
 
 val conf_name : conf -> string
+
+val conf_of_string : string -> conf option
+(** The command-line short names: [native], [gcc], [llvm], [safe]. *)
+
 val all_confs : conf list
 
 (** {1 Execution engine selection}
@@ -172,8 +176,7 @@ val build :
   ?clone:bool ->
   ?devirt:bool ->
   ?checkopt:bool ->
-  ?lint:bool ->
-  ?lint_config:Sva_lint.Lint.config ->
+  ?lint:Sva_lint.Lint.config ->
   ?ranges:bool ->
   ?races:bool ->
   ?poolcert:bool ->
@@ -184,11 +187,11 @@ val build :
     safety pipeline runs: optional function cloning (Section 4.8),
     points-to analysis, metapool inference, metapool type annotation
     extraction + trusted type checking,
-    optional devirtualization, the optional static lint stage (whose
-    safe-access proofs elide provably-redundant load/store checks),
-    run-time check insertion, the optional check optimizations of
-    Section 7.1.3, and IR re-verification.  [lint_config] defaults to
-    {!Sva_lint.Lint.config_of_aconfig} of [aconfig].
+    optional devirtualization, the static lint stage under the [lint]
+    configuration when one is given (its safe-access proofs elide
+    provably-redundant load/store checks), run-time check insertion,
+    the optional check optimizations of Section 7.1.3, and IR
+    re-verification.
 
     [~ranges:true] additionally runs the value-range abstract
     interpretation ({!Sva_analysis.Interval}) on the analyzed module:
@@ -229,8 +232,7 @@ val build_module :
   ?clone:bool ->
   ?devirt:bool ->
   ?checkopt:bool ->
-  ?lint:bool ->
-  ?lint_config:Sva_lint.Lint.config ->
+  ?lint:Sva_lint.Lint.config ->
   ?ranges:bool ->
   ?races:bool ->
   ?poolcert:bool ->

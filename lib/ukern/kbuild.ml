@@ -88,7 +88,8 @@ let lint_config v =
 
 let build ?(conf = Sva_pipeline.Pipeline.Sva_safe) ?(lint = false)
     ?(ranges = false) ?(races = false) ?(poolcert = false) v =
-  Sva_pipeline.Pipeline.build ~conf ~aconfig:(aconfig v) ~lint
-    ~lint_config:(lint_config v) ~ranges ~races ~poolcert
+  Sva_pipeline.Pipeline.build ~conf ~aconfig:(aconfig v)
+    ?lint:(if lint then Some (lint_config v) else None)
+    ~ranges ~races ~poolcert
     ~name:("ukern-" ^ v.v_name)
     (sources v)
