@@ -26,14 +26,7 @@ module Lockset = Sva_analysis.Lockset
 let dump_ranges m config func =
   let pa = Pointsto.run ~config m in
   let res = Interval.run m pa in
-  List.iter
-    (fun (f : Sva_ir.Func.t) ->
-      Sva_ir.Func.iter_instrs f (fun _ i ->
-          if Interval.certifiable res ~fname:f.Sva_ir.Func.f_name i then
-            ignore
-              (Interval.elide res ~fname:f.Sva_ir.Func.f_name i
-                 Interval.Cbounds)))
-    m.Sva_ir.Irmod.m_funcs;
+  Interval.certify_all res m;
   let b = Interval.bundle res in
   let wanted fn = match func with Some f -> f = fn | None -> true in
   List.iter
@@ -222,22 +215,8 @@ let () =
           "usage: pa_dump [--ranges | --races | --poolcert] FILE [FUNC]";
         exit 2
   in
-  let m =
-    try Sva_pipeline.Pipeline.load_file file
-    with e -> (
-      match Sva_pipeline.Pipeline.load_error file e with
-      | Some msg ->
-          prerr_endline msg;
-          exit 1
-      | None -> raise e)
-  in
-  let config =
-    {
-      Pointsto.default_config with
-      Pointsto.syscall_register = Some "sva_register_syscall";
-      syscall_invoke = Some "sva_syscall";
-    }
-  in
+  let m = Cli.load ~code:1 file in
+  let config = Cli.file_aconfig in
   (match mode with
   | `Ranges ->
       dump_ranges m config func;

@@ -23,13 +23,6 @@ module Pointsto = Sva_analysis.Pointsto
 module Lockset = Sva_analysis.Lockset
 module Atomcert = Sva_tyck.Atomcert
 
-let file_config =
-  {
-    Pointsto.default_config with
-    Pointsto.syscall_register = Some "sva_register_syscall";
-    syscall_invoke = Some "sva_syscall";
-  }
-
 (* Lint runs standalone — compile, analyze, check — without the metapool
    type checker or instrumentation, so even modules a full safe build
    would reject can be linted. *)
@@ -38,8 +31,7 @@ let range_oracle m pa =
   fun ~fname i ->
     Sva_analysis.Interval.elide res ~fname i Sva_analysis.Interval.Cls
 
-let lint_sources ?(ranges = false) ~name ~aconfig ~config sources =
-  let m = Pipeline.compile ~name sources in
+let lint_module ?(ranges = false) ~aconfig ~config m =
   let pa = Pointsto.run ~config:aconfig m in
   if ranges then Lint.run ~config ~ranges:(range_oracle m pa) m pa
   else Lint.run ~config m pa
@@ -50,8 +42,9 @@ let lint_kernel ?ranges ~fixture () =
     if fixture then Ukern.Kbuild.fixture_sources v else Ukern.Kbuild.sources v
   in
   let name = if fixture then "ukern-lint-fixture" else "ukern-lint" in
-  lint_sources ?ranges ~name ~aconfig:(Ukern.Kbuild.aconfig v)
-    ~config:(Ukern.Kbuild.lint_config v) sources
+  lint_module ?ranges ~aconfig:(Ukern.Kbuild.aconfig v)
+    ~config:(Ukern.Kbuild.lint_config v)
+    (Pipeline.compile ~name sources)
 
 let print_result ?(quiet = false) (r : Lint.result) =
   print_string (Lint.render r);
@@ -74,8 +67,7 @@ let print_result ?(quiet = false) (r : Lint.result) =
 
 (* ---------- the concurrency-safety pass ---------- *)
 
-let race_sources ~name ~aconfig sources =
-  let m = Pipeline.compile ~name sources in
+let race_module ~aconfig m =
   let pa = Pointsto.run ~config:aconfig m in
   let r = Lockset.run m pa in
   let errs =
@@ -90,7 +82,7 @@ let race_kernel ~fixture () =
     else Ukern.Kbuild.sources v
   in
   let name = if fixture then "ukern-races-fixture" else "ukern-races" in
-  race_sources ~name ~aconfig:(Ukern.Kbuild.aconfig v) sources
+  race_module ~aconfig:(Ukern.Kbuild.aconfig v) (Pipeline.compile ~name sources)
 
 let race_checkers =
   [ "race"; "deadlock"; "cli-imbalance"; "lock-imbalance"; "atomic-sleep" ]
@@ -201,17 +193,6 @@ let selftest () =
   end
   else 1
 
-(* A module file, or exit 2 with its one-line diagnostic when it does
-   not load. *)
-let load path =
-  try Pipeline.load_file path
-  with e -> (
-    match Pipeline.load_error path e with
-    | Some msg ->
-        prerr_endline msg;
-        exit 2
-    | None -> raise e)
-
 let run file ukern fixture selftest_flag ranges races quiet =
   if races then begin
     if selftest_flag then race_selftest ()
@@ -222,14 +203,7 @@ let run file ukern fixture selftest_flag ranges races quiet =
         else
           match file with
           | Some path ->
-              let m = load path in
-              let pa = Pointsto.run ~config:file_config m in
-              let r = Lockset.run m pa in
-              let errs =
-                Atomcert.check ~entries:(Lockset.entry_config r) m
-                  (Lockset.bundle r)
-              in
-              (r, errs)
+              race_module ~aconfig:Cli.file_aconfig (Cli.load ~code:2 path)
           | None ->
               prerr_endline
                 "usage: sva_lint --races [FILE | --ukern | --fixture | \
@@ -248,12 +222,9 @@ let run file ukern fixture selftest_flag ranges races quiet =
       else
         match file with
         | Some path ->
-            let m = load path in
-            let pa = Pointsto.run ~config:file_config m in
-            let config = Lint.config_of_aconfig file_config in
-            if ranges then
-              Lint.run ~config ~ranges:(range_oracle m pa) m pa
-            else Lint.run ~config m pa
+            lint_module ~ranges ~aconfig:Cli.file_aconfig
+              ~config:(Lint.config_of_aconfig Cli.file_aconfig)
+              (Cli.load ~code:2 path)
         | None ->
             prerr_endline
               "usage: sva_lint FILE | --ukern | --fixture | --selftest";
@@ -263,7 +234,7 @@ let run file ukern fixture selftest_flag ranges races quiet =
     if r.Lint.lr_findings = [] then 0 else 1
   end
 
-let file = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
+let file = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE")
 
 let ukern =
   Arg.(value & flag & info [ "ukern" ] ~doc:"Lint the embedded kernel.")
@@ -281,15 +252,6 @@ let selftest_flag =
         ~doc:
           "Check that the clean kernel lints clean and the fixture reports \
            exactly the seeded defects.")
-
-let ranges =
-  Arg.(
-    value & flag
-    & info [ "ranges" ]
-        ~doc:
-          "Feed value-range certificates ($(b,Sva_analysis.Interval)) to \
-           the safe-access prover, widening proofs to variable-index geps \
-           certified in extent.")
 
 let races_flag =
   Arg.(
@@ -310,9 +272,7 @@ let cmd =
     (Cmd.info "sva_lint"
        ~doc:"Static dataflow lint over the SVA safety pipeline")
     Term.(
-      const run $ file $ ukern $ fixture $ selftest_flag $ ranges $ races_flag
-      $ quiet)
+      const run $ file $ ukern $ fixture $ selftest_flag $ Cli.ranges
+      $ races_flag $ quiet)
 
-(* Unknown flags must produce usage + exit 2 (parity with bench/main.ml);
-   Cmdliner's default "term error" exit is 124, so pin it. *)
-let () = exit (Cmd.eval' ~term_err:2 cmd)
+let () = Cli.eval cmd

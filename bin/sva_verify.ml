@@ -46,15 +46,9 @@ module Inject = Sva_tyck.Inject
 module Poolev = Sva_safety.Poolev
 
 let load path =
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  match Sva_pipeline.Pipeline.load_source ~name:path data with
-  | m -> (m, data)
-  | exception e -> (
-      match Sva_pipeline.Pipeline.load_error path e with
-      | Some msg ->
-          prerr_endline msg;
-          exit 1
-      | None -> raise e)
+  Cli.guard ~code:1 path (fun () ->
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      (Sva_pipeline.Pipeline.load_source ~name:path data, data))
 
 let range_selftest () =
   let n = Interval.selftest () in
@@ -110,15 +104,7 @@ let rangecert path =
   let m, _ = load path in
   let pa = Sva_analysis.Pointsto.run m in
   let res = Interval.run m pa in
-  (* materialize every certificate the analysis can justify *)
-  List.iter
-    (fun (f : Sva_ir.Func.t) ->
-      Sva_ir.Func.iter_instrs f (fun _ i ->
-          if Interval.certifiable res ~fname:f.Sva_ir.Func.f_name i then
-            ignore
-              (Interval.elide res ~fname:f.Sva_ir.Func.f_name i
-                 Interval.Cbounds)))
-    m.Sva_ir.Irmod.m_funcs;
+  Interval.certify_all res m;
   let b = Interval.bundle res in
   let cb, cl = Interval.cert_counts res in
   selftest ~label:path

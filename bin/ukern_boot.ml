@@ -1,90 +1,38 @@
 (* ukern-boot: boot the MiniC kernel on the SVM and run a smoke workload.
 
-     ukern_boot [native|gcc|llvm|safe] [--engine=interp|tiered|aot]
-                [--jit-threshold=N] [--tcache-dir=DIR] [--cpus=N]
-                [--smp-seed=S] [--ranges] [--races] [--poolcert]
-                [--trace[=N]] [--trace-out=FILE] [--profile]
-                (default: safe, interp, 1 cpu)
+     ukern_boot [CONF] [OPTION]...    (default: safe, interp, 1 cpu)
 
-   Prints the boot transcript, runs a small syscall workload, and reports
-   instruction/cycle counts plus run-time check statistics (and the tier
-   counters when a compiling engine is selected).  With --cpus=N > 1 the
-   smoke workload is followed by a parallel section: the same syscall
-   burst scheduled over the modeled CPUs by the seeded work-stealing
-   scheduler, reporting per-CPU clocks, steals and IPIs.  With
-   --trace/--profile the event-trace summary, per-metapool metrics and
-   hot-function/syscall attribution are appended; --trace-out exports
-   the trace as Chrome trace-event JSON. *)
+   CONF is native, gcc, llvm or safe; the options (see --help) are the
+   engine, trace, SMP and --ranges flags of [Cli] plus --races and
+   --poolcert.  Prints the boot transcript, runs a small syscall
+   workload, and reports instruction/cycle counts plus run-time check
+   statistics (and the tier counters when a compiling engine is
+   selected).  With --cpus N > 1 the smoke workload is followed by a
+   parallel section: the same syscall burst scheduled over the modeled
+   CPUs by the seeded work-stealing scheduler, reporting per-CPU clocks,
+   steals and IPIs.  With --trace/--profile the event-trace summary,
+   per-metapool metrics and hot-function/syscall attribution are
+   appended; --trace-out exports the trace as Chrome trace-event JSON.
+   A malformed flag or value exits 2 with a usage message. *)
 
+open Cmdliner
 module Boot = Ukern.Boot
+module Kbuild = Ukern.Kbuild
 module Pipeline = Sva_pipeline.Pipeline
 
-let usage = "usage: ukern_boot [native|gcc|llvm|safe] \
-             [--engine=interp|tiered|aot] [--jit-threshold=N] \
-             [--tcache-dir=DIR] [--cpus=N] [--smp-seed=S] [--ranges] \
-             [--races] [--poolcert] [--trace[=N]] [--trace-out=FILE] \
-             [--profile]"
-
-(* An argument that is neither a configuration name nor a recognized
-   flag is an error, not silently the default configuration. *)
-let reject msg =
-  prerr_endline msg;
-  prerr_endline usage;
-  exit 2
-
-let () =
-  let conf = ref Pipeline.Sva_safe in
-  let engine = ref Pipeline.default_engine in
-  let obs = ref Pipeline.default_obs in
-  let smp = ref Pipeline.default_smp in
-  let ranges = ref false in
-  let races = ref false in
-  let poolcert = ref false in
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        if arg = "--ranges" then ranges := true
-        else if arg = "--races" then races := true
-        else if arg = "--poolcert" then poolcert := true
-        else
-          match
-            match Pipeline.engine_flag !engine arg with
-            | Some cfg ->
-                engine := cfg;
-                true
-            | None -> (
-                match Pipeline.obs_flag !obs arg with
-                | Some o ->
-                    obs := o;
-                    true
-                | None -> (
-                    match Pipeline.smp_flag !smp arg with
-                    | Some s ->
-                        smp := s;
-                        true
-                    | None -> (
-                        match Pipeline.conf_of_string arg with
-                        | Some c ->
-                            conf := c;
-                            true
-                        | None -> false)))
-          with
-          | true -> ()
-          | false -> reject ("ukern_boot: unknown argument '" ^ arg ^ "'")
-          | exception Invalid_argument msg -> reject ("ukern_boot: " ^ msg))
-    Sys.argv;
-  let conf = !conf and engine = !engine and obs = !obs and smp = !smp in
-  let ranges = !ranges and races = !races and poolcert = !poolcert in
-  (* Observability goes live before the build so build-time events
-     (range-certified elisions) and boot are captured too. *)
-  Pipeline.install_obs obs;
+let run conf engine trace_out smp ranges races poolcert =
   Printf.printf "building %s kernel (%s engine%s%s%s)...\n%!"
     (Pipeline.conf_name conf)
     (Pipeline.engine_name engine.Pipeline.eng_kind)
     (if ranges then ", range elision" else "")
     (if races then ", concurrency audit" else "")
     (if poolcert then ", pool certification" else "");
-  let t = Boot.boot ~conf ~engine ~smp ~ranges ~races ~poolcert () in
+  let v = Kbuild.as_tested in
+  let t =
+    Boot.boot_built ~engine ~smp
+      (Kbuild.build ~conf ~ranges ~races ~poolcert v)
+      ~variant:v
+  in
   Printf.printf "booted: kernel_booted=%Ld (%d instructions)\n"
     (Boot.kernel_global t "kernel_booted")
     (Boot.steps t);
@@ -171,18 +119,26 @@ let () =
           (Sva_analysis.Lockset.cert_count r)
     | None -> ()
   end;
-  if Sva_rt.Trace.enabled () then begin
-    print_string (Harness.Traceout.summary_table ());
-    print_string
-      (Harness.Traceout.pool_metrics_table
-         (Harness.Traceout.pool_metrics t.Boot.vm));
-    match obs.Pipeline.obs_trace_out with
-    | Some path ->
-        Harness.Traceout.write_chrome path;
-        Printf.printf "trace:    %d events -> %s\n"
-          (List.length (Sva_rt.Trace.events ()))
-          path
-    | None -> ()
-  end;
-  if !Sva_rt.Trace.profiling then
-    print_string (Harness.Traceout.profile_table ())
+  Cli.report ~vm:t.Boot.vm trace_out;
+  0
+
+let races =
+  Arg.(value & flag & info [ "races" ]
+         ~doc:"Run the certificate-verified concurrency audit during the \
+               build and print the run-time cli/sti/spinlock counters.")
+
+let poolcert =
+  Arg.(value & flag & info [ "poolcert" ]
+         ~doc:"Certify every points-to-justified check elision and print \
+               the certificate counts.")
+
+let cmd =
+  Cmd.v
+    (Cmd.info "ukern_boot"
+       ~doc:"Boot the MiniC kernel on the SVM and run a smoke workload")
+    Term.(
+      const run
+      $ Arg.(value & pos 0 Cli.conf Pipeline.Sva_safe & Cli.conf_info [])
+      $ Cli.engine $ Cli.obs $ Cli.smp $ Cli.ranges $ races $ poolcert)
+
+let () = Cli.eval cmd

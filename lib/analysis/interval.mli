@@ -143,6 +143,10 @@ val elide : result -> fname:string -> Instr.t -> cert_kind -> bool
 (** Like {!certifiable}, and on success idempotently materializes the
     certificate into the bundle (call it when an elision is taken). *)
 
+val certify_all : result -> Irmod.t -> unit
+(** {!elide} every certifiable gep of the module as a bounds check:
+    materializes the certificates the self-tests and dumps report. *)
+
 val bundle : result -> bundle
 (** Everything the trusted checker needs: facts, module-level claims and
     the materialized certificates. *)

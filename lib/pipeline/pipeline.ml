@@ -49,71 +49,6 @@ let engine_of_string = function
   | "aot" -> Some Aot
   | _ -> None
 
-(* Shared argv-style flag parsing, so every binary accepts the same
-   --engine=interp|tiered|aot, --jit-threshold=N and --tcache-dir=DIR
-   spellings. *)
-let engine_flag cfg arg =
-  match String.index_opt arg '=' with
-  | Some i when String.sub arg 0 i = "--engine" -> (
-      let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-      match engine_of_string v with
-      | Some k -> Some { cfg with eng_kind = k }
-      | None -> invalid_arg ("unknown engine '" ^ v ^ "' (interp|tiered|aot)"))
-  | Some i when String.sub arg 0 i = "--jit-threshold" -> (
-      let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> Some { cfg with eng_threshold = n }
-      | _ -> invalid_arg ("bad --jit-threshold '" ^ v ^ "' (positive integer)"))
-  | Some i when String.sub arg 0 i = "--tcache-dir" ->
-      let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-      if v = "" then invalid_arg "bad --tcache-dir: empty path"
-      else Some { cfg with eng_tcache_dir = Some v }
-  | _ -> None
-
-(* ---------- observability selection ---------- *)
-
-type obs_config = {
-  obs_trace : int option;  (* ring capacity when tracing is requested *)
-  obs_trace_out : string option;
-  obs_profile : bool;
-}
-
-let default_obs = { obs_trace = None; obs_trace_out = None; obs_profile = false }
-
-(* Same contract as [engine_flag]: every binary accepts the same
-   --trace[=N], --trace-out=FILE and --profile spellings, and a
-   recognized-but-malformed flag is an error rather than silently
-   ignored. *)
-let obs_flag cfg arg =
-  if arg = "--trace" then
-    Some { cfg with obs_trace = Some Sva_rt.Trace.default_capacity }
-  else if arg = "--profile" then Some { cfg with obs_profile = true }
-  else
-    match String.index_opt arg '=' with
-    | Some i when String.sub arg 0 i = "--trace" -> (
-        let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> Some { cfg with obs_trace = Some n }
-        | _ -> invalid_arg ("bad --trace '" ^ v ^ "' (positive ring capacity)"))
-    | Some i when String.sub arg 0 i = "--trace-out" ->
-        let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-        if v = "" then invalid_arg "bad --trace-out: empty path"
-        else
-          (* Writing a trace implies recording one. *)
-          let cap =
-            match cfg.obs_trace with
-            | None -> Some Sva_rt.Trace.default_capacity
-            | some -> some
-          in
-          Some { cfg with obs_trace_out = Some v; obs_trace = cap }
-    | _ -> None
-
-let install_obs cfg =
-  (match cfg.obs_trace with
-  | Some cap -> Sva_rt.Trace.enable ~capacity:cap ()
-  | None -> ());
-  if cfg.obs_profile then Sva_rt.Trace.enable_profile ()
-
 (* ---------- simulated-SMP selection ---------- *)
 
 type smp_config = {
@@ -122,26 +57,6 @@ type smp_config = {
 }
 
 let default_smp = { smp_cpus = 1; smp_seed = 1 }
-
-(* Same contract as [engine_flag]/[obs_flag]: every binary accepts the
-   same --cpus=N and --smp-seed=S spellings, and a recognized-but-
-   malformed flag is an error rather than silently ignored. *)
-let smp_flag cfg arg =
-  match String.index_opt arg '=' with
-  | Some i when String.sub arg 0 i = "--cpus" -> (
-      let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-      match int_of_string_opt v with
-      | Some n when n >= 1 && n <= Sva_hw.Machine.max_cpus ->
-          Some { cfg with smp_cpus = n }
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "bad --cpus '%s' (1..%d)" v Sva_hw.Machine.max_cpus))
-  | Some i when String.sub arg 0 i = "--smp-seed" -> (
-      let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> Some { cfg with smp_seed = n }
-      | _ -> invalid_arg ("bad --smp-seed '" ^ v ^ "' (non-negative integer)"))
-  | _ -> None
 
 type built = {
   bl_name : string;
@@ -190,6 +105,10 @@ let load_error file = function
         (Printf.sprintf "%s:%d:%d: parse error: %s" file loc.Minic.Token.line
            loc.Minic.Token.col msg)
   | Minic.Lower.Lower_error msg -> Some (Printf.sprintf "%s: error: %s" file msg)
+  | Sys_error msg ->
+      (* A failed open already names the file; a failed read does not. *)
+      let prefix = file ^ ": " in
+      Some (if String.starts_with ~prefix msg then msg else prefix ^ msg)
   | _ -> None
 
 (* ---------- building ---------- *)

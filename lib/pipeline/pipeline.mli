@@ -61,44 +61,7 @@ val aot_engine : engine_config
 val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
-val engine_flag : engine_config -> string -> engine_config option
-(** Parse one [--engine=interp|tiered|aot], [--jit-threshold=N] or
-    [--tcache-dir=DIR] argument into an updated config; [None] if the
-    argument is none of these flags.
-    @raise Invalid_argument on a malformed value.  Shared by the CLI
-    binaries so the flags are spelled identically everywhere. *)
-
-(** {1 Observability selection}
-
-    The event trace and cycle-attribution profiler
-    ({!Sva_rt.Trace}) are off by default and semantically invisible
-    when enabled: results, verdicts, check counts and modeled cycles
-    are unchanged (the differential tests assert this bit-exactly).
-    These helpers give every binary the same flag spellings. *)
-
-type obs_config = {
-  obs_trace : int option;
-      (** [Some capacity]: record events into a ring of that size *)
-  obs_trace_out : string option;
-      (** write the trace as Chrome trace-event JSON to this file *)
-  obs_profile : bool;  (** attribute cycles/checks to functions+syscalls *)
-}
-
-val default_obs : obs_config
-(** Everything off. *)
-
-val obs_flag : obs_config -> string -> obs_config option
-(** Parse one [--trace], [--trace=N], [--trace-out=FILE] or [--profile]
-    argument into an updated config; [None] if the argument is none of
-    these.  [--trace-out] implies tracing at the default capacity.
-    @raise Invalid_argument on a malformed value. *)
-
-val install_obs : obs_config -> unit
-(** Apply the config to the global {!Sva_rt.Trace} state (enable the
-    ring and/or the profiler).  Does not write any file — the caller
-    exports after the workload runs. *)
-
-(** {2 Simulated-SMP selection} *)
+(** {1 Simulated-SMP selection} *)
 
 type smp_config = {
   smp_cpus : int;  (** modeled CPUs, 1..[Sva_hw.Machine.max_cpus] *)
@@ -107,11 +70,6 @@ type smp_config = {
 
 val default_smp : smp_config
 (** One CPU, seed 1 — bit-identical to the pre-SMP pipeline. *)
-
-val smp_flag : smp_config -> string -> smp_config option
-(** Parse one [--cpus=N] or [--smp-seed=S] argument into an updated
-    config; [None] if the argument is neither.
-    @raise Invalid_argument on a malformed or out-of-range value. *)
 
 type built = {
   bl_name : string;
@@ -164,10 +122,11 @@ val load_file : string -> Irmod.t
 
 val load_error : string -> exn -> string option
 (** [load_error file e]: the one-line [FILE: ...] diagnostic for an
-    exception {!load_source} (or {!compile}) raises on unreadable input
-    — corrupt bytecode, a MiniC parse or lowering error — and [None]
-    for any other exception.  The command-line tools print it instead
-    of letting the exception escape. *)
+    exception {!load_file} (or {!load_source}, {!compile}) raises on
+    unreadable input — a missing or unreadable file, corrupt bytecode, a
+    MiniC parse or lowering error — and [None] for any other exception.
+    The command-line tools print it instead of letting the exception
+    escape. *)
 
 val build :
   ?conf:conf ->

@@ -29,11 +29,8 @@ let boot_built ?engine ?smp built ~variant =
   | exception e -> raise (Boot_failure (Printexc.to_string e)));
   { built; vm; sys; variant; signal_fired = [] }
 
-let boot ?(conf = Pipeline.Sva_safe) ?(variant = Kbuild.as_tested) ?engine
-    ?smp ?(ranges = false) ?(races = false) ?(poolcert = false) () =
-  boot_built ?engine ?smp
-    (Kbuild.build ~conf ~ranges ~races ~poolcert variant)
-    ~variant
+let boot ?(conf = Pipeline.Sva_safe) ?(variant = Kbuild.as_tested) () =
+  boot_built (Kbuild.build ~conf variant) ~variant
 
 (* Trap entry + exit cost in the cycle model: the SVM's interrupt-context
    creation/teardown (Table 2).  Mediated mode spills and validates the

@@ -24,23 +24,8 @@ type t = {
 exception Boot_failure of string
 
 val boot :
-  ?conf:Sva_pipeline.Pipeline.conf ->
-  ?variant:Kbuild.variant ->
-  ?engine:Sva_pipeline.Pipeline.engine_config ->
-  ?smp:Sva_pipeline.Pipeline.smp_config ->
-  ?ranges:bool ->
-  ?races:bool ->
-  ?poolcert:bool ->
-  unit ->
-  t
-(** Build, load and boot the kernel.  [engine] selects the SVM execution
-    tier (interpreter by default); [smp] the modeled CPU count (1 by
-    default — an N-CPU instance gives each CPU private register state,
-    trap scratch and cache shards, see {!run_smp}); [~ranges:true] builds
-    with the certificate-verified value-range check elision;
-    [~races:true] runs the certificate-verified concurrency-safety pass
-    during the build; [~poolcert:true] certifies the points-to layer's
-    check elisions (trusted-checker audit, no behaviour change).
+  ?conf:Sva_pipeline.Pipeline.conf -> ?variant:Kbuild.variant -> unit -> t
+(** Build, load and boot the kernel on the interpreter and one CPU.
     @raise Boot_failure if [kmain] fails. *)
 
 val boot_built :
@@ -49,8 +34,13 @@ val boot_built :
   Sva_pipeline.Pipeline.built ->
   variant:Kbuild.variant ->
   t
-(** Boot an already-compiled kernel image (lets benchmarks compile once
-    and boot many times). *)
+(** Boot an already-compiled kernel image: a {!Kbuild.build} with any
+    stages, compiled once and booted as often as needed.  [engine]
+    selects the SVM execution tier (interpreter by default); [smp] the
+    modeled CPU count (1 by default — an N-CPU instance gives each CPU
+    private register state, trap scratch and cache shards, see
+    {!run_smp}).
+    @raise Boot_failure if [kmain] fails. *)
 
 val syscall : t -> int -> int64 list -> int64
 (** Trap into the kernel.  At most 4 arguments; missing ones are 0.

@@ -398,9 +398,11 @@ let test_ranges_exploit_verdicts () =
   (* the five Section 7.2 exploits: verdicts bit-identical with range
      elision on and off *)
   let verdicts ranges =
+    let v = Ukern.Kbuild.as_tested in
+    let b = Ukern.Kbuild.build ~conf:Pipeline.Sva_safe ~ranges v in
     List.map
       (fun ex ->
-        let t = Ukern.Boot.boot ~conf:Pipeline.Sva_safe ~ranges () in
+        let t = Ukern.Boot.boot_built b ~variant:v in
         Exploits.outcome_to_string (Exploits.attack t ex))
       Exploits.all
   in

@@ -219,14 +219,7 @@ let range_parts () =
   let pa = Pointsto.run m in
   let entries fn = fn = "kmain" in
   let res = Interval.run ~entries m pa in
-  List.iter
-    (fun (f : Sva_ir.Func.t) ->
-      Sva_ir.Func.iter_instrs f (fun _ i ->
-          if Interval.certifiable res ~fname:f.Sva_ir.Func.f_name i then
-            ignore
-              (Interval.elide res ~fname:f.Sva_ir.Func.f_name i
-                 Interval.Cbounds)))
-    m.Sva_ir.Irmod.m_funcs;
+  Interval.certify_all res m;
   (m, Interval.bundle res, entries)
 
 let test_rangecert_accepts_producer () =
