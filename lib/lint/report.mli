@@ -1,6 +1,7 @@
 (** Lint findings: the machine-readable result type of the sanitizer
-    passes, with a deterministic order and a stable text rendering (the
-    [@lint] regression gate diffs against the seeded-fixture set). *)
+    passes, with a deterministic order and a stable text rendering
+    (test_lint diffs the seeded fixture's findings against its expected
+    set). *)
 
 type severity = Error | Warning
 

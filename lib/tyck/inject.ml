@@ -20,11 +20,17 @@ let copy_annot (an : Tyck.annot) : Tyck.annot =
     an_th = Hashtbl.copy an.Tyck.an_th;
   }
 
+(* The largest metapool id the annotations name anywhere, so that an
+   injected bogus pool is never a real one. *)
 let max_mp (an : Tyck.annot) =
   let m = ref 0 in
-  Hashtbl.iter (fun _ v -> if v > !m then m := v) an.Tyck.an_value_mp;
-  Hashtbl.iter (fun _ v -> if v > !m then m := v) an.Tyck.an_succ;
+  let see _ v = m := max !m v in
+  Hashtbl.iter see an.Tyck.an_value_mp;
+  Hashtbl.iter see an.Tyck.an_global_mp;
+  Hashtbl.iter see an.Tyck.an_fn_mp;
+  Hashtbl.iter see an.Tyck.an_ret_mp;
   Hashtbl.iter (fun v s -> m := max !m (max v s)) an.Tyck.an_succ;
+  Hashtbl.iter (fun v _ -> m := max !m v) an.Tyck.an_th;
   !m
 
 (* Sites where a value's metapool qualifier is actually constrained by a

@@ -51,6 +51,9 @@ let cases =
       "bench-lint.json",
       edit [ "bounds-checks"; "cert-elided" ] (plus 1) );
     ("race", "bench-lint.json", edit [ "injection"; "caught" ] (plus (-1)));
+    ( "verifier",
+      "bench-lint.json",
+      edit [ "kinds"; "incorrect inter-node edge"; "injected" ] (plus (-1)) );
     ( "poolcert",
       "BENCH_static.json",
       edit [ "bit-identity"; "workload-cycles"; "on" ] (plus 1) );

@@ -175,6 +175,36 @@ let test_each_kind_injectable () =
       | None -> Alcotest.failf "no site for %s" (Inject.kind_name kind))
     Inject.all_kinds
 
+(* Every metapool an annotation names. *)
+let pools (an : Tyck.annot) =
+  let acc = ref [] in
+  let see _ p = acc := p :: !acc in
+  Hashtbl.iter see an.Tyck.an_value_mp;
+  Hashtbl.iter see an.Tyck.an_global_mp;
+  Hashtbl.iter see an.Tyck.an_fn_mp;
+  Hashtbl.iter see an.Tyck.an_ret_mp;
+  Hashtbl.iter (fun p s -> acc := p :: s :: !acc) an.Tyck.an_succ;
+  Hashtbl.iter (fun p _ -> acc := p :: !acc) an.Tyck.an_th;
+  List.sort_uniq compare !acc
+
+(* A kind that moves a register, an edge or a base to a bogus pool must
+   name a pool the clean annotation does not use: a real pool there is a
+   different, possibly consistent, annotation rather than the bug. *)
+let test_bogus_pools_fresh () =
+  let m, an = experiment_parts () in
+  let clean = pools an in
+  List.iter
+    (fun kind ->
+      for seed = 0 to 4 do
+        match Inject.inject m an kind ~seed with
+        | Some (buggy, desc)
+          when List.for_all (fun p -> List.mem p clean) (pools buggy) ->
+            Alcotest.failf "%s, seed %d, names no bogus pool: %s"
+              (Inject.kind_name kind) seed desc
+        | _ -> ()
+      done)
+    [ Inject.Wrong_var_mp; Inject.Wrong_edge; Inject.Split_mp ]
+
 let test_copy_is_deep () =
   let m, an = experiment_parts () in
   (match Inject.inject m an Inject.Wrong_edge ~seed:0 with
@@ -258,7 +288,7 @@ module Atomcert = Sva_tyck.Atomcert
 module Kbuild = Ukern.Kbuild
 
 (* The producer side is the kernel plus the seeded race fixture — the
-   same module pair sva_verify --atomcert gates on; built once and
+   same module pair the bench race section analyzes; built once and
    shared across the atomcert cases. *)
 let atom_parts_cache = ref None
 
@@ -432,6 +462,8 @@ let () =
           Alcotest.test_case "20-bug experiment (Section 5)" `Quick
             test_injection_experiment;
           Alcotest.test_case "each kind detected" `Quick test_each_kind_injectable;
+          Alcotest.test_case "bogus pools are fresh" `Quick
+            test_bogus_pools_fresh;
           Alcotest.test_case "injection copies annotations" `Quick
             test_copy_is_deep;
           Alcotest.test_case "gate rejects injected bug" `Quick
