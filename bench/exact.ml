@@ -1,6 +1,7 @@
 (* The exact-metric baseline: one "seed workload metric value" line, sorted,
    for each metric a perf.exe result file marks exact (modeled or counted,
-   so it repeats bit for bit on a seed).
+   so it repeats bit for bit on a seed), and one "bench section.path value"
+   line for each modeled field of a bench --json file.
 
      exact.exe RESULT.json...
 
@@ -20,8 +21,7 @@ let repr v =
   in
   go 1
 
-let lines file =
-  let doc = J.parse (In_channel.with_open_bin file In_channel.input_all) in
+let perf_lines doc =
   let seed = J.to_int (get "seed" doc) in
   List.concat_map
     (fun w ->
@@ -40,6 +40,32 @@ let lines file =
             | _ -> failwith "metrics is not an object"))
         (J.to_list (get "runs" w)))
     (J.to_list (get "workloads" doc))
+
+(* Every leaf of a bench --json file's sections, list elements by index,
+   except the host wall-clock fields (keys [host*] and [boot-ns]) and the
+   Chrome trace export, whose counts the trace payload's [events] holds. *)
+let bench_lines doc =
+  let rec leaves path = function
+    | J.Obj l ->
+        List.concat_map
+          (fun (k, v) ->
+            let p = if path = "" then k else path ^ "." ^ k in
+            if String.starts_with ~prefix:"host" k || k = "boot-ns"
+               || List.mem p [ "bench"; "quick"; "trace.chrome" ]
+            then []
+            else leaves p v)
+          l
+    | J.List l ->
+        List.concat
+          (List.mapi (fun i v -> leaves (Printf.sprintf "%s.%d" path i) v) l)
+    | v -> [ Printf.sprintf "bench %s %s" path (String.trim (J.emit v)) ]
+  in
+  leaves "" doc
+
+let lines file =
+  let doc = J.parse (In_channel.with_open_bin file In_channel.input_all) in
+  if J.member "bench" doc = Some (J.Str "sva-eval") then bench_lines doc
+  else perf_lines doc
 
 let () =
   List.tl (Array.to_list Sys.argv)

@@ -155,6 +155,30 @@ let guard ~code file f =
 
 let load ~code file = guard ~code file (fun () -> Pipeline.load_file file)
 
+let is_flag arg = String.starts_with ~prefix:"-" arg
+
+(* The arguments [FILE [FUNC]]: FILE's module and FUNC.  Anything else, a
+   flag among them included, prints [usage] and exits 2; unreadable input,
+   or a FUNC that names no function of the module, exits 1 with one
+   [FILE: ...] line. *)
+let module_func ~usage args =
+  let file, func =
+    match args with
+    | [ file ] when not (is_flag file) -> (file, None)
+    | [ file; func ] when not (is_flag file || is_flag func) ->
+        (file, Some func)
+    | _ ->
+        prerr_endline usage;
+        exit 2
+  in
+  let m = load ~code:1 file in
+  (match func with
+  | Some fn when Sva_ir.Irmod.find_func m fn = None ->
+      Printf.eprintf "%s: no function @%s\n" file fn;
+      exit 1
+  | _ -> ());
+  (file, m, func)
+
 (* The trace summary (with [vm]'s per-pool metrics when given) and the
    Chrome export, then the profile — each only when enabled.  An
    unwritable [trace_out] ends the run with one line and exit 1. *)

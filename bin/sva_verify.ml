@@ -1,39 +1,38 @@
-(* sva-verify: the load-time half of the SVM (Section 3.4).
+(* sva-verify: the load-time half of the SVM (Section 3.4), and the one
+   tool that shows and checks a module file's Section 5 evidence.
 
      sva_verify FILE
-     sva_verify --rangecert FILE
-     sva_verify --poolcert FILE
+     sva_verify (--ranges | --races | --poolcert) FILE [FUNC]
 
    Loads an SVA module (bytecode, or MiniC compiled on the fly), runs
    the IR well-formedness verifier, and reports module statistics.
    Exit code 0 = the module may be translated and executed;
    1 = rejected.
 
-   --rangecert runs the value-range analysis over the module, has the
-   trusted checker re-verify every certificate it can emit, and then
-   runs the certificate-bug injection experiment: every injected bug
-   must be rejected.
-
-   --poolcert does the same for the points-to layer: the module is built
-   with pool-safety certification under the default porting
-   configuration, the trusted checker re-verifies the membership maps
-   and every TH/completeness/devirt certificate and elision record, and
-   the pool-certificate bug injection experiment corrupts the bundle in
-   every supported way — each corruption must be rejected.
+   Each evidence mode runs one untrusted analysis over the module under
+   the module-file porting configuration and dumps its evidence; with
+   FUNC, only that function's facts and certificates.  --ranges dumps
+   the value-range analysis: per-function interval fixpoints,
+   interprocedural summaries and the in-extent gep certificates.
+   --races dumps the concurrency pass: per-function entry protections,
+   the lock-order graph, the atomicity certificates and any findings.
+   --poolcert dumps the pool-safety evidence bundle: the TH,
+   completeness and devirtualization certificates plus every recorded
+   check elision.  The trusted checker then re-verifies the whole
+   evidence (a rejection exits 1), the analysis summary follows, and the
+   certificate-bug injection experiment corrupts the evidence in every
+   supported way: each injected bug must be rejected (a missed one exits
+   1).
 
    The kernel's own certificates, and the Section 5 metapool-type
    experiment on it, are gated by the bench sections (bench/main.exe
    verifier, ranges, race, poolcert) and by test_tyck. *)
 
 module Interval = Sva_analysis.Interval
+module Lockset = Sva_analysis.Lockset
 module Pointsto = Sva_analysis.Pointsto
 module Cert = Sva_tyck.Cert
 module Poolev = Sva_safety.Poolev
-
-let load path =
-  Cli.guard ~code:1 path (fun () ->
-      let data = In_channel.with_open_bin path In_channel.input_all in
-      (Sva_pipeline.Pipeline.load_source ~name:path data, data))
 
 (* Gate the clean evidence through its trusted checker (a rejection is a
    hard failure, exit 1), print [ok], then run the bug-injection
@@ -54,47 +53,165 @@ let certify ~label ~ok cert m b =
     results;
   if caught <> List.length results then exit 1
 
-let rangecert path =
-  let m, _ = load path in
-  let pa = Pointsto.run m in
+let ranges path m pa wanted =
   let res = Interval.run m pa in
   Interval.certify_all res m;
+  let b = Interval.bundle res in
+  List.iter
+    (fun fn ->
+      if wanted fn then begin
+        Printf.printf "== ranges @%s ==\n" fn;
+        (match Interval.func_summary res fn with
+        | Some (ps, ret) ->
+            Printf.printf "  summary: (%s) -> %s\n"
+              (String.concat ", "
+                 (Array.to_list (Array.map Interval.ival_to_string ps)))
+              (Interval.ival_to_string ret)
+        | None -> ());
+        List.iter
+          (fun (r, iv) ->
+            Printf.printf "  %%%d : %s\n" r (Interval.ival_to_string iv))
+          (Interval.plain_facts res ~fname:fn)
+      end)
+    (Interval.analyzed_funcs res);
+  print_endline "\n== range certificates ==";
+  List.iter
+    (fun (c : Interval.cert) ->
+      if wanted c.Interval.ce_func then begin
+        Printf.printf "  @%s %s: gep %%%d in %s [%s]\n" c.Interval.ce_func
+          c.Interval.ce_block c.Interval.ce_gep
+          (Interval.cert_kind_to_string c.Interval.ce_kind)
+          (String.concat "; "
+             (List.map
+                (fun (pos, fi) ->
+                  match Hashtbl.find_opt b.Interval.cb_facts c.Interval.ce_func with
+                  | Some facts when fi >= 0 && fi < Array.length facts ->
+                      let fa = facts.(fi) in
+                      Printf.sprintf "op%d: %%%d %s via %s" pos
+                        fa.Interval.fa_reg
+                        (Interval.ival_to_string fa.Interval.fa_ival)
+                        (Interval.just_to_string fa.Interval.fa_just)
+                  | _ -> Printf.sprintf "op%d: fact #%d" pos fi)
+                c.Interval.ce_idx))
+      end)
+    b.Interval.cb_certs;
   let cb, cl = Interval.cert_counts res in
   certify ~label:path
     ~ok:
       (Printf.sprintf
-         "%s: range certificates OK (%d facts, %d bounds + %d lscheck \
-          certificates)"
-         path (Interval.fact_count res) cb cl)
+         "\nrange analysis: %d facts, %d bounds + %d lscheck certificates, \
+          all re-verified by the trusted checker"
+         (Interval.fact_count res) cb cl)
     (Sva_tyck.Rangecert.cert ~entries:(Interval.entry_config res))
-    m (Interval.bundle res)
+    m b
 
-(* Certify the module under the default porting configuration:
-   points-to, metapools, check insertion with evidence recording, then
-   the trusted checker. *)
-let poolcert path =
-  let m, _ = load path in
-  let config = Pointsto.default_config in
-  let pa = Pointsto.run ~config m in
+let races path m pa wanted =
+  let res = Lockset.run m pa in
+  print_endline "== entry protection ==";
+  List.iter
+    (fun (f : Sva_ir.Func.t) ->
+      let fn = f.Sva_ir.Func.f_name in
+      if wanted fn then
+        match Lockset.entry_config res fn with
+        | Some p -> Printf.printf "  @%s : %s\n" fn (Lockset.prot_to_string p)
+        | None -> ())
+    m.Sva_ir.Irmod.m_funcs;
+  print_endline "\n== lock-order graph ==";
+  List.iter
+    (fun (l1, l2) -> Printf.printf "  %s -> %s\n" l1 l2)
+    (Lockset.lock_edges res);
+  print_endline "\n== atomicity certificates ==";
+  let b = Lockset.bundle res in
+  List.iter
+    (fun (c : Lockset.acert) ->
+      if wanted c.Lockset.ac_func then
+        Printf.printf "  @%s %%%d: %s under %s\n" c.Lockset.ac_func
+          c.Lockset.ac_instr c.Lockset.ac_global
+          (Lockset.prot_to_string c.Lockset.ac_prot))
+    b.Lockset.cb_acerts;
+  List.iter
+    (fun f -> Printf.printf "\n%s\n" (Lockset.render_finding f))
+    (Lockset.findings res);
+  certify ~label:path
+    ~ok:
+      (Printf.sprintf
+         "\nconcurrency analysis: %d shared classes, %d accesses, %d \
+          certificates, all re-verified by the trusted checker"
+         (Lockset.shared_count res) (Lockset.access_count res)
+         (Lockset.cert_count res))
+    (Sva_tyck.Atomcert.cert ~entries:(Lockset.entry_config res))
+    m b
+
+(* Points-to, metapools, then check insertion with evidence recording. *)
+let poolcert path m pa wanted =
+  let config = Cli.file_aconfig in
   let mps = Sva_safety.Metapool.infer m pa config.Pointsto.allocators in
   let b = Poolev.create m pa mps in
   ignore
     (Sva_safety.Checkinsert.run ~poolcert:b m pa mps
        config.Pointsto.allocators);
+  let site_str (s : Poolev.site) =
+    Printf.sprintf "@%s %%%d" s.Poolev.s_func s.Poolev.s_instr
+  in
+  print_endline "== type-homogeneity certificates ==";
+  List.iter
+    (fun (c : Poolev.th_cert) ->
+      Printf.printf "  MP%d : %s (%d member sites)\n" c.Poolev.tc_mp
+        (Sva_ir.Ty.to_string c.Poolev.tc_ty)
+        (List.length c.Poolev.tc_members))
+    b.Poolev.pb_th;
+  print_endline "\n== completeness certificates ==";
+  List.iter
+    (fun (c : Poolev.comp_cert) ->
+      Printf.printf "  MP%d : %s%s\n" c.Poolev.cc_mp
+        (if c.Poolev.cc_complete then "complete" else "incomplete")
+        (match c.Poolev.cc_frontier with
+        | [] -> ""
+        | fr ->
+            " ["
+            ^ String.concat "; " (List.map site_str fr)
+            ^ "]"))
+    b.Poolev.pb_comp;
+  print_endline "\n== devirtualization certificates ==";
+  List.iter
+    (fun (c : Poolev.dv_cert) ->
+      if wanted c.Poolev.dc_func then
+        Printf.printf "  @%s %%%d MP%d -> {%s}\n" c.Poolev.dc_func
+          c.Poolev.dc_instr c.Poolev.dc_mp
+          (String.concat ", " c.Poolev.dc_targets))
+    b.Poolev.pb_dv;
+  print_endline "\n== recorded elisions ==";
+  List.iter
+    (fun (e : Poolev.elision) ->
+      match e with
+      | Poolev.El_th (s, mp) when wanted s.Poolev.s_func ->
+          Printf.printf "  %s : lscheck elided (MP%d type-homogeneous)\n"
+            (site_str s) mp
+      | Poolev.El_reduced (s, mp) when wanted s.Poolev.s_func ->
+          Printf.printf "  %s : lscheck reduced (MP%d incomplete)\n"
+            (site_str s) mp
+      | Poolev.El_func (s, mp, j) when wanted s.Poolev.s_func ->
+          Printf.printf "  %s : funccheck elided (MP%d %s)\n" (site_str s)
+            mp
+            (match j with
+            | Poolev.Fc_th -> "type-homogeneous"
+            | Poolev.Fc_incomplete -> "incomplete")
+      | _ -> ())
+    b.Poolev.pb_elisions;
   certify ~label:path
     ~ok:
       (Printf.sprintf
-         "%s: pool-safety certificates OK (%d TH + %d completeness + %d \
-          devirt certificates, %d recorded elisions)"
-         path
-         (List.length b.Poolev.pb_th)
-         (List.length b.Poolev.pb_comp)
-         (List.length b.Poolev.pb_dv)
-         (Poolev.elision_count b))
+         "\npool-safety evidence: %d certificates, %d recorded elisions, \
+          all re-verified by the trusted checker"
+         (Poolev.cert_count b) (Poolev.elision_count b))
     (Sva_tyck.Inject.poolcert ~config) m b
 
 let verify path =
-  let m, data = load path in
+  let m, data =
+    Cli.guard ~code:1 path (fun () ->
+        let data = In_channel.with_open_bin path In_channel.input_all in
+        (Sva_pipeline.Pipeline.load_source ~name:path data, data))
+  in
   match Sva_ir.Verify.verify_module m with
   | [] ->
       Printf.printf
@@ -113,20 +230,22 @@ let verify path =
         errs;
       exit 1
 
-let usage () =
-  prerr_endline
-    "usage: sva_verify FILE | sva_verify --rangecert FILE | sva_verify \
-     --poolcert FILE";
-  exit 2
+let modes =
+  [ ("--ranges", ranges); ("--races", races); ("--poolcert", poolcert) ]
+
+let usage =
+  "usage: sva_verify FILE | sva_verify (--ranges | --races | --poolcert) \
+   FILE [FUNC]"
 
 let () =
-  match Sys.argv with
-  | [| _; "--rangecert"; path |] -> rangecert path
-  | [| _; "--poolcert"; path |] -> poolcert path
-  | [| _; ("--rangecert" | "--poolcert") |] -> usage ()
-  (* A flag we don't know is an error, not a file name. *)
-  | [| _; flag |] when String.length flag > 0 && flag.[0] = '-' ->
-      Printf.eprintf "sva_verify: unknown flag '%s'\n" flag;
-      usage ()
-  | [| _; path |] -> verify path
-  | _ -> usage ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [ path ] when not (Cli.is_flag path) -> verify path
+  | mode :: args when List.mem_assoc mode modes ->
+      let path, m, func = Cli.module_func ~usage args in
+      let wanted fn = Option.fold ~none:true ~some:(String.equal fn) func in
+      List.assoc mode modes path m
+        (Pointsto.run ~config:Cli.file_aconfig m)
+        wanted
+  | _ ->
+      prerr_endline usage;
+      exit 2

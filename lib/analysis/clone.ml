@@ -50,7 +50,10 @@ let retarget (b : Func.block) (site : Instr.t) new_name =
         else i)
       b.Func.insns
 
-let run ?(max_size = 40) ?(max_sites = 4) (m : Irmod.t) =
+let max_size = 40
+let max_sites = 4
+
+let run (m : Irmod.t) =
   let cloned = ref 0 in
   (* Snapshot the candidate list first: cloning adds functions. *)
   let candidates =

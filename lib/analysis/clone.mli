@@ -8,13 +8,13 @@
 
     Heuristic (as in the paper, "chosen intuitively"): clone a defined,
     non-recursive function that has at least one pointer parameter, at
-    most [max_size] instructions, and between 2 and [max_sites] direct
-    call sites; every call site after the first calls its own copy.
-    Applied {e before} the points-to analysis. *)
+    most 40 instructions, and between 2 and 4 direct call sites; every
+    call site after the first calls its own copy.  Applied {e before} the
+    points-to analysis. *)
 
 open Sva_ir
 
-val run : ?max_size:int -> ?max_sites:int -> Irmod.t -> int
+val run : Irmod.t -> int
 (** Clone per the heuristic; returns the number of clones created.
     Re-verifies the module. *)
 

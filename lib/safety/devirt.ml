@@ -109,8 +109,9 @@ let rewrite_site (m : Irmod.t) (f : Func.t) (b : Func.block)
     @ [ trap_blk; join_blk ];
   ignore m
 
-let run ?(max_targets = 4) ?(require_assert = true) ?poolcert (m : Irmod.t)
-    (pa : Pointsto.result) =
+let max_targets = 4
+
+let run ?poolcert (m : Irmod.t) (pa : Pointsto.result) =
   let count = ref 0 in
   let note_dv fname (i : Instr.t) callee targets =
     match poolcert with
@@ -129,7 +130,7 @@ let run ?(max_targets = 4) ?(require_assert = true) ?poolcert (m : Irmod.t)
     (fun (f : Func.t) ->
       if
         (not (Func.has_attr f Func.Noanalyze))
-        && ((not require_assert) || Func.has_attr f Func.Callsig_assert)
+        && Func.has_attr f Func.Callsig_assert
       then begin
         let again = ref true in
         let done_ids = Hashtbl.create 4 in

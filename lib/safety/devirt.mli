@@ -6,26 +6,19 @@
     inlined."
 
     For an indirect call whose points-to target set is complete,
-    signature-compatible and at most [max_targets] large, the call is
-    rewritten into a compare-and-branch chain of direct calls with a
-    trapping default (the control-flow-integrity guarantee is then
-    enforced by construction, with no run-time set lookup).  Applied only
-    inside functions carrying {!Sva_ir.Func.attr.Callsig_assert}, as in
-    the paper. *)
+    signature-compatible and of at most 4 functions, the call is rewritten
+    into a compare-and-branch chain of direct calls with a trapping
+    default (the control-flow-integrity guarantee is then enforced by
+    construction, with no run-time set lookup).  Applied only inside
+    functions carrying {!Sva_ir.Func.attr.Callsig_assert}, as in the
+    paper. *)
 
 open Sva_ir
 open Sva_analysis
 
-val run :
-  ?max_targets:int ->
-  ?require_assert:bool ->
-  ?poolcert:Poolev.bundle ->
-  Irmod.t ->
-  Pointsto.result ->
-  int
+val run : ?poolcert:Poolev.bundle -> Irmod.t -> Pointsto.result -> int
 (** Rewrite eligible call sites; returns how many were devirtualized.
-    [require_assert] (default true) restricts to [Callsig_assert]
-    functions.  Re-verifies the module.  When [poolcert] is given, each
+    Re-verifies the module.  When [poolcert] is given, each
     rewritten site appends a {!Poolev.dv_cert} naming the callee's pool
     and claimed target set for the trusted checker to re-verify against
     the generated dispatch blocks and the module's address-taken

@@ -1,5 +1,5 @@
 (* The failure path of the bench section checks (Harness.Tables.sections),
-   on the JSON files the bench rules write: each written payload passes
+   on the JSON file the bench rule writes: each written payload passes
    its section's check, and perturbing one gated field makes the same
    check fail.  json_check, which runs those checks on a file, must exit 1
    on a perturbed file. *)
@@ -30,55 +30,42 @@ let section_check name =
   | { Tables.json = Some j; _ } -> j.Tables.check
   | _ -> Alcotest.failf "section %s has no check" name
 
-(* Section, the file whose payload it perturbs, and the perturbation. *)
+(* Section and the perturbation of its payload. *)
 let cases =
   [
-    ( "fastpath",
-      "bench-lint.json",
-      edit [ "checks-per-op"; "cache-on" ] (plus 1) );
+    ("fastpath", edit [ "checks-per-op"; "cache-on" ] (plus 1));
     ( "table7",
-      "bench-lint.json",
       function
       | J.List (op :: ops) ->
           J.List (edit [ "native-cycles" ] (fun _ -> J.Int 0) op :: ops)
       | _ -> Alcotest.fail "table7 has no operations" );
     ( "lint",
-      "bench-lint.json",
       edit [ "findings" ] (function
         | J.Obj ((checker, _) :: rest) -> J.Obj ((checker, J.Int 1) :: rest)
         | _ -> Alcotest.fail "lint has no findings counts") );
-    ( "ranges",
-      "bench-lint.json",
-      edit [ "bounds-checks"; "cert-elided" ] (plus 1) );
-    ("race", "bench-lint.json", edit [ "injection"; "caught" ] (plus (-1)));
+    ("ranges", edit [ "bounds-checks"; "cert-elided" ] (plus 1));
+    ("race", edit [ "injection"; "caught" ] (plus (-1)));
     ( "verifier",
-      "bench-lint.json",
       edit [ "kinds"; "incorrect inter-node edge"; "injected" ] (plus (-1)) );
-    ( "poolcert",
-      "BENCH_static.json",
-      edit [ "bit-identity"; "workload-cycles"; "on" ] (plus 1) );
+    ("poolcert", edit [ "bit-identity"; "workload-cycles"; "on" ] (plus 1));
     ( "smp",
-      "BENCH_smp.json",
       edit [ "points" ] (fun points ->
           J.List
             (List.filter
                (fun p -> J.member "cpus" p <> Some (J.Int 4))
                (J.to_list points))) );
-    ( "tiered",
-      "BENCH_tiered.json",
-      edit [ "steps-per-op"; "tiered" ] (plus 1) );
-    ( "aot",
-      "BENCH_tiered.json",
-      edit [ "disk-cache"; "misses-warm" ] (fun _ -> J.Int 1) );
+    ("tiered", edit [ "steps-per-op"; "tiered" ] (plus 1));
+    ("aot", edit [ "disk-cache"; "misses-warm" ] (fun _ -> J.Int 1));
     ( "trace",
-      "bench-lint.json",
       edit [ "chrome"; "traceEvents" ] (fun events ->
           J.List (List.tl (J.to_list events))) );
   ]
 
-let test_perturbed (name, file, perturb) () =
+let written = "../bench/bench-sections.json"
+
+let test_perturbed (name, perturb) () =
   let check = section_check name in
-  let payload = Option.get (J.member name (read ("../bench/" ^ file))) in
+  let payload = Option.get (J.member name (read written)) in
   Alcotest.(check (list string))
     "the written payload passes" [] (check payload);
   Alcotest.(check bool) "the perturbed payload fails" true
@@ -90,7 +77,7 @@ let contains hay needle =
   go 0
 
 let test_json_check_exit () =
-  let doc = read "../bench/BENCH_tiered.json" in
+  let doc = read written in
   let file = Filename.temp_file "perturbed" ".json" in
   let err = Filename.temp_file "json_check" ".err" in
   Out_channel.with_open_bin file (fun oc ->
@@ -113,7 +100,7 @@ let () =
     [
       ( "section-check",
         List.map
-          (fun ((name, _, _) as case) ->
+          (fun ((name, _) as case) ->
             Alcotest.test_case name `Quick (test_perturbed case))
           cases );
       ( "json_check",
