@@ -200,18 +200,17 @@ let selected =
    without --strict (which instead stops at the first failure). *)
 let failed_sections : string list ref = ref []
 
-(* [f ()], or [None] after reporting its exception as [shown] and
+(* [f ()], or [None] after reporting its exception as [shown] on
+   stderr, which a run with its report discarded still shows, and
    recording the failure as [name]. *)
 let guarded ~shown name f =
   match f () with
   | v -> Some v
   | exception e ->
-      Printf.printf "!! %s failed: %s\n" shown (Printexc.to_string e);
+      flush stdout;
+      Printf.eprintf "!! %s failed: %s\n%!" shown (Printexc.to_string e);
       failed_sections := name :: !failed_sections;
-      if !strict then begin
-        flush stdout;
-        exit 1
-      end;
+      if !strict then exit 1;
       None
 
 let () =

@@ -21,8 +21,6 @@ type callsite = {
 val build : Irmod.t -> Pointsto.result -> t
 
 val callsites : t -> callsite list
-val callsites_of : t -> string -> callsite list
-(** Call sites within one function. *)
 
 val callees : t -> string -> string list
 (** All functions possibly called (directly or indirectly) by [fname]. *)

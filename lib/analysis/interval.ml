@@ -1466,14 +1466,6 @@ let fact_count res =
 let iterations res = res.r_iterations
 let entry_config res = res.r_entries
 
-let value_at res ~fname ~block v =
-  match cstate_of res fname with
-  | None -> top
-  | Some cs -> (
-      match Hashtbl.find_opt cs.cs_fi.fi_input block with
-      | Some env -> value_of env v
-      | None -> top)
-
 let plain_facts res ~fname =
   match cstate_of res fname with
   | None -> []

@@ -27,18 +27,13 @@ val range : int64 -> int64 -> ival
 (** [range lo hi]; [Bot] if [lo > hi]. *)
 
 val is_top : ival -> bool
-val is_bot : ival -> bool
 val equal_ival : ival -> ival -> bool
-val join_ival : ival -> ival -> ival
 val meet_ival : ival -> ival -> ival
 
 val subset : ival -> ival -> bool
 (** Inclusion order of the lattice. *)
 
 val contains : ival -> int64 -> bool
-
-val widen_ival : ival -> ival -> ival
-(** [widen_ival old cur]: any bound that moved jumps to infinity. *)
 
 val width_range : int -> ival
 (** The canonical value range of a [w]-bit register. *)
@@ -50,14 +45,11 @@ val wrap : int -> ival -> ival
 val eval_binop : Instr.binop -> int -> ival -> ival -> ival
 (** Abstract transfer of {!Constfold.eval_binop} at the given width. *)
 
-val eval_cast : Instr.cast -> src:Ty.t -> dst:Ty.t -> ival -> ival
-
 val refine : Instr.icmp -> [ `Left | `Right ] -> ival -> ival
 (** [refine op side other]: constraint on the subject operand given that
     the comparison evaluated to TRUE ([`Left]: subject is the left
     operand).  Meet it with the subject's current interval. *)
 
-val negate_icmp : Instr.icmp -> Instr.icmp
 val ival_to_string : ival -> string
 
 val eval_def : Instr.t -> ival list -> ival
@@ -160,9 +152,6 @@ val iterations : result -> int
 val entry_config : result -> string -> bool
 (** The [entries] predicate the analysis ran with (the checker must be
     given the same trusted configuration). *)
-
-val value_at : result -> fname:string -> block:string -> Value.t -> ival
-(** Refined interval of a value at a block's entry. *)
 
 val plain_facts : result -> fname:string -> (int * ival) list
 (** Guard-free per-register fixpoint (non-top entries only). *)

@@ -948,7 +948,6 @@ let ret_node st fname =
 
 let accesses st = List.rev st.accs
 let alloc_sites st = List.rev st.allocs
-let free_sites st = List.rev st.frees
 
 let escape_sites st =
   Hashtbl.fold

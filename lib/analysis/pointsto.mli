@@ -150,9 +150,6 @@ val ret_node : result -> string -> node option
 val accesses : result -> access list
 val alloc_sites : result -> alloc_site list
 
-val free_sites : result -> (string * int * node) list
-(** Deallocation call sites: (function, instr id, node freed from). *)
-
 val escape_sites : result -> escape_site list
 (** Every recorded escape-frontier site, in deterministic (function,
     instr) order.  One instruction may expose several partitions (one per

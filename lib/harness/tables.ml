@@ -659,11 +659,10 @@ let ablation ~quick ~strict:_ =
   let reps = if quick then 10 else 40 in
   let lint = Kbuild.lint_config Kbuild.as_tested in
   let build ?(options = Sva_safety.Checkinsert.default_options)
-      ?(clone = false) ?(devirt = false) ?(checkopt = false) ?lint
-      ?(ranges = false) () =
+      ?(clone = false) ?(devirt = false) ?lint ?(ranges = false) () =
     Pipeline.build ~conf:Pipeline.Sva_safe
       ~aconfig:(Kbuild.aconfig Kbuild.as_tested)
-      ~options ~clone ~devirt ~checkopt ?lint ~ranges ~name:"ukern-ablation"
+      ~options ~clone ~devirt ?lint ~ranges ~name:"ukern-ablation"
       (Kbuild.sources Kbuild.as_tested)
   in
   let measure built =
@@ -684,7 +683,6 @@ let ablation ~quick ~strict:_ =
   let variants =
     [
       ("SVA-Safe baseline", build ());
-      ("+ check optimizations (Sec 7.1.3)", build ~checkopt:true ());
       ( "- static bounds proofs",
         build
           ~options:
@@ -722,17 +720,11 @@ let ablation ~quick ~strict:_ =
           | None -> "-"
         in
         let extra =
-          (match built.Pipeline.bl_checkopt with
-          | Some c ->
-              Printf.sprintf " (dedup %d, hoisted %d)"
-                c.Sva_safety.Checkopt.co_ls_deduped
-                c.Sva_safety.Checkopt.co_bounds_hoisted
-          | None -> "")
-          ^ (match built.Pipeline.bl_summary with
-            | Some s when s.Sva_safety.Checkinsert.ls_proved_static > 0 ->
-                Printf.sprintf " (lint-proved %d)"
-                  s.Sva_safety.Checkinsert.ls_proved_static
-            | _ -> "")
+          (match built.Pipeline.bl_summary with
+          | Some s when s.Sva_safety.Checkinsert.ls_proved_static > 0 ->
+              Printf.sprintf " (lint-proved %d)"
+                s.Sva_safety.Checkinsert.ls_proved_static
+          | _ -> "")
           ^ (match built.Pipeline.bl_summary with
             | Some s when s.Sva_safety.Checkinsert.bounds_static_range > 0 ->
                 Printf.sprintf " (range-elided %d)"
@@ -759,13 +751,15 @@ let ablation ~quick ~strict:_ =
     ~note:
       "Workload: open/close + write + pipe round-trip + getpid per rep. \
        Section 7.1.3 predicts the check optimizations 'should greatly \
-       improve the performance overheads for kernel operations'; disabling \
-       the baseline's static proofs or TH elision shows how much they \
-       already save.  The lint row re-enables the safe-access prover on \
-       top of the no-TH build: its proofs recover most of the load/store \
-       checks TH elision was covering.  The range row adds the certified \
-       value-range elision (removing it = the '- range elision' ablation \
-       of EXPERIMENTS.md)."
+       improve the performance overheads for kernel operations'; of the \
+       three it lists, the baseline has static array bounds proofs, and \
+       disabling them or TH elision shows how much they save (the other \
+       two, redundant-check elimination and loop hoisting, changed no \
+       executed check here; see EXPERIMENTS.md).  The lint row re-enables \
+       the safe-access prover on top of the no-TH build: its proofs \
+       recover most of the load/store checks TH elision was covering.  The \
+       range row adds the certified value-range elision (removing it = \
+       the '- range elision' ablation of EXPERIMENTS.md)."
     [ T.L; T.L; T.R; T.R; T.R ]
     [ "Variant"; "Static instrumentation"; "Checks/op"; "Cycles/op"; "vs base" ]
     rows

@@ -32,6 +32,9 @@ let event_phase (e : Trace.event) =
   | Trace.Ev_syscall_exit -> "E"
   | _ -> "i"
 
+(* One trace event in Chrome trace-event form: syscall enter/exit as
+   "B"/"E" duration events, everything else an instant ("i").
+   Timestamps are modeled cycles. *)
 let event_json (e : Trace.event) =
   let base =
     [

@@ -7,11 +7,6 @@
 val all_kinds : Sva_rt.Trace.ekind list
 (** Every event kind, in declaration order. *)
 
-val event_json : Sva_rt.Trace.event -> Jsonout.t
-(** One trace event in Chrome trace-event form: syscall enter/exit as
-    ["B"]/["E"] duration events, everything else an instant (["i"]).
-    Timestamps are modeled cycles. *)
-
 val chrome_json : unit -> Jsonout.t
 (** The retained trace as [{"traceEvents": [...], ...}], with emission /
     drop / capacity accounting under ["otherData"]. *)

@@ -230,6 +230,8 @@ let http_setup c =
   check "socket" c.http_sd;
   check "bind" (sc c sys_bind [ c.http_sd; Int64.of_int http_port ])
 
+(* Discard transmitted frames, returning how many there were (keeps the
+   simulated wire from growing). *)
 let drain_tx c = List.length (Boot.sent_frames c.t)
 
 (* One request: client frame -> netpoll -> recvfrom -> open/read file ->

@@ -65,7 +65,3 @@ val http_setup : ctx -> unit
 
 val op_scp_chunk : ctx -> unit
 (** One scp-like unit: read 4KB from the data file and transmit it. *)
-
-val drain_tx : ctx -> int
-(** Discard transmitted frames, returning how many there were (keeps the
-    simulated wire from growing). *)

@@ -35,7 +35,6 @@ let create ?(disk_blocks = 4096) ?(block_size = 512) () =
 
 let console_write t b = Buffer.add_bytes t.console.out b
 let console_output t = Buffer.contents t.console.out
-let console_clear t = Buffer.clear t.console.out
 
 let check_block t block =
   let nblocks = Frames.length t.disk.rd_blocks / t.disk.rd_block_size in

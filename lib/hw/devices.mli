@@ -35,7 +35,6 @@ val create : ?disk_blocks:int -> ?block_size:int -> unit -> t
 
 val console_write : t -> Bytes.t -> unit
 val console_output : t -> string
-val console_clear : t -> unit
 
 val disk_read : t -> block:int -> Bytes.t
 (** @raise Invalid_argument on out-of-range block numbers. *)

@@ -153,5 +153,3 @@ let with_svm_mode t f =
   let prev = t.svm in
   t.svm <- true;
   Fun.protect ~finally:(fun () -> t.svm <- prev) f
-
-let svm_mode t = t.svm

@@ -92,5 +92,3 @@ val in_kernel_range : addr:int -> bool
 val with_svm_mode : t -> (unit -> 'a) -> 'a
 (** Run [f] with SVM privileges: stores to the SVM-reserved region are
     permitted (the virtual machine updating its own state). *)
-
-val svm_mode : t -> bool

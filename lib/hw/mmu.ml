@@ -56,8 +56,4 @@ let translate t ~addr ~write =
               raise (Mmu_fault (addr, "write to read-only page"));
             (ppn * Machine.page_size) + (addr mod Machine.page_size))
 
-let mapped_pages sp =
-  Hashtbl.fold (fun vpn (ppn, _) acc -> (vpn, ppn) :: acc) sp.sp_pages []
-  |> List.sort compare
-
 let page_count sp = Hashtbl.length sp.sp_pages

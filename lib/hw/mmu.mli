@@ -44,7 +44,4 @@ val translate : t -> addr:int -> write:bool -> int
     Kernel addresses return unchanged.  @raise Mmu_fault on missing
     mapping or protection violation. *)
 
-val mapped_pages : space -> (int * int) list
-(** All (vpn, ppn) pairs — used by fork to copy page tables. *)
-
 val page_count : space -> int

@@ -732,6 +732,21 @@ let cls_of_code = function
   | 4 -> Metapool_rt.Bios
   | c -> vm_err "bad memory class code %d" c
 
+(* Deregister every object starting in [lo, hi) from every pool.  Only
+   the trap path's stack unwinding uses it; it charges no check and no
+   cycle, and leaves pools without such objects untouched (no splay). *)
+let drop_stack_objects t ~lo ~hi =
+  Hashtbl.iter
+    (fun _ (mp : Metapool_rt.t) ->
+      Sva_rt.Splay.fold mp.Metapool_rt.mp_objects
+        (fun acc n ->
+          let start = n.Sva_rt.Splay.n_start in
+          if start >= lo && start < hi then start :: acc else acc)
+        []
+      |> List.iter (fun start ->
+             ignore (Metapool_rt.drop_if_present mp ~start)))
+    t.mps
+
 (* Cycle-model constants for the check runtime (DESIGN.md Section 6):
    each splay-tree comparison actually performed costs [splay_cmp_cost];
    a lookup answered by the object cache costs [cache_hit_cost] in total,
@@ -1227,10 +1242,15 @@ and dispatch_call t name argv =
 and call t name args =
   match Hashtbl.find_opt t.funcs name with
   | Some pf -> (
+      let sp0 = t.sp in
       try enter t pf args
       with e ->
-        (* A trap aborts the VM invocation; unwind the stack allocator. *)
-        t.sp <- Machine.stack_base;
+        (* A trap aborts the VM invocation: the unwound frames, which
+           occupy [sp0, t.sp), never ran their pchk.drop.obj calls.
+           Drop their stack objects, or the next frame at that depth
+           would overlap them, and unwind the stack allocator. *)
+        drop_stack_objects t ~lo:sp0 ~hi:t.sp;
+        t.sp <- sp0;
         raise e)
   | None -> vm_err "call to unknown function @%s" name
 

@@ -176,7 +176,10 @@ val link_module : t -> Irmod.t -> unit
 
 val call : t -> string -> int64 list -> int64 option
 (** Execute a function by name.  Returns its result (integers and
-    pointers in canonical sign-extended form), or [None] for void.
+    pointers in canonical sign-extended form), or [None] for void.  An
+    exception aborts the whole invocation: the stack allocator is reset
+    to where the call began and the unwound frames' stack objects are
+    deregistered, so the instance can be called again.
     @raise Vm_error on execution errors
     @raise Sva_rt.Violation.Safety_violation when a run-time check fires
     @raise Sva_hw.Machine.Hw_fault on wild hardware-level accesses. *)
@@ -271,9 +274,6 @@ val run_intr :
     charges it: {!charge}, plus the page-table walk that
     [sva_mmu_clone_space] costs.  Both engines execute intrinsics
     through it. *)
-
-val exec_func : t -> prepared_func -> int64 list -> int64 option
-(** The interpreter tier: run a prepared function body directly. *)
 
 val enter : t -> prepared_func -> int64 list -> int64 option
 (** Tier dispatch: run the compiled entry if the function was promoted,

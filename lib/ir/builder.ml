@@ -7,7 +7,6 @@ type t = {
 let create m f = { bmod = m; bfunc = f; cur = None }
 let irmod b = b.bmod
 let func b = b.bfunc
-let position b blk = b.cur <- Some blk
 
 let start_block b label =
   let blk = Func.add_block b.bfunc label in
@@ -79,9 +78,6 @@ let b_struct_gep b ?name base field =
 
 let b_cast b ?name op v ty = require (insert b ?name ty (Cast (op, v, ty)))
 
-let b_select b ?name c x y =
-  require (insert b ?name (Value.ty x) (Select (c, x, y)))
-
 let callee_ret callee =
   match Value.ty callee with
   | Ty.Ptr (Ty.Func (ret, _, _)) -> ret
@@ -108,8 +104,6 @@ let b_cas b ?name ptr expected repl =
 let b_atomic_add b ?name ptr delta =
   require (insert b ?name (Value.ty delta) (Atomic_add (ptr, delta)))
 
-let b_membar b = ignore (insert b Ty.Void Membar)
-
 let b_intrinsic b ?name ty iname args = insert b ?name ty (Intrinsic (iname, args))
 
 let set_term b t =
@@ -119,5 +113,3 @@ let set_term b t =
 let b_ret b v = set_term b (Ret v)
 let b_br b c then_l else_l = set_term b (Br (c, then_l, else_l))
 let b_jmp b l = set_term b (Jmp l)
-let b_switch b v cases default = set_term b (Switch (v, cases, default))
-let b_unreachable b = set_term b Unreachable

@@ -14,9 +14,6 @@ val create : Irmod.t -> Func.t -> t
 val irmod : t -> Irmod.t
 val func : t -> Func.t
 
-val position : t -> Func.block -> unit
-(** Subsequent instructions are appended to [block]. *)
-
 val start_block : t -> string -> Func.block
 (** Create a block with the given label and position the builder there. *)
 
@@ -42,7 +39,6 @@ val b_struct_gep : t -> ?name:string -> Value.t -> string -> Value.t
 (** Index a struct pointer by field name. *)
 
 val b_cast : t -> ?name:string -> Instr.cast -> Value.t -> Ty.t -> Value.t
-val b_select : t -> ?name:string -> Value.t -> Value.t -> Value.t -> Value.t
 val b_call : t -> ?name:string -> Value.t -> Value.t list -> Value.t option
 (** [b_call b callee args]: result is [None] for void-returning callees.
     The callee must be an [Fn] value or a register of function-pointer
@@ -57,7 +53,6 @@ val b_malloc : t -> ?name:string -> ?count:Value.t -> Ty.t -> Value.t
 val b_free : t -> Value.t -> unit
 val b_cas : t -> ?name:string -> Value.t -> Value.t -> Value.t -> Value.t
 val b_atomic_add : t -> ?name:string -> Value.t -> Value.t -> Value.t
-val b_membar : t -> unit
 val b_intrinsic : t -> ?name:string -> Ty.t -> string -> Value.t list -> Value.t option
 (** Emit an intrinsic with an explicit result type ([Ty.Void] for none). *)
 
@@ -66,5 +61,3 @@ val b_intrinsic : t -> ?name:string -> Ty.t -> string -> Value.t list -> Value.t
 val b_ret : t -> Value.t option -> unit
 val b_br : t -> Value.t -> string -> string -> unit
 val b_jmp : t -> string -> unit
-val b_switch : t -> Value.t -> (int64 * string) list -> string -> unit
-val b_unreachable : t -> unit

@@ -82,11 +82,6 @@ let predecessors t label = try Hashtbl.find t.pred label with Not_found -> []
 let reachable t = t.rpo
 let is_reachable t label = Hashtbl.mem t.rpo_idx label
 
-let rpo_index t label =
-  match Hashtbl.find_opt t.rpo_idx label with
-  | Some i -> i
-  | None -> raise Not_found
-
 let idom t label =
   if label = t.entry then None
   else
@@ -112,17 +107,3 @@ let back_edges t =
         (fun dst -> if dominates t dst src then Some (src, dst) else None)
         (successors t src))
     t.rpo
-
-let natural_loop t (src, header) =
-  let body = Hashtbl.create 8 in
-  Hashtbl.replace body header ();
-  let rec climb label =
-    if not (Hashtbl.mem body label) then begin
-      Hashtbl.replace body label ();
-      List.iter climb (predecessors t label)
-    end
-  in
-  climb src;
-  Hashtbl.fold (fun k () acc -> k :: acc) body []
-  |> List.filter (is_reachable t)
-  |> List.sort (fun a b -> compare (rpo_index t a) (rpo_index t b))

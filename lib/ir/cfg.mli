@@ -1,6 +1,6 @@
 (** Control-flow graph utilities: successor/predecessor maps, reachability,
-    reverse postorder, dominator tree (Cooper-Harvey-Kennedy), and natural
-    loop detection used by the check-hoisting optimization (Section 7.1.3). *)
+    reverse postorder, dominator tree (Cooper-Harvey-Kennedy), and loop
+    back edges (the widening points of the interval analysis). *)
 
 type t
 
@@ -16,10 +16,6 @@ val reachable : t -> string list
 
 val is_reachable : t -> string -> bool
 
-val rpo_index : t -> string -> int
-(** Position of a reachable block in reverse postorder.
-    @raise Not_found for unreachable blocks. *)
-
 val idom : t -> string -> string option
 (** Immediate dominator; [None] for the entry block. *)
 
@@ -28,6 +24,3 @@ val dominates : t -> string -> string -> bool
 
 val back_edges : t -> (string * string) list
 (** Edges [(src, dst)] where [dst] dominates [src] — loop back edges. *)
-
-val natural_loop : t -> string * string -> string list
-(** Blocks of the natural loop of a back edge (header included). *)

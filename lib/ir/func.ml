@@ -32,8 +32,6 @@ let param_value f i =
   | Some (name, ty) -> Value.Reg (i, ty, name)
   | None -> invalid_arg ("Func.param_value: " ^ f.f_name)
 
-let param_values f = List.mapi (fun i _ -> param_value f i) f.f_params
-
 let fresh_reg f =
   let r = f.f_next_reg in
   f.f_next_reg <- r + 1;

@@ -39,8 +39,6 @@ val create :
 val param_value : t -> int -> Value.t
 (** The SSA register holding the [i]-th parameter. *)
 
-val param_values : t -> Value.t list
-
 val fresh_reg : t -> int
 (** Allocate a fresh SSA register id. *)
 

@@ -48,7 +48,6 @@ let symbol_ty m name =
   | None -> extern_ty m name
 
 let global_value g = Value.Global (g.g_name, g.g_ty)
-let func_value f = Value.Fn (f.Func.f_name, Func.func_ty f)
 
 let merge dst src =
   List.iter

@@ -50,7 +50,6 @@ val symbol_ty : t -> string -> Ty.t option
 (** Function type of [name] whether defined or external. *)
 
 val global_value : global -> Value.t
-val func_value : Func.t -> Value.t
 
 val merge : t -> t -> unit
 (** [merge dst src] links [src] into [dst] (module-level linking as used for

@@ -13,9 +13,6 @@
     of loads and stores — never stored itself, passed to a call, indexed,
     or cast. *)
 
-val promotable : Func.t -> Instr.t -> bool
-(** Whether this [alloca] instruction can be promoted. *)
-
 val run_func : Func.t -> int
 (** Promote all promotable allocas of a function; returns the number of
     slots promoted. *)

@@ -1,7 +1,5 @@
 type pipeline = Gcc_like | Llvm_like
 
-let pipeline_name = function Gcc_like -> "gcc-like" | Llvm_like -> "llvm-like"
-
 let run_no_verify p (m : Irmod.t) =
   (* Unreachable-block removal must precede SSA construction: the front
      end parks dead statements in unreachable blocks, which the renaming

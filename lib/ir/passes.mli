@@ -9,11 +9,6 @@ type pipeline =
   | Gcc_like  (** mem2reg + constant folding + DCE *)
   | Llvm_like  (** mem2reg + constant folding + local CSE + DCE, to fixpoint *)
 
-val pipeline_name : pipeline -> string
-
 val run : pipeline -> Irmod.t -> unit
 (** Run the pipeline over the module and re-verify the result.
     @raise Failure if a pass breaks IR well-formedness (a compiler bug). *)
-
-val run_no_verify : pipeline -> Irmod.t -> unit
-(** As {!run} without the re-verification (used inside benchmarks). *)

@@ -124,6 +124,3 @@ let string_of_module (m : Irmod.t) =
     (fun f -> Buffer.add_string buf ("\n" ^ string_of_func f))
     m.Irmod.m_funcs;
   Buffer.contents buf
-
-let pp_func fmt f = Format.pp_print_string fmt (string_of_func f)
-let pp_module fmt m = Format.pp_print_string fmt (string_of_module m)

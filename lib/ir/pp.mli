@@ -5,18 +5,9 @@ val string_of_binop : Instr.binop -> string
 val string_of_icmp : Instr.icmp -> string
 val string_of_cast : Instr.cast -> string
 
-val string_of_instr : Instr.t -> string
-(** One instruction, without trailing newline. *)
-
 val string_of_term : Instr.term -> string
-
-val string_of_block : Func.block -> string
-(** Label line plus indented instructions and terminator. *)
 
 val string_of_func : Func.t -> string
 
 val string_of_module : Irmod.t -> string
 (** Struct definitions, globals, externs and functions. *)
-
-val pp_func : Format.formatter -> Func.t -> unit
-val pp_module : Format.formatter -> Irmod.t -> unit

@@ -104,7 +104,6 @@ let field_at ctx sname i =
 let is_integer = function Int _ -> true | _ -> false
 let is_pointer = function Ptr _ -> true | _ -> false
 let is_float = function Float -> true | _ -> false
-let is_aggregate = function Array _ | Struct _ -> true | _ -> false
 
 let pointee = function
   | Ptr t -> t

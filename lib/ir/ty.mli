@@ -46,9 +46,6 @@ val i32 : t
 val i64 : t
 (** Common integer type abbreviations. *)
 
-val ptr_size : int
-(** Size of a pointer in bytes (8; SVA addresses are 64-bit). *)
-
 val sizeof : ctx -> t -> int
 (** [sizeof ctx ty] is the size of [ty] in bytes using natural alignment.
     @raise Invalid_argument on [Void] or function types. *)
@@ -69,7 +66,6 @@ val field_at : ctx -> string -> int -> int * t
 val is_integer : t -> bool
 val is_pointer : t -> bool
 val is_float : t -> bool
-val is_aggregate : t -> bool
 (** Type classification predicates. *)
 
 val pointee : t -> t

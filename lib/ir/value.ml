@@ -20,10 +20,6 @@ let imm ?(width = 32) n = Imm (Ty.Int width, Int64.of_int n)
 let imm64 n = Imm (Ty.Int 64, n)
 let i1 b = Imm (Ty.Int 1, if b then 1L else 0L)
 
-let is_const = function
-  | Imm _ | Fimm _ | Null _ | Undef _ -> true
-  | Global _ | Fn _ | Reg _ -> false
-
 let equal a b =
   match (a, b) with
   | Imm (t1, n1), Imm (t2, n2) -> Ty.equal t1 t2 && Int64.equal n1 n2

@@ -31,9 +31,6 @@ val imm64 : int64 -> t
 val i1 : bool -> t
 (** Boolean constant as [i1]. *)
 
-val is_const : t -> bool
-(** True for [Imm], [Fimm], [Null] and [Undef]. *)
-
 val equal : t -> t -> bool
 (** Structural equality of values. *)
 

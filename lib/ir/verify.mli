@@ -11,9 +11,6 @@ type error = { ve_func : string; ve_block : string; ve_msg : string }
 
 val string_of_error : error -> string
 
-val verify_func : Ty.ctx -> Irmod.t -> Func.t -> error list
-(** All well-formedness violations found in a function (empty = OK). *)
-
 val verify_module : Irmod.t -> error list
 (** Verify every defined function plus module-level invariants (no
     duplicate symbols, extern/definition type agreement). *)

@@ -1,4 +1,5 @@
-(** The sanitizer passes: four static checkers built on {!Dataflow}.
+(** The sanitizer passes: four static checkers built on
+    {!Sva_analysis.Dataflow}.
 
     Three produce {!Report.finding}s — user-pointer taint, definite
     null/uninitialized dereference (the static side of guarantee T4),

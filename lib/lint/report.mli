@@ -21,11 +21,9 @@ val finding :
   string ->
   finding
 
-val compare_finding : finding -> finding -> int
-(** Order: checker, function, instruction id, message. *)
-
 val sort : finding list -> finding list
-(** Sort and de-duplicate. *)
+(** Sort and de-duplicate.  Order: checker, function, instruction id,
+    message. *)
 
 val to_string : finding -> string
 (** One line: ["checker: error: @func[#i]: message"]. *)

@@ -12,14 +12,11 @@
 
 exception Lower_error of string
 
-val compile_program : name:string -> Ast.program list -> Sva_ir.Irmod.t
-(** Lower one or more parsed translation units into a single SVA module
-    (signatures are collected across all units first, so definition order
-    does not matter).  The result is verified with {!Sva_ir.Verify.check}.
-    @raise Lower_error on type errors. *)
-
 val compile_string : name:string -> string -> Sva_ir.Irmod.t
 (** Parse and lower a single source string. *)
 
 val compile_strings : name:string -> string list -> Sva_ir.Irmod.t
-(** Parse and lower several source strings as one program. *)
+(** Parse and lower several source strings as one program (signatures
+    are collected across all of them first, so definition order does not
+    matter).  The result is verified with {!Sva_ir.Verify.check}.
+    @raise Lower_error on type errors. *)

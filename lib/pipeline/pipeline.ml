@@ -69,7 +69,7 @@ type built = {
   bl_annot : Sva_tyck.Tyck.annot option;
   bl_cloned : int;
   bl_devirt : int;
-  bl_checkopt : Checkopt.summary option;
+  bl_checkopt : unit option;
   bl_lint : Sva_lint.Lint.result option;
   bl_ranges : Interval.result option;
   bl_races : Lockset.result option;
@@ -120,7 +120,7 @@ let range_ls_elided = function
 
 let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
     ?(options = Checkinsert.default_options) ?(clone = false)
-    ?(devirt = false) ?(checkopt = false) ?lint ?(ranges = false)
+    ?(devirt = false) ?lint ?(ranges = false)
     ?(races = false) ?(poolcert = false) ~name m =
   match conf with
   | Native | Sva_gcc | Sva_llvm ->
@@ -194,7 +194,6 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
           ~ranges:(range_oracle Interval.Cbounds) ?poolcert:pbundle m pa mps
           aconfig.Pointsto.allocators
       in
-      let co = if checkopt then Some (Checkopt.run m) else None in
       (* Section 5 gate for the range pipeline: the trusted checker must
          accept every certificate behind an elision actually taken, or
          the build is rejected as a compiler bug. *)
@@ -244,23 +243,23 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_annot = Some annot;
         bl_cloned = cloned;
         bl_devirt = devirted;
-        bl_checkopt = co;
+        bl_checkopt = None;
         bl_lint = lint_res;
         bl_ranges = rres;
         bl_races = races_res;
         bl_poolcert = pbundle;
       }
 
-let build ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint ?ranges
-    ?races ?poolcert ~name sources =
+let build ?conf ?aconfig ?options ?clone ?devirt ?lint ?ranges ?races
+    ?poolcert ~name sources =
   let pipeline =
     match conf with
     | Some Native | Some Sva_gcc -> Passes.Gcc_like
     | Some Sva_llvm | Some Sva_safe | None -> Passes.Llvm_like
   in
   let m = compile ~pipeline ~name sources in
-  build_module ?conf ?aconfig ?options ?clone ?devirt ?checkopt ?lint
-    ?ranges ?races ?poolcert ~name m
+  build_module ?conf ?aconfig ?options ?clone ?devirt ?lint ?ranges ?races
+    ?poolcert ~name m
 
 (* ---------- build-time certification counts ---------- *)
 

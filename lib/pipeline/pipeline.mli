@@ -84,8 +84,12 @@ type built = {
           before check insertion (Section 5) *)
   bl_cloned : int;  (** functions cloned (Section 4.8), when enabled *)
   bl_devirt : int;  (** indirect calls devirtualized (Section 4.8) *)
-  bl_checkopt : Checkopt.summary option;
-      (** results of the check optimizations of Section 7.1.3, when enabled *)
+  bl_checkopt : unit option;
+      (** always [None]: the Section 7.1.3 check optimizer was removed
+          (it elided no executed check and left no record a checker
+          could verify).  The field stays only because [bench/perf]
+          builds a [built] record literal; it goes when that code moves
+          onto the pipeline's public interface. *)
   bl_lint : Sva_lint.Lint.result option;
       (** static lint findings and safe-access proofs, when enabled *)
   bl_ranges : Interval.result option;
@@ -134,7 +138,6 @@ val build :
   ?options:Checkinsert.options ->
   ?clone:bool ->
   ?devirt:bool ->
-  ?checkopt:bool ->
   ?lint:Sva_lint.Lint.config ->
   ?ranges:bool ->
   ?races:bool ->
@@ -148,9 +151,8 @@ val build :
     extraction + trusted type checking,
     optional devirtualization, the static lint stage under the [lint]
     configuration when one is given (its safe-access proofs elide
-    provably-redundant load/store checks), run-time check insertion,
-    the optional check optimizations of Section 7.1.3, and IR
-    re-verification.
+    provably-redundant load/store checks), run-time check insertion and
+    IR re-verification.
 
     [~ranges:true] additionally runs the value-range abstract
     interpretation ({!Sva_analysis.Interval}) on the analyzed module:
@@ -190,7 +192,6 @@ val build_module :
   ?options:Checkinsert.options ->
   ?clone:bool ->
   ?devirt:bool ->
-  ?checkopt:bool ->
   ?lint:Sva_lint.Lint.config ->
   ?ranges:bool ->
   ?races:bool ->

@@ -18,9 +18,6 @@
 
 type 'a t
 
-val slot_count : int
-(** Number of direct-mapped slots (a power of two). *)
-
 val create : unit -> 'a t
 (** A fresh empty cache at epoch 0.
 

@@ -104,36 +104,6 @@ let find_containing t addr =
       t.root <- big;
       None
 
-let find_start t addr =
-  match find_containing t addr with
-  | Some m when m.n_start = addr -> Some m
-  | _ -> None
-
-let overlaps t ~start ~len =
-  if len <= 0 then false
-  else
-    (* One partition pass answers both halves of the question: the
-       greatest range starting <= start may extend over it, and the least
-       range starting > start may begin inside [start, start+len). *)
-    let small, big = partition start t.root in
-    let small = splay_max small in
-    let big = splay_min big in
-    let left_hit =
-      match small with
-      | Node (_, m, Leaf) -> m.n_start + m.n_len > start
-      | _ -> false
-    in
-    let right_hit =
-      match big with
-      | Node (Leaf, m, _) -> m.n_start < start + len
-      | _ -> false
-    in
-    (match small with
-    | Leaf -> t.root <- big
-    | Node (l, m, Leaf) -> t.root <- Node (l, m, big)
-    | Node _ -> assert false);
-    left_hit || right_hit
-
 let rec iter_tree g = function
   | Leaf -> ()
   | Node (l, x, r) ->

@@ -33,12 +33,6 @@ val remove : 'a t -> start:int -> 'a node option
 val find_containing : 'a t -> int -> 'a node option
 (** The range containing the given address, if any.  Splays. *)
 
-val find_start : 'a t -> int -> 'a node option
-(** The range starting exactly at the given address, if any.  Splays. *)
-
-val overlaps : 'a t -> start:int -> len:int -> bool
-(** Does [\[start, start+len)] intersect any stored range? *)
-
 val iter : 'a t -> ('a node -> unit) -> unit
 (** In-order traversal. *)
 

@@ -112,8 +112,6 @@ let of_value t pa ~fname v =
   | Some n -> of_node t n
   | None -> None
 
-let merged_pool_partitions t = t.merges
-
 let to_string t =
   String.concat "\n"
     (List.map

@@ -48,8 +48,4 @@ val of_node : t -> Pointsto.node -> decl option
 val of_value : t -> Pointsto.result -> fname:string -> Value.t -> decl option
 (** Metapool targeted by a pointer value. *)
 
-val merged_pool_partitions : t -> int
-(** How many partition merges step 1 and 2 performed (a precision-loss
-    metric). *)
-
 val to_string : t -> string

@@ -81,7 +81,6 @@ val mp_of_value : bundle -> string -> Value.t -> int option
 (** Metapool of a value occurring in the named function, per the
     membership tables (not per the live points-to graph). *)
 
-val site_compare : site -> site -> int
 val sort_sites : site list -> site list
 (** Sort and dedupe by (function, instr). *)
 

@@ -64,7 +64,6 @@ let ncpus t = Array.length t.cpus
 let current_cpu t = Sva_rt.Smp.cur t.smp
 let curpc t = t.cpus.(Sva_rt.Smp.cur t.smp)
 let curcpu t = (curpc t).pc_cpu
-let cpu_state t ~cpu = t.cpus.(cpu).pc_cpu
 
 let switch_cpu t i =
   Sva_rt.Smp.set_cur t.smp i;
@@ -139,8 +138,6 @@ let load_fp t ~buffer =
      +16  : pending function address
      +24  : pending argument
      +32  : saved integer state (Cpu.integer_state_size bytes)        *)
-
-let icontext_size = 32 + Cpu.integer_state_size
 
 let ic_magic = 0x53564149434F4EL (* "SVAICON" *)
 
@@ -291,8 +288,6 @@ let mmu_unmap_page t ~sid ~vpn =
 let mmu_page_count t ~sid =
   op t;
   Mmu.page_count (get_space t sid)
-
-let mmu_pages t ~sid = Mmu.mapped_pages (get_space t sid)
 
 (* ---------- I/O ---------- *)
 

@@ -71,8 +71,6 @@ val smpctx : t -> Sva_rt.Smp.t
 val ncpus : t -> int
 val current_cpu : t -> int
 val switch_cpu : t -> int -> unit
-val cpu_state : t -> cpu:int -> Cpu.t
-(** Register state of one CPU (not just the current one). *)
 
 val ipi_send : t -> cpu:int -> vector:int -> unit
 (** [sva_ipi_send]: enqueue interrupt [vector] on the target CPU.  The
@@ -106,8 +104,6 @@ val load_fp : t -> buffer:int -> unit
     An interrupt context is the interrupted control state the SVM saved on
     kernel entry.  The kernel holds an opaque handle (its address) and
     manipulates it only through these operations. *)
-
-val icontext_size : int
 
 val icontext_create : t -> sp:int -> was_privileged:bool -> int
 (** SVM-internal: on an interrupt/trap, lay down an interrupt context at
@@ -150,7 +146,6 @@ val mmu_activate : t -> sid:int -> unit
 val mmu_map_page : t -> sid:int -> vpn:int -> ppn:int -> writable:bool -> unit
 val mmu_unmap_page : t -> sid:int -> vpn:int -> unit
 val mmu_page_count : t -> sid:int -> int
-val mmu_pages : t -> sid:int -> (int * int) list
 
 val io_console_write : t -> addr:int -> len:int -> unit
 val io_disk_read : t -> block:int -> addr:int -> unit

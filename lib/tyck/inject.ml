@@ -10,6 +10,7 @@ let kind_name = function
 
 let all_kinds = [ Wrong_var_mp; Wrong_edge; False_th; Split_mp ]
 
+(* Deep copy: injection never mutates the original annotations. *)
 let copy_annot (an : Tyck.annot) : Tyck.annot =
   {
     Tyck.an_value_mp = Hashtbl.copy an.Tyck.an_value_mp;
@@ -214,6 +215,7 @@ let all_pool_bugs =
   [ Confuse_merge; Drop_escape; Stale_find; Wrong_tau; Drop_member;
     Bogus_devirt ]
 
+(* Deep copy: injection never mutates the original bundle. *)
 let copy_pool_bundle (b : Poolev.bundle) : Poolev.bundle =
   {
     Poolev.pb_value_mp = Hashtbl.copy b.Poolev.pb_value_mp;

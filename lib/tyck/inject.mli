@@ -20,9 +20,6 @@ type kind =
 val kind_name : kind -> string
 val all_kinds : kind list
 
-val copy_annot : Tyck.annot -> Tyck.annot
-(** Deep copy (injection never mutates the original annotations). *)
-
 val inject : Irmod.t -> Tyck.annot -> kind -> seed:int -> (Tyck.annot * string) option
 (** Produce a buggy annotation copy and a description of the injected bug,
     or [None] if no suitable site exists for this seed (the experiment
@@ -54,11 +51,7 @@ type pool_bug =
       (** an undefined function smuggled into (or a certificate forged
           for) a devirtualization target set *)
 
-val pool_bug_name : pool_bug -> string
 val all_pool_bugs : pool_bug list
-
-val copy_pool_bundle : Sva_safety.Poolev.bundle -> Sva_safety.Poolev.bundle
-(** Deep copy (injection never mutates the original bundle). *)
 
 val pool_inject :
   Irmod.t ->

@@ -50,20 +50,27 @@ let syscall_body t num (a : int64 array) =
       try Svaos.icontext_destroy t.sys ~icp
       with _ -> () (* a trap may have left the stack unbalanced *))
     (fun () ->
-      let r =
+      match
         Interp.call t.vm "kernel_syscall_entry"
           [ Int64.of_int icp; Int64.of_int num; a.(0); a.(1); a.(2); a.(3) ]
-      in
-      (* Run any signal handler the kernel pushed onto the interrupt
-         context (the signal-dispatch mechanism of Section 6.1). *)
-      (match Svaos.ipush_pending t.sys ~icp with
-      | Some (fn, arg) ->
-          t.signal_fired <- (fn, arg) :: t.signal_fired;
-          (match Interp.func_name t.vm fn with
-          | Some _ -> ignore (Interp.call_addr t.vm fn [ arg ])
-          | None -> ())
-      | None -> ());
-      Option.value r ~default:0L)
+      with
+      | exception Sva_hw.Mmu.Mmu_fault (addr, _)
+        when Machine.in_user_range ~addr ~len:1 ->
+          (* The kernel touched a user page that is not mapped (or not
+             writable): the call fails with EFAULT instead of taking the
+             machine down. *)
+          -14L
+      | r ->
+          (* Run any signal handler the kernel pushed onto the interrupt
+             context (the signal-dispatch mechanism of Section 6.1). *)
+          (match Svaos.ipush_pending t.sys ~icp with
+          | Some (fn, arg) ->
+              t.signal_fired <- (fn, arg) :: t.signal_fired;
+              (match Interp.func_name t.vm fn with
+              | Some _ -> ignore (Interp.call_addr t.vm fn [ arg ])
+              | None -> ())
+          | None -> ());
+          Option.value r ~default:0L)
 
 let syscall t num args =
   let pad = args @ List.init (max 0 (4 - List.length args)) (fun _ -> 0L) in
@@ -159,6 +166,9 @@ let reset_cycles t = Interp.reset_cycles t.vm
    checks, verdicts) to calling the jobs in sequence, which the
    differential tests assert. *)
 
+(* Interrupt vector used for work-stealing reschedule IPIs.  The ukern
+   registers no handler on it, so delivery costs exactly the trap
+   entry/exit and runs zero checked kernel code. *)
 let reschedule_vector = 240
 
 type smp_stats = {

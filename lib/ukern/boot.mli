@@ -44,7 +44,10 @@ val boot_built :
 
 val syscall : t -> int -> int64 list -> int64
 (** Trap into the kernel.  At most 4 arguments; missing ones are 0.
-    Safety violations and machine faults propagate as exceptions. *)
+    A fault on a user page that is not mapped or not writable aborts
+    the call, which returns -14 (EFAULT); the aborted frames' stack
+    objects are deregistered, so the kernel stays usable.  Safety
+    violations and other machine faults propagate as exceptions. *)
 
 val interrupt : t -> int -> int64
 (** Deliver a hardware interrupt on the given vector: the SVM lays down an
@@ -91,20 +94,14 @@ val reset_cycles : t -> unit
     the one host thread: jobs are distributed round-robin into per-CPU
     run queues, the least-advanced CPU clock runs next (all CPUs run
     concurrently in model time, ties broken by a seeded LCG), and a CPU
-    whose
-    queue drains steals half of the longest queue, IPI-ing the victim on
-    the dedicated {!reschedule_vector}.  Each job's modeled-cycle delta
-    is charged to the clock of the CPU that ran it; the makespan (max
-    per-CPU clock) is what an N-way machine would take under this
-    schedule, so parallel speedup is makespan(1)/makespan(N).
+    whose queue drains steals half of the longest queue, IPI-ing the
+    victim on a dedicated vector that has no handler.  Each job's
+    modeled-cycle delta is charged to the clock of the CPU that ran it;
+    the makespan (max per-CPU clock) is what an N-way machine would take
+    under this schedule, so parallel speedup is makespan(1)/makespan(N).
 
     [cpus = 1] degenerates to running the jobs in submission order with
     no steals or IPIs — bit-identical to calling them in sequence. *)
-
-val reschedule_vector : int
-(** Interrupt vector used for work-stealing reschedule IPIs.  The ukern
-    registers no handler on it, so delivery costs exactly the trap
-    entry/exit and runs zero checked kernel code. *)
 
 type smp_stats = {
   ss_cpus : int;

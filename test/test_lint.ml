@@ -6,7 +6,7 @@
    benchmark --json flag uses. *)
 
 open Sva_ir
-module Dataflow = Sva_lint.Dataflow
+module Dataflow = Sva_analysis.Dataflow
 module Lint = Sva_lint.Lint
 module Report = Sva_lint.Report
 module Pointsto = Sva_analysis.Pointsto

@@ -1,13 +1,11 @@
-(* Tests for the Section 4.8 / 7.1.3 optimizations: function cloning,
-   devirtualization, redundant-check elimination and monotonic-loop
-   bounds-check hoisting — each must preserve program behaviour while
+(* Tests for the Section 4.8 optimizations: function cloning and
+   devirtualization — each must preserve program behaviour while
    changing the static check/precision profile. *)
 
 open Sva_pipeline
 module Pointsto = Sva_analysis.Pointsto
 module Allocdecl = Sva_analysis.Allocdecl
 module Clone = Sva_analysis.Clone
-module Checkopt = Sva_safety.Checkopt
 module Stats = Sva_rt.Stats
 
 let allocator_src =
@@ -125,270 +123,6 @@ let test_devirt_rewrites_and_preserves () =
   Alcotest.(check int) "no run-time funcchecks" 0
     (Stats.read ()).Stats.funcchecks
 
-(* ---------- redundant load/store check elimination ---------- *)
-
-let dedup_src =
-  "extern char *kmalloc(long n);\n\
-   long drive(void) {\n\
-  \  long *p = (long*)kmalloc(8);\n\
-  \  int *r = (int*)p;\n\
-  \  *r = 3;             /* int-typed access collapses the pool */\n\
-  \  *p = 21;\n\
-  \  long x = *p;        /* checked load */\n\
-  \  *p = x + 1;         /* store does not invalidate liveness */\n\
-  \  long y = *p;        /* redundant check: same pool, same pointer */\n\
-  \  return x + y;\n\
-   }"
-
-let test_lscheck_dedup () =
-  let build checkopt =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt ~name:"dd"
-      [ allocator_src; dedup_src ]
-  in
-  let plain = build false and opt = build true in
-  (match opt.Pipeline.bl_checkopt with
-  | Some s ->
-      Alcotest.(check bool) "some check removed" true
-        (s.Checkopt.co_ls_deduped >= 1)
-  | None -> Alcotest.fail "no checkopt summary");
-  Alcotest.(check (option int64)) "same result" (run plain "drive" [])
-    (run opt "drive" []);
-  (* fewer dynamic checks with the optimizer on *)
-  Stats.reset ();
-  ignore (run plain "drive" []);
-  let ls_plain = (Stats.read ()).Stats.ls_checks in
-  Stats.reset ();
-  ignore (run opt "drive" []);
-  let ls_opt = (Stats.read ()).Stats.ls_checks in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer ls checks (%d < %d)" ls_opt ls_plain)
-    true (ls_opt < ls_plain)
-
-(* ---------- cross-block available-check elimination ---------- *)
-
-let avail_src =
-  "extern char *kmalloc(long n);\n\
-   long drive(int flag) {\n\
-  \  long *p = (long*)kmalloc(8);\n\
-  \  int *r = (int*)p;\n\
-  \  *r = 3;             /* collapse the pool: accesses stay checked */\n\
-  \  *p = 21;            /* the dominating check */\n\
-  \  long x = 0;\n\
-  \  if (flag) { x = *p; } else { x = *p + 1; }\n\
-  \  long y = *p;        /* available on every path to the join */\n\
-  \  return x + y;\n\
-   }"
-
-let test_avail_elimination () =
-  let build checkopt =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt ~name:"av"
-      [ allocator_src; avail_src ]
-  in
-  let plain = build false and opt = build true in
-  (match opt.Pipeline.bl_checkopt with
-  | Some s ->
-      Alcotest.(check bool)
-        (Printf.sprintf "cross-block checks eliminated (%d >= 2)"
-           s.Checkopt.co_avail_eliminated)
-        true
-        (s.Checkopt.co_avail_eliminated >= 2)
-  | None -> Alcotest.fail "no checkopt summary");
-  List.iter
-    (fun flag ->
-      Alcotest.(check (option int64))
-        (Printf.sprintf "same result (flag=%d)" flag)
-        (run plain "drive" [ flag ])
-        (run opt "drive" [ flag ]))
-    [ 0; 1 ];
-  Stats.reset ();
-  ignore (run plain "drive" [ 1 ]);
-  let ls_plain = (Stats.read ()).Stats.ls_checks in
-  Stats.reset ();
-  ignore (run opt "drive" [ 1 ]);
-  let ls_opt = (Stats.read ()).Stats.ls_checks in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer dynamic ls checks (%d < %d)" ls_opt ls_plain)
-    true (ls_opt < ls_plain)
-
-let test_avail_killed_by_call () =
-  (* an unknown call between the check and the re-access may free the
-     object: availability must not survive it *)
-  let src =
-    "extern char *kmalloc(long n);\n\
-     extern void mystery(void);\n\
-     long drive(int flag) {\n\
-    \  long *p = (long*)kmalloc(8);\n\
-    \  int *r = (int*)p;\n\
-    \  *r = 3;\n\
-    \  *p = 21;\n\
-    \  mystery();\n\
-    \  long y = 0;\n\
-    \  if (flag) y = *p;\n\
-    \  return y;\n\
-     }"
-  in
-  let b =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt:true ~name:"avk"
-      [ allocator_src; src ]
-  in
-  match b.Pipeline.bl_checkopt with
-  | Some s ->
-      Alcotest.(check int) "nothing eliminated past the call" 0
-        s.Checkopt.co_avail_eliminated
-  | None -> Alcotest.fail "no checkopt summary"
-
-(* ---------- monotonic-loop hoisting ---------- *)
-
-let hoist_src =
-  "extern char *kmalloc(long n);\n\
-   long fill(int n) {\n\
-  \  long *a = (long*)kmalloc(n * 8);\n\
-  \  if (!a) return -1;\n\
-  \  long s = 0;\n\
-  \  for (int i = 0; i < n; i++) { a[i] = i; }\n\
-  \  for (int i = 0; i < n; i++) { s += a[i]; }\n\
-  \  return s;\n\
-   }"
-
-let test_hoisting () =
-  let build checkopt =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt ~name:"ho"
-      [ allocator_src; hoist_src ]
-  in
-  let plain = build false and opt = build true in
-  (match opt.Pipeline.bl_checkopt with
-  | Some s ->
-      Alcotest.(check bool) "bounds checks hoisted" true
-        (s.Checkopt.co_bounds_hoisted >= 2)
-  | None -> Alcotest.fail "no checkopt summary");
-  (* same answer, far fewer dynamic bounds checks *)
-  Alcotest.(check (option int64)) "same result" (Some 1225L)
-    (run opt "fill" [ 50 ]);
-  Stats.reset ();
-  ignore (run plain "fill" [ 50 ]);
-  let b_plain = (Stats.read ()).Stats.bounds_checks in
-  Stats.reset ();
-  ignore (run opt "fill" [ 50 ]);
-  let b_opt = (Stats.read ()).Stats.bounds_checks in
-  Alcotest.(check bool)
-    (Printf.sprintf "hoisted: %d << %d dynamic bounds checks" b_opt b_plain)
-    true (b_opt * 4 < b_plain)
-
-let test_hoisting_still_catches_overrun () =
-  (* the whole-range preheader check must still trap a too-small object *)
-  let src =
-    "extern char *kmalloc(long n);\n\
-     long smash(int claimed, int alloc_bytes) {\n\
-    \  long *a = (long*)kmalloc(alloc_bytes);\n\
-    \  for (int i = 0; i < claimed; i++) a[i] = i;\n\
-    \  return 0;\n\
-     }"
-  in
-  let b =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt:true ~name:"hs"
-      [ allocator_src; src ]
-  in
-  (match run b "smash" [ 4; 32 ] with
-  | Some 0L -> ()
-  | _ -> Alcotest.fail "benign fill failed");
-  let b2 =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt:true ~name:"hs"
-      [ allocator_src; src ]
-  in
-  match run b2 "smash" [ 16; 32 ] with
-  | exception Sva_rt.Violation.Safety_violation v ->
-      Alcotest.(check string) "bounds" "bounds"
-        (Sva_rt.Violation.kind_to_string v.Sva_rt.Violation.v_kind)
-  | _ -> Alcotest.fail "overrun escaped the hoisted check"
-
-let test_hoisting_empty_loop_ok () =
-  (* zero-trip loops must not fire the hoisted range check *)
-  let b =
-    Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt:true ~name:"he"
-      [ allocator_src; hoist_src ]
-  in
-  match run b "fill" [ 0 ] with
-  | Some v -> Alcotest.(check int64) "empty loop" (-1L) v (* kmalloc(0) = 0 *)
-  | None -> Alcotest.fail "void"
-
-(* ---------- qcheck: Checkopt is a pure optimization ---------- *)
-
-(* Random MiniC functions over a kmalloc'd 8-long array: masked (always
-   in-bounds) accesses driven by random arithmetic, and in half the
-   programs a plain [p[i]] walk whose claimed bound is sometimes past the
-   allocation — so the optimized build must fault exactly where the plain
-   build does. *)
-
-let rec gen_arith rng depth =
-  if depth = 0 then
-    match Random.State.int rng 3 with 0 -> "a" | 1 -> "b" | _ -> "i"
-  else
-    let l = gen_arith rng (depth - 1) and r = gen_arith rng (depth - 1) in
-    match Random.State.int rng 5 with
-    | 0 -> Printf.sprintf "(%s + %s)" l r
-    | 1 -> Printf.sprintf "(%s - %s)" l r
-    | 2 -> Printf.sprintf "(%s * %s)" l r
-    | 3 -> Printf.sprintf "(%s ^ %s)" l r
-    | _ -> Printf.sprintf "(%s & %s)" l r
-
-let gen_checkopt_program seed =
-  let rng = Random.State.make [| seed |] in
-  let e1 = gen_arith rng 2 and e2 = gen_arith rng 2 in
-  let k1 = Random.State.int rng 8 and k2 = Random.State.int rng 8 in
-  let walk =
-    if Random.State.bool rng then
-      let claimed = if Random.State.bool rng then 8 else 10 in
-      Printf.sprintf "  for (long i = 0; i < %d; i++) s += p[i];\n" claimed
-    else ""
-  in
-  Printf.sprintf
-    "extern char *kmalloc(long n);\n\
-     long f(long a, long b) {\n\
-    \  long *p = (long*)kmalloc(64);\n\
-    \  long s = 0;\n\
-    \  for (long i = 0; i < 8; i++) {\n\
-    \    p[(i + %d) & 7] = %s;\n\
-    \    s = s + (p[(i + %d) & 7] ^ (%s));\n\
-    \  }\n\
-     %s\
-    \  return s;\n\
-     }"
-    k1 e1 k2 e2 walk
-
-let checkopt_outcome built a b =
-  Stats.reset ();
-  let verdict =
-    match run built "f" [ a; b ] with
-    | v -> Ok v
-    | exception Sva_rt.Violation.Safety_violation v ->
-        Error (Sva_rt.Violation.kind_to_string v.Sva_rt.Violation.v_kind)
-  in
-  (verdict, Stats.total_checks (Stats.read ()))
-
-let prop_checkopt_equivalent =
-  let gen =
-    QCheck2.Gen.(tup3 (int_range 0 2000) small_signed_int small_signed_int)
-  in
-  QCheck2.Test.make
-    ~name:"checkopt preserves verdicts and never adds dynamic checks"
-    ~count:40 gen
-    (fun (seed, a, b) ->
-      let src = gen_checkopt_program seed in
-      let build checkopt =
-        Pipeline.build ~conf:Pipeline.Sva_safe ~aconfig ~checkopt ~name:"qc"
-          [ allocator_src; src ]
-      in
-      let plain = build false and opt = build true in
-      let v_plain, c_plain = checkopt_outcome plain a b in
-      let v_opt, c_opt = checkopt_outcome opt a b in
-      if v_plain <> v_opt then
-        QCheck2.Test.fail_reportf "verdict drift on seed %d:\n%s" seed src;
-      if c_opt > c_plain then
-        QCheck2.Test.fail_reportf
-          "optimized build runs more checks (%d > %d) on seed %d" c_opt c_plain
-          seed;
-      true)
-
 let () =
   Alcotest.run "sva_opts"
     [
@@ -403,18 +137,5 @@ let () =
         [
           Alcotest.test_case "rewrite preserves behaviour" `Quick
             test_devirt_rewrites_and_preserves;
-        ] );
-      ( "checkopt",
-        [
-          Alcotest.test_case "lscheck dedup" `Quick test_lscheck_dedup;
-          Alcotest.test_case "available-check elimination" `Quick
-            test_avail_elimination;
-          Alcotest.test_case "availability killed by calls" `Quick
-            test_avail_killed_by_call;
-          Alcotest.test_case "loop hoisting" `Quick test_hoisting;
-          Alcotest.test_case "hoisted check still catches" `Quick
-            test_hoisting_still_catches_overrun;
-          Alcotest.test_case "zero-trip loop" `Quick test_hoisting_empty_loop_ok;
-          QCheck_alcotest.to_alcotest prop_checkopt_equivalent;
         ] );
     ]

@@ -288,6 +288,64 @@ let test_block_fs_roundtrip () =
       check64 "remount sees 1 file" 1L (Boot.syscall t 28 []);
       check64 "bload missing" (-2L) (Boot.syscall t 31 [ Boot.user_addr t 2048 ]))
 
+(* ---------- trap path: user-page faults ---------- *)
+
+(* The program break is inside the user window but not mapped, so a
+   syscall handed it faults on the first user access. *)
+let llvm_and_safe = [ Pipeline.Sva_llvm; Pipeline.Sva_safe ]
+let n_stat = 26
+
+let test_unmapped_user_pointer_efault () =
+  List.iter
+    (fun conf ->
+      let t = kernel conf in
+      let brk = Boot.syscall t n_sbrk [ 0L ] in
+      let name = Pipeline.conf_name conf in
+      check64 (name ^ " gettimeofday(brk)") (-14L)
+        (Boot.syscall t n_gettimeofday [ brk ]);
+      check64 (name ^ " open(brk, 0)") (-14L)
+        (Boot.syscall t n_open [ brk; 0L ]))
+    llvm_and_safe
+
+(* Create, reopen and stat a file, then stat and open a missing one. *)
+let file_probe t =
+  Boot.write_user t 0 "notes.txt\000";
+  Boot.write_user t 64 "missing\000";
+  let path = Boot.user_addr t 0 and missing = Boot.user_addr t 64 in
+  let statbuf = Boot.user_addr t 128 in
+  let fd = Boot.syscall t n_open [ path; 1L ] in
+  ignore (Boot.syscall t n_close [ fd ]);
+  [
+    Boot.syscall t n_open [ path; 0L ];
+    Boot.syscall t n_stat [ path; statbuf ];
+    Boot.syscall t n_stat [ missing; statbuf ];
+    Boot.syscall t n_open [ missing; 0L ];
+  ]
+
+let live_objects t =
+  List.fold_left
+    (fun n (_, mp) -> n + Sva_rt.Metapool_rt.live_objects mp)
+    0
+    (Sva_interp.Interp.metapools t.Boot.vm)
+
+(* The faulted call's frames are gone, so their stack objects must be
+   too: afterwards the kernel behaves exactly like a fresh one. *)
+let test_fault_drops_stack_objects () =
+  List.iter
+    (fun conf ->
+      let name = Pipeline.conf_name conf in
+      let fresh = file_probe (kernel conf) in
+      let t = kernel conf in
+      let live = live_objects t in
+      let brk = Boot.syscall t n_sbrk [ 0L ] in
+      check64 (name ^ " open(brk, 0)") (-14L)
+        (Boot.syscall t n_open [ brk; 0L ]);
+      Alcotest.(check int) (name ^ " no object left registered") live
+        (live_objects t);
+      Alcotest.(check (list int64)) (name ^ " open/stat as on a fresh kernel")
+        fresh (file_probe t))
+    llvm_and_safe
+
 let test_timer_interrupts () =
   for_both (fun t ->
       check64 "no ticks yet" 0L (Boot.kernel_global t "jiffies");
@@ -430,6 +488,10 @@ let () =
             test_user_buffer_escape_rejected;
           Alcotest.test_case "stat/unlink" `Quick test_stat_unlink;
           Alcotest.test_case "block fs roundtrip" `Quick test_block_fs_roundtrip;
+          Alcotest.test_case "unmapped user pointer is EFAULT" `Quick
+            test_unmapped_user_pointer_efault;
+          Alcotest.test_case "faulted call leaves no stack object" `Quick
+            test_fault_drops_stack_objects;
         ] );
       ( "interrupts",
         [ Alcotest.test_case "timer via icontext" `Quick test_timer_interrupts ] );
