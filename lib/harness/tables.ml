@@ -1165,7 +1165,7 @@ let tiered_report j =
           them to fused closure chains, and records each translation in \
           the signed cache (Section 3.4: %d promotions, %d/%d cache \
           hits, %d signature verifications).  Modeled cycles, steps and \
-          checks are identical by construction; host speedup %.1fx, \
+          checks are identical by construction; host speedup %.2fx, \
           the median ratio over interleaved interpreter/tiered batch \
           pairs (>= %.1fx required)."
          tiered_bench_engine.Pipeline.eng_threshold (int "promotions" j)
@@ -1290,7 +1290,7 @@ let aot_report j =
           process against the populated store: %d verified disk hits, %d \
           re-translations, %.1fms.  Modeled cycles, steps and checks are \
           bit-identical to the interpreter's; warm hot-path speedup \
-          %.1fx, the median ratio over interleaved interpreter/aot batch \
+          %.2fx, the median ratio over interleaved interpreter/aot batch \
           pairs (>= %.1fx under --strict)."
          (int "functions-compiled" j) (disk "writes-cold")
          (int "superblocks" j)

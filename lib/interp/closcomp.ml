@@ -56,57 +56,56 @@ let[@inline] tick (t : I.t) =
 
 (* ---------- operand fetch specialization ---------- *)
 
-let cval (t : I.t) (v : Value.t) : cvalf =
-  match v with
-  | Value.Reg (id, _, _) -> fun fr -> fr.regs.(id)
-  | Value.Imm (Ty.Int w, n) ->
-      let k = Constfold.truncate_to_width w n in
-      fun _ -> k
-  | Value.Imm (_, n) -> fun _ -> n
-  | Value.Fimm f ->
-      let k = Int64.bits_of_float f in
-      fun _ -> k
-  | Value.Null _ | Value.Undef _ -> fun _ -> 0L
-  | Value.Global (g, _) -> (
-      (* Resolve now when possible; a symbol a later link_module may
-         still provide falls back to the interpreter's lazy lookup
-         (addresses, once assigned, are never rebound). *)
-      match Hashtbl.find_opt t.I.g_addr g with
-      | Some a ->
-          let k = Int64.of_int a in
-          fun _ -> k
-      | None -> (
-          fun _ ->
-            match Hashtbl.find_opt t.I.g_addr g with
-            | Some a -> Int64.of_int a
-            | None -> I.vm_err "unknown global @%s" g))
-  | Value.Fn (f, _) -> (
-      match Hashtbl.find_opt t.I.fn_addr f with
-      | Some a ->
-          let k = Int64.of_int a in
-          fun _ -> k
-      | None -> (
-          fun _ ->
-            match Hashtbl.find_opt t.I.fn_addr f with
-            | Some a -> Int64.of_int a
-            | None -> I.vm_err "unknown function @%s" f))
-
-(* Compile-time constant, when the operand needs no frame and no symbol
-   table (exactly the cases [I.eval] computes without [t]). *)
-let const_of (v : Value.t) : int64 option =
+(* Translation-time constant: an immediate, exactly as [I.eval] computes
+   it, or the address of a symbol already loaded (addresses, once
+   assigned, are never rebound). *)
+let const_at (t : I.t) (v : Value.t) : int64 option =
+  let addr tbl name = Option.map Int64.of_int (Hashtbl.find_opt tbl name) in
   match v with
   | Value.Imm (Ty.Int w, n) -> Some (Constfold.truncate_to_width w n)
   | Value.Imm (_, n) -> Some n
   | Value.Fimm f -> Some (Int64.bits_of_float f)
   | Value.Null _ | Value.Undef _ -> Some 0L
-  | _ -> None
+  | Value.Global (g, _) -> addr t.I.g_addr g
+  | Value.Fn (f, _) -> addr t.I.fn_addr f
+  | Value.Reg _ -> None
+
+let cval (t : I.t) (v : Value.t) : cvalf =
+  match v with
+  | Value.Reg (id, _, _) -> fun fr -> fr.regs.(id)
+  | _ -> (
+      match const_at t v with
+      | Some k -> fun _ -> k
+      | None ->
+          (* a symbol a later link_module may still provide: the
+             interpreter's lookup, on every execution *)
+          fun _ -> I.eval t [||] v)
+
+(* An operand resolved at translation time, read inline by the
+   specialized closures: register [r], or the constant [k] when [r] is
+   -1.  [None] for a symbol not loaded yet; such an instruction keeps the
+   interpreter's evaluation. *)
+let src (t : I.t) (v : Value.t) : (int * int64) option =
+  match v with
+  | Value.Reg (id, _, _) -> Some (id, 0L)
+  | _ -> Option.map (fun k -> (-1, k)) (const_at t v)
+
+let[@inline] get fr r k = if r >= 0 then fr.regs.(r) else k
 
 (* ---------- instruction compilation ---------- *)
 
-(* Specialized integer binops.  Add/Sub/Mul and the bitwise ops are pure
-   wrap-to-width and inlined; the trapping, shift and unsigned ops reuse
-   Constfold.eval_binop (the interpreter's own evaluator) so the
-   semantics cannot drift. *)
+(* [Constfold.truncate_to_width w] for 2 <= w, with [sh = 64 - min w 64]. *)
+let[@inline] wrap sh v = Int64.shift_right (Int64.shift_left v sh) sh
+
+(* A shift count, as Constfold.eval_binop reads it. *)
+let[@inline] amount b = Int64.to_int (Int64.logand b 63L)
+
+(* Integer binops, specialized at translation time by opcode and width:
+   the wrap to width is two inline shifts, only the unsigned ops and lshr
+   zero-extend (by a precomputed mask), a constant operand is captured,
+   and a constant nonzero divisor is not re-tested.  i1 operands and a
+   symbol not loaded yet keep Constfold.eval_binop, the interpreter's
+   own evaluator, so the semantics cannot drift. *)
 let cbinop t fname (i : Instr.t) op x y : cop =
   let id = i.Instr.id in
   match op with
@@ -126,40 +125,99 @@ let cbinop t fname (i : Instr.t) op x y : cop =
         fr.regs.(id) <- Int64.bits_of_float (fop fx fy)
   | _ -> (
       let w = I.width_of_value x in
-      let cx = cval t x and cy = cval t y in
-      let wrap =
-        if w >= 64 then fun v -> v
-        else if w = 1 then fun v -> Int64.logand v 1L
-        else
-          let sh = 64 - w in
-          fun v -> Int64.shift_right (Int64.shift_left v sh) sh
-      in
-      match op with
-      | Instr.Add ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.add (cx fr) (cy fr))
-      | Instr.Sub ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.sub (cx fr) (cy fr))
-      | Instr.Mul ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.mul (cx fr) (cy fr))
-      | Instr.And ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.logand (cx fr) (cy fr))
-      | Instr.Or ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.logor (cx fr) (cy fr))
-      | Instr.Xor ->
-          fun fr ->
-            tick t;
-            fr.regs.(id) <- wrap (Int64.logxor (cx fr) (cy fr))
+      match (src t x, src t y) with
+      | Some (rx, kx), Some (ry, ky) when w >= 2 -> (
+          let sh = 64 - min w 64 in
+          let m = Constfold.zext_of_width w (-1L) in
+          let div_by_zero () = I.vm_err "division by zero in @%s" fname in
+          match op with
+          | Instr.Add ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <- wrap sh (Int64.add (get fr rx kx) (get fr ry ky))
+          | Instr.Sub ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <- wrap sh (Int64.sub (get fr rx kx) (get fr ry ky))
+          | Instr.Mul ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <- wrap sh (Int64.mul (get fr rx kx) (get fr ry ky))
+          | Instr.And ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <-
+                  wrap sh (Int64.logand (get fr rx kx) (get fr ry ky))
+          | Instr.Or ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <-
+                  wrap sh (Int64.logor (get fr rx kx) (get fr ry ky))
+          | Instr.Xor ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <-
+                  wrap sh (Int64.logxor (get fr rx kx) (get fr ry ky))
+          | Instr.Shl ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <-
+                  wrap sh
+                    (Int64.shift_left (get fr rx kx) (amount (get fr ry ky)))
+          | Instr.Lshr ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <-
+                  wrap sh
+                    (Int64.shift_right_logical
+                       (Int64.logand (get fr rx kx) m)
+                       (amount (get fr ry ky)))
+          | Instr.Ashr ->
+              fun fr ->
+                tick t;
+                fr.regs.(id) <-
+                  wrap sh
+                    (Int64.shift_right (get fr rx kx) (amount (get fr ry ky)))
+          | Instr.Sdiv | Instr.Srem | Instr.Udiv | Instr.Urem
+            when ry < 0 && ky = 0L ->
+              fun _ ->
+                tick t;
+                div_by_zero ()
+          (* only a divisor in a register is tested for zero *)
+          | Instr.Sdiv ->
+              fun fr ->
+                tick t;
+                let b = get fr ry ky in
+                if ry >= 0 && b = 0L then div_by_zero ();
+                fr.regs.(id) <- wrap sh (Int64.div (get fr rx kx) b)
+          | Instr.Srem ->
+              fun fr ->
+                tick t;
+                let b = get fr ry ky in
+                if ry >= 0 && b = 0L then div_by_zero ();
+                fr.regs.(id) <- wrap sh (Int64.rem (get fr rx kx) b)
+          | Instr.Udiv ->
+              fun fr ->
+                tick t;
+                let b = get fr ry ky in
+                if ry >= 0 && b = 0L then div_by_zero ();
+                fr.regs.(id) <-
+                  wrap sh
+                    (Int64.unsigned_div
+                       (Int64.logand (get fr rx kx) m)
+                       (Int64.logand b m))
+          | _ (* Urem *) ->
+              fun fr ->
+                tick t;
+                let b = get fr ry ky in
+                if ry >= 0 && b = 0L then div_by_zero ();
+                fr.regs.(id) <-
+                  wrap sh
+                    (Int64.unsigned_rem
+                       (Int64.logand (get fr rx kx) m)
+                       (Int64.logand b m)))
       | _ ->
+          let cx = cval t x and cy = cval t y in
           fun fr ->
             tick t;
             let a = cx fr in
@@ -168,15 +226,81 @@ let cbinop t fname (i : Instr.t) op x y : cop =
             | Some r -> fr.regs.(id) <- r
             | None -> I.vm_err "division by zero in @%s" fname))
 
+(* Compares.  Every predicate is equality, signed less-than or unsigned
+   less-than of its operands, possibly swapped, possibly negated:
+   [op x y = base a b <> neg]. *)
+type cmp_base = Beq | Blt | Bult
+
+let decompose (op : Instr.icmp) =
+  match op with
+  | Instr.Eq -> (Beq, false, false)
+  | Instr.Ne -> (Beq, false, true)
+  | Instr.Slt -> (Blt, false, false)
+  | Instr.Sge -> (Blt, false, true)
+  | Instr.Sgt -> (Blt, true, false)
+  | Instr.Sle -> (Blt, true, true)
+  | Instr.Ult -> (Bult, false, false)
+  | Instr.Uge -> (Bult, false, true)
+  | Instr.Ugt -> (Bult, true, false)
+  | Instr.Ule -> (Bult, true, true)
+
+(* Unsigned less-than of [a] and [b] zero-extended by the mask [m]:
+   Int64.unsigned_compare, inline. *)
+let[@inline] ult m a b =
+  Int64.logxor (Int64.logand a m) Int64.min_int
+  < Int64.logxor (Int64.logand b m) Int64.min_int
+
+(* A compare specialized at translation time by predicate and width, its
+   operands resolved; [None] when an operand is a symbol not loaded yet.
+   Only the unsigned predicates zero-extend. *)
+let spec_icmp t op x y =
+  let w = I.width_of_value x in
+  match (src t x, src t y) with
+  | Some sx, Some sy ->
+      let base, swap, neg = decompose op in
+      let (ra, ka), (rb, kb) = if swap then (sy, sx) else (sx, sy) in
+      Some (base, neg, ra, ka, rb, kb, Constfold.zext_of_width w (-1L))
+  | _ -> None
+
+let cicmp t (i : Instr.t) op x y : cop =
+  let id = i.Instr.id in
+  match spec_icmp t op x y with
+  | Some (Beq, neg, ra, ka, rb, kb, _) ->
+      fun fr ->
+        tick t;
+        fr.regs.(id) <-
+          (if get fr ra ka = get fr rb kb <> neg then 1L else 0L)
+  | Some (Blt, neg, ra, ka, rb, kb, _) ->
+      fun fr ->
+        tick t;
+        fr.regs.(id) <-
+          (if get fr ra ka < get fr rb kb <> neg then 1L else 0L)
+  | Some (Bult, neg, ra, ka, rb, kb, m) ->
+      fun fr ->
+        tick t;
+        fr.regs.(id) <-
+          (if ult m (get fr ra ka) (get fr rb kb) <> neg then 1L else 0L)
+  | None ->
+      let w = I.width_of_value x in
+      let cx = cval t x and cy = cval t y in
+      fun fr ->
+        tick t;
+        let a = cx fr in
+        let b = cy fr in
+        fr.regs.(id) <- (if Constfold.eval_icmp op w a b then 1L else 0L)
+
 (* Gep: fold the index walk at compile time into a static byte offset
-   plus dynamic (scale * index) terms.  A dynamically-indexed struct (or
-   any walk this decomposition cannot prove out) falls back to the
-   interpreter's own gep_offset so errors and semantics match exactly. *)
+   plus at most one dynamic (scale * register) term.  Two or more
+   register indices (MiniC's lowering emits one gep per subscript, so
+   the kernel has none), a dynamically-indexed struct, an operand naming
+   a symbol not loaded yet, or any walk this decomposition cannot prove
+   out falls back to the interpreter's own gep_offset so errors and
+   semantics match exactly. *)
 let cgep t (i : Instr.t) (base : Value.t) idxs : cop =
   let id = i.Instr.id in
   let pointee = Ty.pointee (Value.ty base) in
-  let cbase = cval t base in
   let generic () =
+    let cbase = cval t base in
     (* offset first, base second — the interpreter's order *)
     fun fr ->
       tick t;
@@ -187,9 +311,10 @@ let cgep t (i : Instr.t) (base : Value.t) idxs : cop =
     let konst = ref 0L in
     let terms = ref [] in
     let add_idx scale v =
-      match const_of v with
-      | Some n -> konst := Int64.add !konst (Int64.mul n scale)
-      | None -> terms := (scale, cval t v) :: !terms
+      match (v, const_at t v) with
+      | _, Some n -> konst := Int64.add !konst (Int64.mul n scale)
+      | Value.Reg (r, _, _), None -> terms := (scale, r) :: !terms
+      | _ -> raise Exit
     in
     (match idxs with
     | first :: rest ->
@@ -202,7 +327,7 @@ let cgep t (i : Instr.t) (base : Value.t) idxs : cop =
                   add_idx (Int64.of_int (I.sizeof t e)) idx;
                   descend e more
               | Ty.Struct sname -> (
-                  match const_of idx with
+                  match const_at t idx with
                   | Some n ->
                       let foff, fty =
                         Ty.field_at t.I.im_mod.Irmod.m_ctx sname
@@ -215,22 +340,21 @@ let cgep t (i : Instr.t) (base : Value.t) idxs : cop =
         in
         descend pointee rest
     | [] -> raise Exit);
-    (!konst, List.rev !terms)
+    match src t base with
+    | Some (rb, kb) -> (rb, kb, !konst, !terms)
+    | None -> raise Exit
   with
   | exception _ -> generic ()
-  | k, [] ->
+  | rb, kb, k, [] ->
       fun fr ->
         tick t;
-        fr.regs.(id) <- Int64.add (cbase fr) k
-  | k, ts ->
+        fr.regs.(id) <- Int64.add (get fr rb kb) k
+  | rb, kb, k, [ (s, r) ] ->
       fun fr ->
         tick t;
-        let off =
-          List.fold_left
-            (fun acc (s, cv) -> Int64.add acc (Int64.mul (cv fr) s))
-            k ts
-        in
-        fr.regs.(id) <- Int64.add (cbase fr) off
+        let off = Int64.add k (Int64.mul fr.regs.(r) s) in
+        fr.regs.(id) <- Int64.add (get fr rb kb) off
+  | _ -> generic ()
 
 (* Calls.  A compiled call site shares the interpreter's per-site callee
    cache: a callee already resolved by interpreted runs is inlined, and
@@ -299,21 +423,43 @@ let ccall t (i : Instr.t) (callee : Value.t) (cargs : Value.t array)
                 I.vm_err "indirect call to non-code address 0x%x" target))
 
 (* Intrinsics: pre-compiled operand fetches feeding the interpreter's
-   [I.run_intr], which executes and charges them. *)
+   [I.run_intr], which executes and charges them.  A [pchk_funccheck]
+   site whose allowed functions are all loaded gets its target set now,
+   built by the interpreter's [I.funccheck_set] into the site's cache
+   that both engines share, and evaluates only its target. *)
 let cintr t (i : Instr.t) intr (vargs : Value.t array) cost_native
     cost_mediated : cop =
   let id = i.Instr.id in
   let has_result = i.Instr.ty <> Ty.Void in
-  let evs = Array.map (cval t) vargs in
-  fun fr ->
-    tick t;
-    match
-      I.run_intr t intr vargs
-        (Array.map (fun ev -> ev fr) evs)
-        cost_native cost_mediated
-    with
-    | Some v -> if has_result then fr.regs.(id) <- v
-    | None -> ()
+  let general () =
+    let evs = Array.map (cval t) vargs in
+    fun fr ->
+      tick t;
+      match
+        I.run_intr t intr vargs
+          (Array.map (fun ev -> ev fr) evs)
+          cost_native cost_mediated
+      with
+      | Some v -> if has_result then fr.regs.(id) <- v
+      | None -> ()
+  in
+  match intr with
+  | I.I_pchk_funccheck (Some c) -> (
+      (* the operands' addresses, the target's left 0 *)
+      let addrs =
+        Array.mapi (fun k v -> if k = 0 then Some 0L else const_at t v) vargs
+      in
+      if not (Array.for_all Option.is_some addrs) then general ()
+      else begin
+        if c.I.fc_set = None then
+          c.I.fc_set <- Some (I.funccheck_set vargs (Array.map Option.get addrs));
+        let ctarget = cval t vargs.(0) in
+        fun fr ->
+          tick t;
+          ignore
+            (I.run_intr t intr vargs [| ctarget fr |] cost_native cost_mediated)
+      end)
+  | _ -> general ()
 
 (* One instruction to one closure.  A compile-time error (bad width, gep
    into a scalar, ...) is deferred to execution time, where the
@@ -327,15 +473,7 @@ let cinsn t fname (p : I.pinsn) : cop =
         let id = i.Instr.id in
         match i.Instr.kind with
         | Instr.Binop (op, x, y) -> cbinop t fname i op x y
-        | Instr.Icmp (op, x, y) ->
-            let w = I.width_of_value x in
-            let cx = cval t x and cy = cval t y in
-            fun fr ->
-              tick t;
-              let a = cx fr in
-              let b = cy fr in
-              fr.regs.(id) <-
-                (if Constfold.eval_icmp op w a b then 1L else 0L)
+        | Instr.Icmp (op, x, y) -> cicmp t i op x y
         | Instr.Alloca (ty, count) ->
             let es = I.sizeof t ty in
             let ccount = cval t count in
@@ -349,45 +487,76 @@ let cinsn t fname (p : I.pinsn) : cop =
               let addr = t.I.sp in
               t.I.sp <- t.I.sp + size;
               fr.regs.(id) <- Int64.of_int addr
-        | Instr.Load p ->
+        | Instr.Load p -> (
             let w = I.ty_width i.Instr.ty in
-            let cp = cval t p in
-            fun fr ->
-              tick t;
-              fr.regs.(id) <-
-                I.mem_read_int t ~addr:(I.to_addr (cp fr)) ~width:w
-        | Instr.Store (v, p) ->
+            match src t p with
+            | Some (r, k) ->
+                fun fr ->
+                  tick t;
+                  fr.regs.(id) <-
+                    I.mem_read_int t ~addr:(I.to_addr (get fr r k)) ~width:w
+            | None ->
+                let cp = cval t p in
+                fun fr ->
+                  tick t;
+                  fr.regs.(id) <-
+                    I.mem_read_int t ~addr:(I.to_addr (cp fr)) ~width:w)
+        | Instr.Store (v, p) -> (
             let w = I.ty_width (Value.ty v) in
-            let cv = cval t v and cp = cval t p in
-            fun fr ->
-              tick t;
-              I.mem_write_int t ~addr:(I.to_addr (cp fr)) ~width:w (cv fr)
+            match (src t v, src t p) with
+            | Some (rv, kv), Some (r, k) ->
+                fun fr ->
+                  tick t;
+                  I.mem_write_int t ~addr:(I.to_addr (get fr r k)) ~width:w
+                    (get fr rv kv)
+            | _ ->
+                let cv = cval t v and cp = cval t p in
+                fun fr ->
+                  tick t;
+                  I.mem_write_int t ~addr:(I.to_addr (cp fr)) ~width:w (cv fr))
         | Instr.Gep (base, idxs) -> cgep t i base idxs
         | Instr.Cast (op, x, ty) -> (
+            (* the copies, trunc and zext specialized by width; an
+               operand naming a symbol not loaded yet keeps Constfold's
+               evaluators *)
             let cx = cval t x in
-            match op with
-            | Instr.Bitcast | Instr.Inttoptr | Instr.Ptrtoint | Instr.Sext ->
+            match (op, ty, src t x) with
+            | (Instr.Bitcast | Instr.Inttoptr | Instr.Ptrtoint | Instr.Sext), _,
+              Some (r, k) ->
+                fun fr ->
+                  tick t;
+                  fr.regs.(id) <- get fr r k
+            | Instr.Trunc, Ty.Int w, Some (r, k) when w >= 2 ->
+                let sh = 64 - min w 64 in
+                fun fr ->
+                  tick t;
+                  fr.regs.(id) <- wrap sh (get fr r k)
+            | Instr.Zext, _, Some (r, k) ->
+                let m = Constfold.zext_of_width (I.width_of_value x) (-1L) in
+                fun fr ->
+                  tick t;
+                  fr.regs.(id) <- Int64.logand (get fr r k) m
+            | (Instr.Bitcast | Instr.Inttoptr | Instr.Ptrtoint | Instr.Sext), _, _
+              ->
                 fun fr ->
                   tick t;
                   fr.regs.(id) <- cx fr
-            | Instr.Trunc -> (
-                match ty with
-                | Ty.Int w ->
-                    fun fr ->
-                      tick t;
-                      fr.regs.(id) <- Constfold.truncate_to_width w (cx fr)
-                | _ -> I.vm_err "trunc to non-integer")
-            | Instr.Zext ->
+            | Instr.Trunc, Ty.Int w, _ ->
+                fun fr ->
+                  tick t;
+                  fr.regs.(id) <- Constfold.truncate_to_width w (cx fr)
+            | Instr.Trunc, _, _ -> I.vm_err "trunc to non-integer"
+            | Instr.Zext, _, _ ->
                 let sw = I.width_of_value x in
                 fun fr ->
                   tick t;
                   fr.regs.(id) <- Constfold.zext_of_width sw (cx fr)
-            | Instr.Fptosi ->
+            | Instr.Fptosi, _, _ ->
                 fun fr ->
                   tick t;
                   fr.regs.(id) <-
                     Int64.of_float (Int64.float_of_bits (cx fr))
-            | Instr.Sitofp ->
+            | Instr.Sitofp, _, _ ->
                 fun fr ->
                   tick t;
                   fr.regs.(id) <-
@@ -591,18 +760,13 @@ let cterm t fname bi (term : I.pterm) : frame -> int =
    may read it through phis), and both halves keep their own bookkeeping
    so the counters and the limit-trap position are unchanged. *)
 let fuse_icmp_br t bi (ic : Instr.t) op x y th el : frame -> int =
-  let w = I.width_of_value x in
-  let cx = cval t x and cy = cval t y in
+  let cmp = cicmp t ic op x y in
   let iid = ic.Instr.id in
   fun fr ->
-    tick t;
-    let a = cx fr in
-    let b = cy fr in
-    let c = Constfold.eval_icmp op w a b in
-    fr.regs.(iid) <- (if c then 1L else 0L);
+    cmp fr;
     tick t;
     fr.prev <- bi;
-    if c then th else el
+    if fr.regs.(iid) <> 0L then th else el
 
 let cphis t (labels : string array) (pb : I.pblock) : cop option =
   let phis = pb.I.pb_phis in

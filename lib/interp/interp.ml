@@ -22,8 +22,10 @@ let code_stride = 16
 
 (* Per-call-site memo for [pchk_funccheck] target sets.  Present only when
    every allowed-list operand is a constant ([Value.Fn] — what the
-   safety-checking compiler emits); built on first execution because
-   function code addresses are assigned at module-load time. *)
+   safety-checking compiler emits).  Function code addresses are assigned
+   at module-load time, so the set is built by the compiled tier at
+   translation time when every allowed function is loaded, and otherwise
+   on first execution. *)
 type fc_cache = { mutable fc_set : (int, string) Hashtbl.t option }
 
 type intr =
@@ -772,6 +774,19 @@ let charge t m0 cost_native cost_mediated =
        else cost_native)
     + (meter () - m0)
 
+(* The allowed-target set of a [pchk_funccheck] site: the address of
+   each allowed operand ([args] from index 1), named by its [Value.Fn]. *)
+let funccheck_set (vargs : Value.t array) (args : int64 array) =
+  let s = Hashtbl.create (max 4 (Array.length vargs)) in
+  Array.iteri
+    (fun k v ->
+      if k > 0 then
+        let nm = match v with Value.Fn (fn, _) -> fn | _ -> "<addr>" in
+        let key = to_addr args.(k) in
+        if not (Hashtbl.mem s key) then Hashtbl.add s key nm)
+    vargs;
+  s
+
 (* Execute a decoded intrinsic on already-evaluated arguments.  [vargs]
    (the original operands) are still needed by [pchk_funccheck], whose
    allowed-set diagnostics use the constant [Value.Fn] names.  Shared by
@@ -819,29 +834,16 @@ let rec exec_intr t intr (vargs : Value.t array) (args : int64 array) :
       None
   | I_pchk_funccheck fc ->
       let target = addr 0 in
-      let build () =
-        let s = Hashtbl.create (max 4 (Array.length vargs)) in
-        Array.iteri
-          (fun k v ->
-            if k > 0 then
-              let nm =
-                match v with Value.Fn (fn, _) -> fn | _ -> "<addr>"
-              in
-              let key = to_addr args.(k) in
-              if not (Hashtbl.mem s key) then Hashtbl.add s key nm)
-          vargs;
-        s
-      in
       let allowed =
         match fc with
         | Some c -> (
             match c.fc_set with
             | Some s -> s
             | None ->
-                let s = build () in
+                let s = funccheck_set vargs args in
                 c.fc_set <- Some s;
                 s)
-        | None -> build ()
+        | None -> funccheck_set vargs args
       in
       Metapool_rt.funccheck_hashed ~allowed ~target;
       None

@@ -266,6 +266,13 @@ val charge : t -> int -> int -> int -> unit
     cost after it ran: the base cost for the current SVA-OS mode plus
     [meter () - m0], where [m0] was read before it ran. *)
 
+val funccheck_set : Value.t array -> int64 array -> (int, string) Hashtbl.t
+(** [funccheck_set vargs args] is a [pchk_funccheck] site's allowed-target
+    set: the address in [args.(k)] of each allowed operand [vargs.(k)],
+    [k >= 1], named by its function.  The interpreter builds a constant
+    site's {!fc_cache} with it on first execution, the compiled tier at
+    translation time. *)
+
 val run_intr :
   t -> intr -> Value.t array -> int64 array -> int -> int -> int64 option
 (** [run_intr t intr vargs args cost_native cost_mediated] executes a

@@ -21,18 +21,32 @@ let aot_engine ?dir () =
 
 (* ---------- differential property: random programs ---------- *)
 
-(* Random arithmetic over a, b, c with non-trapping operators (same shape
-   as the test_diff generator), inside a loop so the function gets hot. *)
-let rec gen_expr rng depth =
+(* Random arithmetic over operands of every integer width and
+   signedness: the int parameters, a computed c, and locals of type
+   char, short, long, unsigned and unsigned long.  Compares mix signed
+   and unsigned operands, casts narrow and widen, and / and % divide by
+   nonzero constants and by an odd variable, so no program traps and
+   every seed reaches the hot loop; test_division_by_zero_traps covers
+   the zero divisor. *)
+let leaves = [| "a"; "b"; "c"; "ch"; "sh"; "lg"; "u"; "ul" |]
+let cmps = [| "<"; "<="; ">"; ">="; "=="; "!=" |]
+let casts = [| "char"; "short"; "long"; "unsigned"; "unsigned long"; "int" |]
+let divisors = [| 1; 2; 3; 5; 7; 9; 11; -5; 16 |]
+
+let rec gen_expr ?(leaves = leaves) rng depth =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
   if depth = 0 then
-    match Random.State.int rng 4 with
-    | 0 -> "a"
-    | 1 -> "b"
-    | 2 -> "c"
-    | _ -> string_of_int (Random.State.int rng 2000 - 1000)
+    if Random.State.int rng 5 = 0 then
+      string_of_int (Random.State.int rng 2000 - 1000)
+    else pick leaves
   else
-    let l = gen_expr rng (depth - 1) and r = gen_expr rng (depth - 1) in
-    match Random.State.int rng 9 with
+    let l = gen_expr ~leaves rng (depth - 1)
+    and r = gen_expr ~leaves rng (depth - 1) in
+    let divisor () =
+      if Random.State.bool rng then string_of_int (pick divisors)
+      else Printf.sprintf "((%s & 15) | 1)" r
+    in
+    match Random.State.int rng 14 with
     | 0 -> Printf.sprintf "(%s + %s)" l r
     | 1 -> Printf.sprintf "(%s - %s)" l r
     | 2 -> Printf.sprintf "(%s * %s)" l r
@@ -41,7 +55,12 @@ let rec gen_expr rng depth =
     | 5 -> Printf.sprintf "(%s ^ %s)" l r
     | 6 -> Printf.sprintf "(%s << %d)" l (Random.State.int rng 8)
     | 7 -> Printf.sprintf "(%s >> %d)" l (Random.State.int rng 8)
-    | _ -> Printf.sprintf "(%s < %s ? %s : %s)" l r l r
+    | 8 -> Printf.sprintf "(%s >> (%s & 7))" l r
+    | 9 -> Printf.sprintf "(%s < %s ? %s : %s)" l r l r
+    | 10 -> Printf.sprintf "(%s %s %s)" l (pick cmps) r
+    | 11 -> Printf.sprintf "((%s)(%s))" (pick casts) l
+    | 12 -> Printf.sprintf "(%s / %s)" l (divisor ())
+    | _ -> Printf.sprintf "(%s %% %s)" l (divisor ())
 
 let gen_program seed =
   let rng = Random.State.make [| seed |] in
@@ -52,6 +71,11 @@ let gen_program seed =
   Printf.sprintf
     "int helper(int x, int i) { return (x ^ (x << %d)) + i * 3; }\n\
      int f(int a, int b) {\n\
+    \  char ch = (char)(a * 7 + b);\n\
+    \  short sh = (short)(a * 131 - b);\n\
+    \  long lg = (long)a * 100003 + b;\n\
+    \  unsigned u = (unsigned)(a ^ (b << 9));\n\
+    \  unsigned long ul = (unsigned long)lg * 977;\n\
     \  int c = %s;\n\
     \  int acc = 0;\n\
     \  for (int i = 0; i < 8; i++) {\n\
@@ -98,7 +122,7 @@ let prop_engines_agree =
    module must behave identically on both engines too. *)
 let gen_range_program seed =
   let rng = Random.State.make [| seed |] in
-  let e = gen_expr rng 2 in
+  let e = gen_expr ~leaves:[| "a"; "b"; "c" |] rng 2 in
   let mask = (1 lsl (1 + Random.State.int rng 6)) - 1 in
   Printf.sprintf
     "int tbl[64];\n\
@@ -132,6 +156,176 @@ let prop_engines_agree_with_ranges =
       let rt = run_built built (Some (tiered_engine ())) args in
       ri = rt)
 
+(* A zero divisor, constant or in a register, traps with the same
+   message on every engine. *)
+let test_division_by_zero_traps () =
+  List.iter
+    (fun body ->
+      let src = Printf.sprintf "int f(int a, int b) { return %s; }" body in
+      let built = Pipeline.build ~conf:Pipeline.Sva_safe ~name:"div0" [ src ] in
+      let args = [ 7L; 0L ] in
+      let outcome engine =
+        Closcomp.clear_cache ();
+        let r, _, _, _ = run_built built engine args in
+        r
+      in
+      let expected = Error "vm: division by zero in @f" in
+      List.iter
+        (fun (name, engine) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" body name) true
+            (outcome engine = expected))
+        [ ("interpreter", None); ("tiered", Some (tiered_engine ()));
+          ("aot", Some (aot_engine ())) ])
+    [ "a / b"; "a % b"; "a / 0"; "a % 0"; "(unsigned)a / (unsigned)b";
+      "(unsigned long)a % (unsigned long)b" ]
+
+(* ---------- every integer opcode, one instruction at a time ---------- *)
+
+module Irmod = Sva_ir.Irmod
+module Func = Sva_ir.Func
+module Builder = Sva_ir.Builder
+module Instr = Sva_ir.Instr
+module Ty = Sva_ir.Ty
+module Value = Sva_ir.Value
+
+type one_op = Bin of Instr.binop | Cmp of Instr.icmp | Cast of Instr.cast
+
+let one_ops =
+  List.map (fun o -> Bin o)
+    Instr.[ Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; And; Or; Xor; Shl; Lshr; Ashr ]
+  @ List.map (fun p -> Cmp p)
+      Instr.[ Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule; Ugt; Uge ]
+  @ List.map (fun c -> Cast c)
+      Instr.[ Bitcast; Inttoptr; Ptrtoint; Trunc; Zext; Sext; Fptosi; Sitofp ]
+
+(* [f(a, b) = a OP b] at width [w], one instruction and a return.  A
+   binop or compare takes its second operand as the constant [k] when
+   [shape] is 1 and its first when [shape] is 2.  A cast converts [a]
+   between [w] and 64 bits (or a pointer, or a float). *)
+let one_instr_module op w shape k =
+  let m = Irmod.create "one" in
+  let iw = Ty.Int w in
+  let ptr = Ty.Ptr (Ty.Int 8) in
+  let src_ty, ret_ty =
+    match op with
+    | Bin _ -> (iw, iw)
+    | Cmp _ -> (iw, Ty.Int 1)
+    | Cast Instr.Trunc -> (Ty.Int 64, iw)
+    | Cast (Instr.Zext | Instr.Sext) -> (iw, Ty.Int 64)
+    | Cast Instr.Bitcast -> (iw, iw)
+    | Cast Instr.Inttoptr -> (iw, ptr)
+    | Cast Instr.Ptrtoint -> (ptr, iw)
+    | Cast Instr.Fptosi -> (Ty.Float, iw)
+    | Cast Instr.Sitofp -> (iw, Ty.Float)
+  in
+  let f = Func.create "f" ret_ty [ ("a", src_ty); ("b", src_ty) ] in
+  Irmod.add_func m f;
+  let bld = Builder.create m f in
+  ignore (Builder.start_block bld "entry");
+  let a = Func.param_value f 0 and b = Func.param_value f 1 in
+  let kv = Value.Imm (src_ty, k) in
+  let x, y = match shape with 1 -> (a, kv) | 2 -> (kv, b) | _ -> (a, b) in
+  let r =
+    match op with
+    | Bin o -> Builder.b_binop bld o x y
+    | Cmp p -> Builder.b_icmp bld p x y
+    | Cast c -> Builder.b_cast bld c a ret_ty
+  in
+  Builder.b_ret bld (Some r);
+  Sva_ir.Verify.check m;
+  m
+
+(* Result (or the exception's text), steps and modeled cycles of [f] on
+   the interpreter or on AOT. *)
+let run_one m ~aot args =
+  let t = Interp.load m in
+  if aot then begin
+    Closcomp.enable ~threshold:1 t;
+    Closcomp.compile_all t
+  end;
+  let r =
+    match Interp.call t "f" args with
+    | v -> Ok v
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (r, Interp.steps t, Interp.cycles t)
+
+(* Each case draws one set of operands and runs every opcode at every
+   width with both operands in registers and with either one constant.
+   Half the cases pass operands not truncated to the width, which the
+   engines must treat alike too; a small second operand reaches the zero
+   divisor and the shift edges. *)
+let op_name = function
+  | Bin o -> Sva_ir.Pp.string_of_binop o
+  | Cmp p -> "icmp " ^ Sva_ir.Pp.string_of_icmp p
+  | Cast c -> Sva_ir.Pp.string_of_cast c
+
+(* A mismatch names the instruction rather than shrinking the operands:
+   every shrink step would rerun all the opcodes. *)
+let prop_opcodes_agree =
+  let gen =
+    QCheck2.Gen.(
+      no_shrink (tup3 (tup3 ui64 ui64 ui64) bool (int_range (-3) 3)))
+  in
+  QCheck2.Test.make
+    ~name:"every integer opcode agrees between the interpreter and aot"
+    ~count:8 gen
+    (fun ((a, b, k), canonical, small) ->
+      let b = if small <> 0 then Int64.of_int small else b in
+      List.for_all
+        (fun op ->
+          List.for_all
+            (fun w ->
+              let canon v =
+                if canonical then Sva_ir.Constfold.truncate_to_width w v else v
+              in
+              let args = [ canon a; canon b ] in
+              List.for_all
+                (fun shape ->
+                  let m = one_instr_module op w shape k in
+                  run_one m ~aot:false args = run_one m ~aot:true args
+                  || QCheck2.Test.fail_reportf
+                       "%s at i%d, shape %d, k = %Ld, args %Ld, %Ld" (op_name op)
+                       w shape k (List.nth args 0) (List.nth args 1))
+                [ 0; 1; 2 ])
+            [ 1; 8; 16; 32; 64 ])
+        one_ops)
+
+(* A gep into a [6 x [10 x i32]] through a register base, with one, two
+   or three register indices and the rest constant:
+   [f(p, i, j) = ptrtoint (gep p idxs)].  One register index compiles to
+   an inline term, more take the interpreter's gep_offset; AOT must
+   compute the interpreter's address either way. *)
+let test_register_index_geps () =
+  let i64 = Ty.Int 64 in
+  let arr = Ty.Array (Ty.Array (Ty.Int 32, 10), 6) in
+  List.iter
+    (fun nregs ->
+      let m = Irmod.create "gep" in
+      let f =
+        Func.create "f" i64 [ ("p", Ty.Ptr arr); ("i", i64); ("j", i64) ]
+      in
+      Irmod.add_func m f;
+      let bld = Builder.create m f in
+      ignore (Builder.start_block bld "entry");
+      let p = Func.param_value f 0 and i = Func.param_value f 1 in
+      let j = Func.param_value f 2 and k = Value.Imm (i64, 3L) in
+      let idxs =
+        match nregs with 1 -> [ i; k; k ] | 2 -> [ i; j; k ] | _ -> [ i; j; i ]
+      in
+      let g = Builder.b_gep bld p idxs in
+      Builder.b_ret bld (Some (Builder.b_cast bld Instr.Ptrtoint g i64));
+      Sva_ir.Verify.check m;
+      List.iter
+        (fun (i, j) ->
+          let args = [ 0x10000L; i; j ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d register indices, i = %Ld, j = %Ld" nregs i j)
+            true
+            (run_one m ~aot:false args = run_one m ~aot:true args))
+        [ (0L, 0L); (2L, 7L); (5L, -3L); (-1L, 9L) ])
+    [ 1; 2; 3 ]
+
 (* ---------- the five exploits agree on both engines ---------- *)
 
 let built_cache = Hashtbl.create 4
@@ -161,6 +355,29 @@ let test_exploit_verdicts_agree () =
         (Printf.sprintf "verdict for %s" (Exploits.name ex))
         vi vt)
     Exploits.all
+
+(* ---------- a corrupted syscall table slot ---------- *)
+
+(* The getpid slot overwritten with the address of a function outside
+   the syscall set: the funccheck in kernel_syscall_entry must stop the
+   trap with the same Indirect_call violation on every engine. *)
+let test_corrupted_syscall_slot () =
+  let violation engine =
+    Closcomp.clear_cache ();
+    let k = kernel ?engine Pipeline.Sva_safe in
+    let slot = Interp.global_addr k.Boot.vm "syscall_table" + 8 in
+    Sva_hw.Machine.write_int k.Boot.sys.Sva_os.Svaos.machine ~addr:slot ~width:8
+      (Int64.of_int (Interp.func_addr k.Boot.vm "kcopy"));
+    match Boot.syscall k 1 [] with
+    | r -> Alcotest.failf "getpid through a corrupted slot returned %Ld" r
+    | exception Sva_rt.Violation.Safety_violation v ->
+        Alcotest.(check bool) "an indirect-call violation" true
+          (v.Sva_rt.Violation.v_kind = Sva_rt.Violation.Indirect_call);
+        Sva_rt.Violation.to_string v
+  in
+  let vi = violation None in
+  Alcotest.(check string) "tiered" vi (violation (Some (tiered_engine ())));
+  Alcotest.(check string) "aot" vi (violation (Some (aot_engine ())))
 
 (* ---------- syscall mix: cycles, steps and stats bit-identical ---------- *)
 
@@ -212,6 +429,53 @@ let test_syscall_mix_identical_aot () =
     (tier.Stats.promotions > 0);
   Alcotest.(check bool) "superblocks were formed" true
     (tier.Stats.superblocks > 0)
+
+(* ---------- allocation pins for warm AOT code ---------- *)
+
+(* Minor-heap words allocated by compiled code, written like the in-page
+   scalar test in test_hw.  Each pin sits just above what the closures
+   allocate now: mostly the boxed int64 of each register write and each
+   call's register file.  A wrap closure per arithmetic step, or a
+   funccheck that evaluates all 33 of its operands on every trap, goes
+   over. *)
+
+let loop_src =
+  "long loop(long n) {\n\
+  \  long acc = 0;\n\
+  \  for (long i = 0; i < n; i = i + 1) acc = acc + i;\n\
+  \  return acc;\n\
+   }"
+
+(* 10 steps per iteration: 6 words for the two adds, 3 for the zext of
+   the loop test. *)
+let test_loop_allocation () =
+  let built = Pipeline.build ~conf:Pipeline.Sva_safe ~name:"loop" [ loop_src ] in
+  Closcomp.clear_cache ();
+  let t = Pipeline.instantiate ~engine:(aot_engine ()) built in
+  ignore (Interp.call t "loop" [ 10L ]);
+  let s0 = Interp.steps t in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Interp.call t "loop" [ 10_000L ]));
+  let words = Gc.minor_words () -. w0 in
+  let per_step = words /. float_of_int (Interp.steps t - s0) in
+  if per_step > 0.95 then
+    Alcotest.failf "%.3f minor words per step of a 64-bit add/compare loop"
+      per_step
+
+let test_getpid_allocation () =
+  Closcomp.clear_cache ();
+  let k = kernel ~engine:(aot_engine ()) Pipeline.Sva_safe in
+  for _ = 1 to 3 do
+    ignore (Boot.syscall k 1 [])
+  done;
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Boot.syscall k 1 []))
+  done;
+  let per_trap = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_trap > 450. then
+    Alcotest.failf "%.0f minor words per getpid trap" per_trap
 
 (* ---------- signed translation cache ---------- *)
 
@@ -406,12 +670,26 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_engines_agree;
           QCheck_alcotest.to_alcotest prop_engines_agree_with_ranges;
+          Alcotest.test_case "division by zero traps identically" `Quick
+            test_division_by_zero_traps;
+          QCheck_alcotest.to_alcotest prop_opcodes_agree;
+          Alcotest.test_case "register-index geps agree" `Quick
+            test_register_index_geps;
+          Alcotest.test_case "corrupted syscall slot: same violation" `Quick
+            test_corrupted_syscall_slot;
           Alcotest.test_case "exploit verdicts agree" `Slow
             test_exploit_verdicts_agree;
           Alcotest.test_case "syscall mix bit-identical" `Quick
             test_syscall_mix_identical;
           Alcotest.test_case "syscall mix bit-identical (aot)" `Quick
             test_syscall_mix_identical_aot;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "64-bit add/compare/branch loop" `Quick
+            test_loop_allocation;
+          Alcotest.test_case "getpid trap through kernel_syscall_entry" `Quick
+            test_getpid_allocation;
         ] );
       ( "translation-cache",
         [
