@@ -8,8 +8,6 @@ module type LATTICE = sig
   val join : t -> t -> t
 end
 
-type direction = Forward | Backward
-
 (* Sweep cap: a monotone transfer over a finite lattice converges long
    before this; a non-monotone client fails loudly instead of spinning. *)
 let max_visits_per_block = 1000
@@ -21,31 +19,10 @@ module Make (L : LATTICE) = struct
     iterations : int;
   }
 
-  let solve ?(direction = Forward) ?(entry = L.bottom)
-      ?(edge = fun ~src:_ ~dst:_ fact -> fact) ?widen ~transfer (f : Func.t)
-      (cfg : Cfg.t) =
+  let solve ?(entry = L.bottom) ?(edge = fun ~src:_ ~dst:_ fact -> fact)
+      ?widen ~transfer (f : Func.t) (cfg : Cfg.t) =
     let blocks = Cfg.reachable cfg in
-    (* Forward: propagate entry->exits along successor edges.  Backward:
-       the same algorithm on the reversed graph, seeding exit blocks. *)
-    let flows_into label =
-      match direction with
-      | Forward -> Cfg.predecessors cfg label
-      | Backward -> Cfg.successors cfg label
-    in
-    let flows_out label =
-      match direction with
-      | Forward -> Cfg.successors cfg label
-      | Backward -> Cfg.predecessors cfg label
-    in
     let entry_label = (Func.entry f).Func.label in
-    let is_boundary label =
-      match direction with
-      | Forward -> label = entry_label
-      | Backward -> Cfg.successors cfg label = []
-    in
-    let order =
-      match direction with Forward -> blocks | Backward -> List.rev blocks
-    in
     let inf : (string, L.t) Hashtbl.t = Hashtbl.create 16 in
     let outf : (string, L.t) Hashtbl.t = Hashtbl.create 16 in
     let get tbl label =
@@ -60,7 +37,7 @@ module Make (L : LATTICE) = struct
         Queue.add label worklist
       end
     in
-    List.iter enqueue order;
+    List.iter enqueue blocks;
     while not (Queue.is_empty worklist) do
       let label = Queue.take worklist in
       Hashtbl.remove queued label;
@@ -70,16 +47,11 @@ module Make (L : LATTICE) = struct
       let in_fact =
         let flowed =
           List.fold_left
-            (fun acc p ->
-              let fact =
-                match direction with
-                | Forward -> edge ~src:p ~dst:label (get outf p)
-                | Backward -> edge ~src:label ~dst:p (get outf p)
-              in
-              L.join acc fact)
-            L.bottom (flows_into label)
+            (fun acc p -> L.join acc (edge ~src:p ~dst:label (get outf p)))
+            L.bottom
+            (Cfg.predecessors cfg label)
         in
-        if is_boundary label then L.join entry flowed else flowed
+        if label = entry_label then L.join entry flowed else flowed
       in
       (* Widening hook: on revisits the client may extrapolate the new
          input against the previously stored one (infinite-height
@@ -94,7 +66,7 @@ module Make (L : LATTICE) = struct
       let out_fact = transfer (Func.find_block f label) in_fact in
       if not (L.equal out_fact (get outf label)) then begin
         Hashtbl.replace outf label out_fact;
-        List.iter enqueue (flows_out label)
+        List.iter enqueue (Cfg.successors cfg label)
       end
     done;
     { input = get inf; output = get outf; iterations = !visits }

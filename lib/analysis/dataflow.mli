@@ -1,12 +1,11 @@
 (** A generic iterative dataflow framework over {!Sva_ir.Cfg}.
 
-    The solver is a worklist algorithm on basic blocks: block facts are
-    joined over the incoming edges (forward) or outgoing edges
-    (backward), pushed through a client transfer function, and the
-    block's dependents are revisited until the facts stop changing.
-    Blocks are visited in reverse post-order (forward) or its reverse
-    (backward), which makes convergence fast on reducible flow graphs
-    and the result order-deterministic.
+    The solver is a forward worklist algorithm on basic blocks: block
+    facts are joined over the incoming edges, pushed through a client
+    transfer function, and the block's successors are revisited until
+    the facts stop changing.  Blocks are visited in reverse post-order,
+    which makes convergence fast on reducible flow graphs and the result
+    order-deterministic.
 
     The lattice is a client module: the solver only needs [bottom],
     [join] and [equal].  Monotone transfer functions over a
@@ -37,20 +36,15 @@ module type LATTICE = sig
   val join : t -> t -> t
 end
 
-type direction = Forward | Backward
-
 module Make (L : LATTICE) : sig
   type result = {
-    input : string -> L.t;
-        (** fact at block entry (forward) / block exit (backward) *)
-    output : string -> L.t;
-        (** fact at block exit (forward) / block entry (backward) *)
+    input : string -> L.t;  (** fact at block entry *)
+    output : string -> L.t;  (** fact at block exit *)
     iterations : int;
         (** total block visits performed before the fixpoint *)
   }
 
   val solve :
-    ?direction:direction ->
     ?entry:L.t ->
     ?edge:(src:string -> dst:string -> L.t -> L.t) ->
     ?widen:(label:string -> old:L.t -> cur:L.t -> L.t) ->
@@ -60,14 +54,13 @@ module Make (L : LATTICE) : sig
     result
   (** [solve ~transfer f cfg] computes the fixpoint over [f]'s reachable
       blocks.  [entry] (default [L.bottom]) is the boundary fact of the
-      entry block (forward) or of every exit block (backward).  [edge]
-      (default identity) refines a fact flowing along a specific edge
-      {e before} it is joined into the destination.  [widen] (default
-      none) is applied on revisits of a block to the previously stored
-      input ([old]) and the freshly computed one ([cur]); it must return
-      an upper bound of both, and for an infinite-height lattice it must
-      stabilize every ascending chain (typically applied at loop headers
-      only). *)
+      entry block.  [edge] (default identity) refines a fact flowing
+      along a specific edge {e before} it is joined into the
+      destination.  [widen] (default none) is applied on revisits of a
+      block to the previously stored input ([old]) and the freshly
+      computed one ([cur]); it must return an upper bound of both, and
+      for an infinite-height lattice it must stabilize every ascending
+      chain (typically applied at loop headers only). *)
 end
 
 (** Interprocedural summary fixpoint: each function owns a summary value;

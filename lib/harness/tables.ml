@@ -1120,7 +1120,6 @@ let tiered_payload =
                    ("disk-stale", J.Int tier.Sva_rt.Stats.tcache_disk_stale);
                    ("disk-writes",
                     J.Int tier.Sva_rt.Stats.tcache_disk_writes) ]);
-          ("superblocks", J.Int tier.Sva_rt.Stats.superblocks);
         ])
 
 (* The wall-clock gate must hold on loaded CI machines; the measured
@@ -1256,7 +1255,6 @@ let aot_payload =
                    ("stale-warm", J.Int warm.Sva_rt.Stats.tcache_disk_stale);
                    (* re-translations in the warm boot (want 0) *)
                    ("misses-warm", J.Int warm.Sva_rt.Stats.tcache_misses) ]);
-              ("superblocks", J.Int warm.Sva_rt.Stats.superblocks);
             ]))
 
 (* Table 7 mix, warm persistent cache.  Must hold on loaded CI machines;
@@ -1274,7 +1272,6 @@ let aot_check j =
       positive "disk-cache.writes-cold" j;
       positive "disk-cache.hits-warm" j;
       zero "disk-cache.misses-warm" j;
-      positive "superblocks" j;
     ]
 
 let aot_report j =
@@ -1285,15 +1282,14 @@ let aot_report j =
        signed translation store (SVA-Safe, Table 7 mix)"
     ~note:
       (Printf.sprintf
-         "Cold boot compiles %d functions (%d signed entries persisted, \
-          %d superblocks) in %.1fms; the warm boot simulates a second \
-          process against the populated store: %d verified disk hits, %d \
+         "Cold boot compiles %d functions (%d signed entries persisted) \
+          in %.1fms; the warm boot simulates a second process against \
+          the populated store: %d verified disk hits, %d \
           re-translations, %.1fms.  Modeled cycles, steps and checks are \
           bit-identical to the interpreter's; warm hot-path speedup \
           %.2fx, the median ratio over interleaved interpreter/aot batch \
           pairs (>= %.1fx under --strict)."
          (int "functions-compiled" j) (disk "writes-cold")
-         (int "superblocks" j)
          (num "boot-ns.cold" j /. 1e6)
          (disk "hits-warm") (disk "misses-warm")
          (num "boot-ns.warm" j /. 1e6)

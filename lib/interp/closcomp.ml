@@ -2,12 +2,12 @@
 
    Section 3.4's SVM "can cache translations" of verified bytecode; this
    module is that translator for the OCaml substrate.  A promoted
-   function is compiled once into a tree of OCaml closures — one fused
-   chain per basic block, with operand fetches specialized per value
-   constructor, branch targets resolved to block indices, and
-   superinstruction fusion for compare+branch, gep+load/store and
-   check+access pairs — so the hot path never pays the interpreter's
-   per-instruction constructor dispatch again.
+   function is compiled once into a tree of OCaml closures — one chain
+   per basic block, with operands, widths and gep terms resolved at
+   translation time, branch targets resolved to block indices, and a
+   block-ending compare fused into its branch — so the hot path never
+   pays the interpreter's per-instruction constructor dispatch again.
+   One loop dispatches the blocks.
 
    Translations are keyed by the SHA-256 of the function's bytecode and
    recorded as signed cache entries ({!Sva_bytecode.Signing.fentry}).  A
@@ -26,7 +26,6 @@
 open Sva_ir
 module I = Interp
 module Machine = Sva_hw.Machine
-module Metapool_rt = Sva_rt.Metapool_rt
 module Stats = Sva_rt.Stats
 module Codec = Sva_bytecode.Codec
 module Signing = Sva_bytecode.Signing
@@ -606,99 +605,6 @@ let cinsn t fname (p : I.pinsn) : cop =
         tick t;
         raise e
 
-(* ---------- superinstruction fusion ---------- *)
-
-(* gep+load / gep+store: the computed address feeds the access directly.
-   Both halves keep their own bookkeeping prologue (the step-limit trap
-   can fire between them, exactly as in the interpreter), and the gep
-   result register is still written — later code may read it. *)
-let fuse_gep_access t (g : Instr.t) base idxs (acc : I.pinsn) : cop option =
-  let gid = g.Instr.id in
-  match acc with
-  | I.P_base a -> (
-      match a.Instr.kind with
-      | Instr.Load (Value.Reg (pid, _, _)) when pid = gid -> (
-          match I.ty_width a.Instr.ty with
-          | exception I.Vm_error _ -> None
-          | w ->
-              let cgep_op = cgep t g base idxs in
-              let did = a.Instr.id in
-              Some
-                (fun fr ->
-                  cgep_op fr;
-                  tick t;
-                  fr.regs.(did) <-
-                    I.mem_read_int t
-                      ~addr:(I.to_addr fr.regs.(gid))
-                      ~width:w))
-      | Instr.Store (v, Value.Reg (pid, _, _)) when pid = gid -> (
-          match I.ty_width (Value.ty v) with
-          | exception I.Vm_error _ -> None
-          | w ->
-              let cgep_op = cgep t g base idxs in
-              let cv = cval t v in
-              Some
-                (fun fr ->
-                  cgep_op fr;
-                  tick t;
-                  I.mem_write_int t
-                    ~addr:(I.to_addr fr.regs.(gid))
-                    ~width:w (cv fr)))
-      | _ -> None)
-  | _ -> None
-
-(* lscheck+access: the checked pointer is evaluated once and shared by
-   the check and the guarded load/store.  The check half is charged with
-   the interpreter's [I.meter] and [I.charge], like any intrinsic. *)
-let fuse_check_access t (ci : Instr.t) (vargs : Value.t array) cost_native
-    cost_mediated (acc : I.pinsn) : cop option =
-  if Array.length vargs <> 3 || ci.Instr.ty <> Ty.Void then None
-  else
-    let cmp_id = cval t vargs.(0) in
-    let cptr = cval t vargs.(1) in
-    let clen = cval t vargs.(2) in
-    (* bookkeeping + execution + charging of the lscheck itself; returns
-       the evaluated pointer for the fused access *)
-    let check fr =
-      tick t;
-      let mpid = cmp_id fr in
-      let ptr = cptr fr in
-      let len = clen fr in
-      let m0 = I.meter () in
-      Metapool_rt.lscheck
-        (I.get_mp t (I.to_addr mpid))
-        ~addr:(I.to_addr ptr)
-        ~access_len:(I.to_addr len);
-      I.charge t m0 cost_native cost_mediated;
-      ptr
-    in
-    match acc with
-    | I.P_base a -> (
-        match a.Instr.kind with
-        | Instr.Load p when Value.equal p vargs.(1) -> (
-            match I.ty_width a.Instr.ty with
-            | exception I.Vm_error _ -> None
-            | w ->
-                let did = a.Instr.id in
-                Some
-                  (fun fr ->
-                    let ptr = check fr in
-                    tick t;
-                    fr.regs.(did) <-
-                      I.mem_read_int t ~addr:(I.to_addr ptr) ~width:w))
-        | Instr.Store (v, p) when Value.equal p vargs.(1) -> (
-            match I.ty_width (Value.ty v) with
-            | exception I.Vm_error _ -> None
-            | w ->
-                let cv = cval t v in
-                Some
-                  (fun fr ->
-                    let ptr = check fr in
-                    tick t;
-                    I.mem_write_int t ~addr:(I.to_addr ptr) ~width:w (cv fr)))
-        | _ -> None)
-    | _ -> None
-
 (* ---------- block compilation ---------- *)
 
 type cblock = {
@@ -813,125 +719,14 @@ let cblock t fname (labels : string array) bi (pb : I.pblock) : cblock =
         | _ -> (None, nbody))
     | _ -> (None, nbody)
   in
-  let ops = ref [] in
-  let k = ref 0 in
-  while !k < body_end do
-    let fused =
-      if !k + 1 < body_end then
-        match body.(!k) with
-        | I.P_base ({ Instr.kind = Instr.Gep (base, idxs); _ } as g) -> (
-            try fuse_gep_access t g base idxs body.(!k + 1) with _ -> None)
-        | I.P_intr (ci, I.I_pchk_lscheck, vargs, cn, cm) -> (
-            try fuse_check_access t ci vargs cn cm body.(!k + 1)
-            with _ -> None)
-        | _ -> None
-      else None
-    in
-    (match fused with
-    | Some op ->
-        ops := op :: !ops;
-        k := !k + 2
-    | None ->
-        ops := cinsn t fname body.(!k) :: !ops;
-        incr k)
-  done;
   {
     cb_phis = cphis t labels pb;
-    cb_body = Array.of_list (List.rev !ops);
+    cb_body = Array.init body_end (fun k -> cinsn t fname body.(k));
     cb_term =
       (match term_fused with
       | Some f -> f
       | None -> cterm t fname bi pb.I.pb_term);
   }
-
-(* ---------- trace superblocks ----------
-
-   Per-block fused chains already kill the interpreter's per-instruction
-   dispatch; superblocks kill the per-BLOCK dispatch on hot paths.  At
-   translation time we pick trace heads (the entry block plus every
-   back-edge target, i.e. loop headers) and grow each into a linear
-   trace of likely successors — by the dynamic edge profile the
-   interpreter recorded while the function was still cold
-   ([pf_edges]), falling back to a static heuristic (prefer back
-   edges, then the first-listed target) when no profile exists, as in
-   AOT mode.  At run time a trace executes its blocks back-to-back,
-   looping in place when control returns to the head; any other
-   successor is a side exit back to the generic dispatch loop.
-
-   Crucially a superblock reuses the SAME compiled phi/body/term
-   closures a standalone block uses — only the dispatch between blocks
-   changes — so cycles, steps, checks, traps and results are
-   bit-identical with superblocks on or off. *)
-
-let max_trace_len = 16
-
-let static_succs (term : I.pterm) =
-  match term with
-  | I.P_ret _ | I.P_unreachable -> []
-  | I.P_jmp ix -> [ ix ]
-  | I.P_br (_, th, el) -> [ th; el ]
-  | I.P_switch (_, cases, default) ->
-      Array.to_list (Array.map snd cases) @ [ default ]
-
-(* Linear trace of block indices starting at [head]; [ixs.(0) = head]. *)
-type strace = { st_blocks : int array }
-
-let form_traces (pf : I.prepared_func) : strace option array =
-  let blocks = pf.I.pf_blocks in
-  let nblocks = Array.length blocks in
-  let succs bi = static_succs blocks.(bi).I.pb_term in
-  let edge_count bi s =
-    match pf.I.pf_edges with
-    | None -> 0
-    | Some tbl -> (
-        match Hashtbl.find_opt tbl ((bi * nblocks) + s) with
-        | Some r -> !r
-        | None -> 0)
-  in
-  let preferred bi =
-    match succs bi with
-    | [] -> None
-    | [ s ] -> Some s
-    | s0 :: _ as ss ->
-        let scored = List.map (fun s -> (s, edge_count bi s)) ss in
-        let maxc = List.fold_left (fun a (_, c) -> max a c) 0 scored in
-        if maxc > 0 then
-          (* hottest edge; ties resolve to the first-listed target *)
-          Some (fst (List.find (fun (_, c) -> c = maxc) scored))
-        else begin
-          (* no profile: prefer a back edge (loop continuation), then
-             the first-listed (then-) target *)
-          match List.find_opt (fun (s, _) -> s <= bi) scored with
-          | Some (s, _) -> Some s
-          | None -> Some s0
-        end
-  in
-  let is_head = Array.make nblocks false in
-  if nblocks > 0 then is_head.(0) <- true;
-  for bi = 0 to nblocks - 1 do
-    List.iter (fun s -> if s <= bi then is_head.(s) <- true) (succs bi)
-  done;
-  let grow head =
-    let in_trace = Array.make nblocks false in
-    in_trace.(head) <- true;
-    let rec go acc last len =
-      if len >= max_trace_len then List.rev acc
-      else
-        match preferred last with
-        | None -> List.rev acc
-        | Some s when in_trace.(s) -> List.rev acc
-        | Some s ->
-            in_trace.(s) <- true;
-            go (s :: acc) s (len + 1)
-    in
-    go [ head ] head 1
-  in
-  Array.init nblocks (fun bi ->
-      if not is_head.(bi) then None
-      else
-        match grow bi with
-        | _ :: _ :: _ as ixs -> Some { st_blocks = Array.of_list ixs }
-        | _ -> None)
 
 (* ---------- function compilation ---------- *)
 
@@ -942,11 +737,6 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
   let nscratch = max 1 pf.I.pf_max_phis in
   let labels = Array.map (fun b -> b.I.pb_label) pf.I.pf_blocks in
   let blocks = Array.mapi (cblock t fname labels) pf.I.pf_blocks in
-  let traces = form_traces pf in
-  Stats.add_superblocks
-    (Array.fold_left
-       (fun acc tr -> match tr with Some _ -> acc + 1 | None -> acc)
-       0 traces);
   let run_block (cb : cblock) fr =
     (match cb.cb_phis with Some p -> p fr | None -> ());
     let body = cb.cb_body in
@@ -954,27 +744,6 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
       body.(k) fr
     done;
     cb.cb_term fr
-  in
-  (* Execute a trace from its head: stay on the trace while control
-     follows it (or re-enters the head — a loop), side-exit with the
-     actual successor otherwise.  Returns the next block index, -1 for
-     return. *)
-  let run_trace (tr : strace) fr =
-    let ixs = tr.st_blocks in
-    let n = Array.length ixs in
-    let k = ref 0 in
-    let out = ref min_int in
-    while !out = min_int do
-      let nxt = run_block blocks.(ixs.(!k)) fr in
-      if nxt < 0 then out := -1
-      else begin
-        let k' = !k + 1 in
-        if k' < n && nxt = ixs.(k') then k := k'
-        else if nxt = ixs.(0) then k := 0
-        else out := nxt
-      end
-    done;
-    !out
   in
   fun args ->
     let fr =
@@ -990,11 +759,7 @@ let build (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
     let cur = ref 0 in
     let running = ref true in
     while !running do
-      let nxt =
-        match traces.(!cur) with
-        | Some tr -> run_trace tr fr
-        | None -> run_block blocks.(!cur) fr
-      in
+      let nxt = run_block blocks.(!cur) fr in
       if nxt < 0 then running := false else cur := nxt
     done;
     (* Restored only on normal return, like the interpreter: a trap

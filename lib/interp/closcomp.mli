@@ -2,13 +2,13 @@
     translation cache (Section 3.4).
 
     Hot functions (profiled by {!Interp.enter} against the installed
-    threshold) are compiled into trees of OCaml closures — per-block
-    fused chains with specialized operand fetches, resolved branch
-    targets, and superinstruction fusion for compare+branch,
-    gep+load/store and check+access pairs.  Each translation is recorded
-    as a signed cache entry keyed by the SHA-256 of the function's
-    bytecode; reuse re-verifies the signature and a tampered entry falls
-    back to re-translation from re-verified bytecode.
+    threshold) are compiled into trees of OCaml closures — one chain per
+    basic block, with operands, widths and gep terms resolved at
+    translation time, branch targets resolved to block indices, and a
+    block-ending compare fused into its branch.  Each translation is
+    recorded as a signed cache entry keyed by the SHA-256 of the
+    function's bytecode; reuse re-verifies the signature and a tampered
+    entry falls back to re-translation from re-verified bytecode.
 
     The tier is semantically invisible: results, traps, check statistics
     and the modeled cycle counts are bit-identical to the interpreter's.
@@ -27,21 +27,6 @@ val compile_all : Interp.t -> unit
     populated {!Tcache_disk} store this is all verified disk hits and
     zero re-translations.  Host work only; execution stays bit-identical
     to the other engines. *)
-
-val build : Interp.t -> Interp.prepared_func -> int64 list -> int64 option
-(** Compile a prepared function to its closure-tree entry point,
-    bypassing the translation cache (exposed for tests).  Block dispatch
-    uses trace superblocks: linear multi-block traces grown from loop
-    headers along profiled (or statically likely) edges, with side exits
-    back to generic dispatch — semantics and counters unchanged. *)
-
-val translate :
-  Interp.t -> Interp.prepared_func -> int64 list -> int64 option
-(** The installed [jit_translate]: consult the signed in-memory
-    translation cache, then the persistent {!Tcache_disk} store
-    (verifying the entry's signature in either case); re-verify,
-    re-sign and persist on a miss or a tampered/stale entry, then
-    compile.  Bumps the {!Sva_rt.Stats} tier counters. *)
 
 (** {1 Translation cache introspection (tests and demos)} *)
 

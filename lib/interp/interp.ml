@@ -113,10 +113,6 @@ and prepared_func = {
       (* profile counter: entries via [enter] while still interpreted *)
   mutable pf_entry : (int64 list -> int64 option) option;
       (* the compiled-tier entry point, once promoted *)
-  mutable pf_edges : (int, int ref) Hashtbl.t option;
-      (* dynamic edge profile (prev * nblocks + cur -> taken count),
-         recorded only while interpreted under an installed JIT; feeds
-         superblock trace selection.  Host-side bookkeeping only. *)
 }
 
 type t = {
@@ -418,8 +414,7 @@ let prepare_func (f : Func.t) =
     }
   in
   let pf_blocks = Array.map prep_block blocks in
-  { pf = f; pf_blocks; pf_max_phis = !max_phis; pf_calls = 0; pf_entry = None;
-    pf_edges = None }
+  { pf = f; pf_blocks; pf_max_phis = !max_phis; pf_calls = 0; pf_entry = None }
 
 let load ?sys ?(metapools = []) (m : Irmod.t) =
   let sys = match sys with Some s -> s | None -> Svaos.create () in
@@ -1008,17 +1003,7 @@ and exec_func t (pf : prepared_func) (args : int64 list) : int64 option =
   let cur = ref 0 in
   let prev = ref (-1) in
   let phi_scratch = Array.make (max 1 pf.pf_max_phis) 0L in
-  let nblocks = Array.length pf.pf_blocks in
   while !running do
-    (* Edge profiling for superblock selection: host bookkeeping only,
-       live only while the function is still interpreted under a JIT. *)
-    (match pf.pf_edges with
-    | Some tbl when !prev >= 0 ->
-        let key = (!prev * nblocks) + !cur in
-        (match Hashtbl.find_opt tbl key with
-        | Some r -> incr r
-        | None -> Hashtbl.add tbl key (ref 1))
-    | _ -> ());
     let blk = pf.pf_blocks.(!cur) in
     (* Phase 1: evaluate all phis against the predecessor simultaneously. *)
     let nphis = Array.length blk.pb_phis in
@@ -1223,9 +1208,6 @@ and enter_raw t (pf : prepared_func) (args : int64 list) : int64 option =
       match t.jit with
       | None -> exec_func t pf args
       | Some j ->
-          (match pf.pf_edges with
-          | None -> pf.pf_edges <- Some (Hashtbl.create 16)
-          | Some _ -> ());
           pf.pf_calls <- pf.pf_calls + 1;
           if pf.pf_calls >= j.jit_threshold then begin
             let compiled = j.jit_translate t pf in

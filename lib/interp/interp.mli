@@ -112,11 +112,6 @@ and prepared_func = {
   pf_max_phis : int;
   mutable pf_calls : int;
   mutable pf_entry : (int64 list -> int64 option) option;
-  mutable pf_edges : (int, int ref) Hashtbl.t option;
-      (** dynamic edge profile ([prev * nblocks + cur] -> taken count),
-          recorded while interpreted under an installed JIT; consumed by
-          the translator's superblock trace selection.  Pure host-side
-          bookkeeping — never visible in modeled cycles or counters. *)
 }
 
 type t = {
@@ -249,22 +244,8 @@ val mem_write_int : t -> addr:int -> width:int -> int64 -> unit
 val heap_alloc : t -> int -> int
 val heap_free : t -> int -> unit
 
-val get_mp : t -> int -> Sva_rt.Metapool_rt.t
-(** Metapool by id.  @raise Vm_error on unknown ids. *)
-
 val builtin : t -> string -> int64 array -> int64 option
 val is_builtin : string -> bool
-
-val meter : unit -> int
-(** The check runtime's lookup work so far in modeled cycles, at the
-    cycle model's rates per splay comparison and per object-cache hit
-    (DESIGN.md Section 6).  Linear in both counters, so the difference
-    of two readings prices the lookups made between them. *)
-
-val charge : t -> int -> int -> int -> unit
-(** [charge t m0 cost_native cost_mediated] adds an intrinsic's modeled
-    cost after it ran: the base cost for the current SVA-OS mode plus
-    [meter () - m0], where [m0] was read before it ran. *)
 
 val funccheck_set : Value.t array -> int64 array -> (int, string) Hashtbl.t
 (** [funccheck_set vargs args] is a [pchk_funccheck] site's allowed-target
@@ -278,9 +259,11 @@ val run_intr :
 (** [run_intr t intr vargs args cost_native cost_mediated] executes a
     decoded intrinsic on already-evaluated arguments [args] ([vargs]
     carries the original operands for [pchk_funccheck] diagnostics) and
-    charges it: {!charge}, plus the page-table walk that
-    [sva_mmu_clone_space] costs.  Both engines execute intrinsics
-    through it. *)
+    charges it: the base cost for the current SVA-OS mode, the check
+    runtime's lookup work while it ran (splay comparisons and object-cache
+    hits at the cycle model's rates, DESIGN.md Section 6), and the
+    page-table walk that [sva_mmu_clone_space] costs.  Both engines
+    execute intrinsics through it. *)
 
 val enter : t -> prepared_func -> int64 list -> int64 option
 (** Tier dispatch: run the compiled entry if the function was promoted,

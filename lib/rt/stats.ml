@@ -32,13 +32,13 @@ type conc_snapshot = {
 }
 
 (* Every counter is one slot of [c].  Each family owns a fixed index
-   range — check [0, 10), tier [10, 18), concurrency [18, 24) — so a
+   range — check [0, 10), tier [10, 17), concurrency [17, 23) — so a
    bump is one array increment, a read builds the family's record from
    its slots, and a family reset is one fill over its range.  The
    families stay separate because the differential tests compare
    [read ()] across engines and configurations, while tier and
    concurrency counts differ between them by design. *)
-let c = Array.make 24 0
+let c = Array.make 23 0
 let[@inline] bump i = c.(i) <- c.(i) + 1
 
 (* ---------- check family: [0, 10) ---------- *)
@@ -101,7 +101,7 @@ let to_string s =
     s.drops s.reduced_checks s.violations s.cache_hits
     (s.cache_hits + s.cache_misses)
 
-(* ---------- execution-tier family: [10, 18) ---------- *)
+(* ---------- execution-tier family: [10, 17) ---------- *)
 
 let tier_zero =
   {
@@ -122,7 +122,6 @@ let bump_sig_verification () = bump 13
 let bump_tcache_disk_hit () = bump 14
 let bump_tcache_disk_stale () = bump 15
 let bump_tcache_disk_write () = bump 16
-let add_superblocks n = c.(17) <- c.(17) + n
 
 let read_tier () =
   {
@@ -133,39 +132,39 @@ let read_tier () =
     tcache_disk_hits = c.(14);
     tcache_disk_stale = c.(15);
     tcache_disk_writes = c.(16);
-    superblocks = c.(17);
+    superblocks = 0;
   }
 
-let reset_tier () = Array.fill c 10 8 0
+let reset_tier () = Array.fill c 10 7 0
 
 let tier_to_string s =
   Printf.sprintf
-    "promotions=%d tcache=%d/%d disk=%d/%d/%d sigverify=%d superblocks=%d"
+    "promotions=%d tcache=%d/%d disk=%d/%d/%d sigverify=%d"
     s.promotions s.tcache_hits
     (s.tcache_hits + s.tcache_misses)
     s.tcache_disk_hits s.tcache_disk_stale s.tcache_disk_writes
-    s.sig_verifications s.superblocks
+    s.sig_verifications
 
-(* ---------- concurrency family: [18, 24) ---------- *)
+(* ---------- concurrency family: [17, 23) ---------- *)
 
-let bump_cli () = bump 18
-let bump_sti () = bump 19
-let bump_lock_acquire () = bump 20
-let bump_lock_release () = bump 21
-let bump_ipi_sent () = bump 22
-let bump_ipi_delivered () = bump 23
+let bump_cli () = bump 17
+let bump_sti () = bump 18
+let bump_lock_acquire () = bump 19
+let bump_lock_release () = bump 20
+let bump_ipi_sent () = bump 21
+let bump_ipi_delivered () = bump 22
 
 let read_conc () =
   {
-    cli_count = c.(18);
-    sti_count = c.(19);
-    lock_acquires = c.(20);
-    lock_releases = c.(21);
-    ipis_sent = c.(22);
-    ipis_delivered = c.(23);
+    cli_count = c.(17);
+    sti_count = c.(18);
+    lock_acquires = c.(19);
+    lock_releases = c.(20);
+    ipis_sent = c.(21);
+    ipis_delivered = c.(22);
   }
 
-let reset_conc () = Array.fill c 18 6 0
+let reset_conc () = Array.fill c 17 6 0
 
 let diff_conc a b =
   {

@@ -83,7 +83,12 @@ type tier_snapshot = {
       (** on-disk entries rejected (tampered, truncated or stale) *)
   tcache_disk_writes : int;
       (** fresh signed entries persisted to the on-disk store *)
-  superblocks : int;  (** cross-branch trace superblocks formed *)
+  superblocks : int;
+      (** always 0: the closure compiler dispatches every block through
+          one loop and forms no trace superblocks (they measured slower,
+          EXPERIMENTS.md).  The field stays only because [bench/perf]
+          reports it; it goes when that code moves onto the pipeline's
+          public interface (ROADMAP item 2b). *)
 }
 
 val tier_zero : tier_snapshot
@@ -94,7 +99,6 @@ val bump_sig_verification : unit -> unit
 val bump_tcache_disk_hit : unit -> unit
 val bump_tcache_disk_stale : unit -> unit
 val bump_tcache_disk_write : unit -> unit
-val add_superblocks : int -> unit
 val read_tier : unit -> tier_snapshot
 
 val reset_tier : unit -> unit

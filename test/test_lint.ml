@@ -1,9 +1,9 @@
 (* Tests for the static lint layer: the generic dataflow solver
-   (convergence on diamonds and loops, both directions, edge
-   refinement), one suite per checker over seeded-bug and clean inputs,
-   the safe-access prover, the kernel-level guarantees (clean kernel,
-   exact fixture match, deterministic output) and the Jsonout codec the
-   benchmark --json flag uses. *)
+   (convergence on diamonds and loops, edge refinement), one suite per
+   checker over seeded-bug and clean inputs, the safe-access prover, the
+   kernel-level guarantees (clean kernel, exact fixture match,
+   deterministic output) and the Jsonout codec the benchmark --json flag
+   uses. *)
 
 open Sva_ir
 module Dataflow = Sva_analysis.Dataflow
@@ -88,18 +88,6 @@ let test_solver_loop_converges () =
   Alcotest.(check int) "header stabilizes at the cap" 10 (r.S.output "header");
   Alcotest.(check int) "exit sees the fixpoint" 10 (r.S.input "exit");
   Alcotest.(check bool) "loop forced revisits" true (r.S.iterations > 4)
-
-let test_solver_backward () =
-  let f, cfg = loop () in
-  let r =
-    S.solve ~direction:Dataflow.Backward
-      ~transfer:(fun _ v -> min 7 (v + 1))
-      f cfg
-  in
-  (* backward: facts flow exit -> header -> entry/body *)
-  Alcotest.(check int) "exit entry-fact" 1 (r.S.output "exit");
-  Alcotest.(check int) "entry accumulates through the loop" 7
-    (r.S.output "entry")
 
 let test_solver_edge_refinement () =
   let f, cfg = diamond () in
@@ -460,7 +448,6 @@ let () =
           Alcotest.test_case "diamond join" `Quick test_solver_diamond;
           Alcotest.test_case "loop convergence" `Quick
             test_solver_loop_converges;
-          Alcotest.test_case "backward direction" `Quick test_solver_backward;
           Alcotest.test_case "edge refinement" `Quick
             test_solver_edge_refinement;
         ] );

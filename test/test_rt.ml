@@ -250,8 +250,7 @@ let stat_views () =
           s.cache_hits; s.cache_misses ] );
       ( "tier",
         [ t.promotions; t.tcache_hits; t.tcache_misses; t.sig_verifications;
-          t.tcache_disk_hits; t.tcache_disk_stale; t.tcache_disk_writes;
-          t.superblocks ] );
+          t.tcache_disk_hits; t.tcache_disk_stale; t.tcache_disk_writes ] );
       ( "conc",
         [ c.cli_count; c.sti_count; c.lock_acquires; c.lock_releases;
           c.ipis_sent; c.ipis_delivered ] );
@@ -266,8 +265,7 @@ let bump_every_counter () =
         bump_cache_miss; bump_promotion; bump_tcache_hit; bump_tcache_miss;
         bump_sig_verification; bump_tcache_disk_hit; bump_tcache_disk_stale;
         bump_tcache_disk_write; bump_cli; bump_sti; bump_lock_acquire;
-        bump_lock_release; bump_ipi_sent; bump_ipi_delivered ];
-    add_superblocks 1)
+        bump_lock_release; bump_ipi_sent; bump_ipi_delivered ])
 
 (* Every field of the families in [ones] reads 1, every other field 0. *)
 let expect_views what ones =
