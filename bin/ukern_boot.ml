@@ -28,11 +28,11 @@ let run conf engine trace_out smp ranges races poolcert =
     (if races then ", concurrency audit" else "")
     (if poolcert then ", pool certification" else "");
   let v = Kbuild.as_tested in
-  let t =
-    Boot.boot_built ~engine ~smp
-      (Kbuild.build ~conf ~ranges ~races ~poolcert v)
-      ~variant:v
+  let built =
+    Cli.guard ~code:1 ("ukern-" ^ v.Kbuild.v_name) (fun () ->
+        Kbuild.build ~conf ~ranges ~races ~poolcert v)
   in
+  let t = Boot.boot_built ~engine ~smp built ~variant:v in
   Printf.printf "booted: kernel_booted=%Ld (%d instructions)\n"
     (Boot.kernel_global t "kernel_booted")
     (Boot.steps t);

@@ -23,6 +23,10 @@ let writable s i =
     f
   end
 
+let frame_of s ~off =
+  let f = s.frames.(off lsr frame_bits) in
+  if f == zero then None else Some f
+
 let byte s off = Bytes.get_uint8 s.frames.(off lsr frame_bits) (off land frame_mask)
 
 (* A load that straddles two frames, assembled byte by byte. *)

@@ -28,6 +28,12 @@ val set_int : t -> off:int -> width:int -> int64 -> unit
 (** Little-endian store of the low [width] bytes of the value.
     @raise Invalid_argument on a width other than 1, 2, 4 or 8. *)
 
+val frame_of : t -> off:int -> Bytes.t option
+(** The frame holding byte [off], or [None] while it is still the shared
+    frame of zeros.  An allocated frame is never replaced, so a caller may
+    keep it and reach the page's bytes through it, at offset
+    [off land 4095], for as long as the store lives. *)
+
 val read : t -> off:int -> len:int -> Bytes.t
 (** A fresh copy of [len] bytes. *)
 

@@ -130,6 +130,10 @@ let write_int t ~addr ~width v =
   check_width addr width;
   Frames.set_int r.mem ~off:(addr - r.base) ~width v
 
+let frame_of t ~addr ~write =
+  let r = region t addr 1 in
+  if write && r.svm then None else Frames.frame_of r.mem ~off:(addr - r.base)
+
 let blit t ~src ~dst ~len =
   if len > 0 then begin
     let s = region t src len in

@@ -76,6 +76,14 @@ val write_int : t -> addr:int -> width:int -> int64 -> unit
     stays inside one page allocates nothing but {!read_int}'s result and,
     on the first store to a page, its frame. *)
 
+val frame_of : t -> addr:int -> write:bool -> Bytes.t option
+(** The 4 KiB frame backing the page of [addr], as {!Frames.frame_of}
+    gives it: [None] while the page is untouched.  With [write], also
+    [None] for an SVM-reserved page, where whether a store is allowed
+    depends on {!with_svm_mode}.  It checks nothing else: a cache of
+    frames calls it after an access to the page succeeded.
+    @raise Hw_fault outside every region. *)
+
 val blit : t -> src:int -> dst:int -> len:int -> unit
 (** memmove semantics within/between regions, frame to frame.  A
     non-positive [len] does nothing. *)

@@ -2,17 +2,29 @@ exception Mmu_fault of int * string
 
 type prot = { p_read : bool; p_write : bool; p_user : bool }
 
+type generation = { mutable gen : int }
+
 type space = {
   sp_id : int;
   sp_pages : (int, int * prot) Hashtbl.t; (* vpn -> (ppn, prot) *)
+  sp_gen : generation; (* the owning MMU's *)
 }
 
-type t = { mutable spaces : space list; mutable cur : space option; mutable next : int }
+type t = {
+  mutable spaces : space list;
+  mutable cur : space option;
+  mutable next : int;
+  t_gen : generation;
+}
 
-let create () = { spaces = []; cur = None; next = 1 }
+let create () = { spaces = []; cur = None; next = 1; t_gen = { gen = 0 } }
+
+let generation t = t.t_gen
+
+let bump g = g.gen <- g.gen + 1
 
 let new_space t =
-  let sp = { sp_id = t.next; sp_pages = Hashtbl.create 64 } in
+  let sp = { sp_id = t.next; sp_pages = Hashtbl.create 64; sp_gen = t.t_gen } in
   t.next <- t.next + 1;
   t.spaces <- sp :: t.spaces;
   sp
@@ -23,10 +35,13 @@ let clone_space t src =
   sp
 
 let destroy_space t sp =
+  bump t.t_gen;
   t.spaces <- List.filter (fun s -> s.sp_id <> sp.sp_id) t.spaces;
   if t.cur = Some sp then t.cur <- None
 
-let activate t sp = t.cur <- Some sp
+let activate t sp =
+  bump t.t_gen;
+  t.cur <- Some sp
 
 let current t = t.cur
 
@@ -38,9 +53,12 @@ let svm_last_ppn = (Machine.svm_base + Machine.svm_size - 1) / Machine.page_size
 let map_page sp ~vpn ~ppn ~prot =
   if ppn >= svm_first_ppn && ppn <= svm_last_ppn then
     raise (Mmu_fault (ppn * Machine.page_size, "mapping SVM-reserved frame"));
+  bump sp.sp_gen;
   Hashtbl.replace sp.sp_pages vpn (ppn, prot)
 
-let unmap_page sp ~vpn = Hashtbl.remove sp.sp_pages vpn
+let unmap_page sp ~vpn =
+  bump sp.sp_gen;
+  Hashtbl.remove sp.sp_pages vpn
 
 let translate t ~addr ~write =
   if Machine.in_kernel_range ~addr then addr

@@ -18,6 +18,15 @@ type t
 
 val create : unit -> t
 
+type generation = private { mutable gen : int }
+
+val generation : t -> generation
+(** The MMU's live generation counter.  {!map_page}, {!unmap_page},
+    {!activate} and {!destroy_space} bump it, so a translation looked up
+    while it read [n] (see {!translate}) is still the answer while it
+    reads [n]: that is the invalidation rule of a cache of translations
+    of the active space. *)
+
 val new_space : t -> space
 (** Create an empty address space. *)
 

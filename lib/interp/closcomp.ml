@@ -486,6 +486,9 @@ let cinsn t fname (p : I.pinsn) : cop =
               let addr = t.I.sp in
               t.I.sp <- t.I.sp + size;
               fr.regs.(id) <- Int64.of_int addr
+        (* Loads, stores and atomics go through the VM's frame cache
+           (Interp.mem_read_cached); the address is converted inline,
+           not by a call to I.to_addr. *)
         | Instr.Load p -> (
             let w = I.ty_width i.Instr.ty in
             match src t p with
@@ -493,26 +496,31 @@ let cinsn t fname (p : I.pinsn) : cop =
                 fun fr ->
                   tick t;
                   fr.regs.(id) <-
-                    I.mem_read_int t ~addr:(I.to_addr (get fr r k)) ~width:w
+                    I.mem_read_cached t
+                      ~addr:(Int64.to_int (get fr r k))
+                      ~width:w
             | None ->
                 let cp = cval t p in
                 fun fr ->
                   tick t;
                   fr.regs.(id) <-
-                    I.mem_read_int t ~addr:(I.to_addr (cp fr)) ~width:w)
+                    I.mem_read_cached t ~addr:(Int64.to_int (cp fr)) ~width:w)
         | Instr.Store (v, p) -> (
             let w = I.ty_width (Value.ty v) in
             match (src t v, src t p) with
             | Some (rv, kv), Some (r, k) ->
                 fun fr ->
                   tick t;
-                  I.mem_write_int t ~addr:(I.to_addr (get fr r k)) ~width:w
-                    (get fr rv kv)
+                  I.mem_write_cached t
+                    ~addr:(Int64.to_int (get fr r k))
+                    ~width:w (get fr rv kv)
             | _ ->
                 let cv = cval t v and cp = cval t p in
                 fun fr ->
                   tick t;
-                  I.mem_write_int t ~addr:(I.to_addr (cp fr)) ~width:w (cv fr))
+                  I.mem_write_cached t
+                    ~addr:(Int64.to_int (cp fr))
+                    ~width:w (cv fr))
         | Instr.Gep (base, idxs) -> cgep t i base idxs
         | Instr.Cast (op, x, ty) -> (
             (* the copies, trunc and zext specialized by width; an
@@ -582,18 +590,18 @@ let cinsn t fname (p : I.pinsn) : cop =
             let cp = cval t p and ce = cval t e and cr = cval t r in
             fun fr ->
               tick t;
-              let addr = I.to_addr (cp fr) in
-              let old = I.mem_read_int t ~addr ~width:w in
-              if old = ce fr then I.mem_write_int t ~addr ~width:w (cr fr);
+              let addr = Int64.to_int (cp fr) in
+              let old = I.mem_read_cached t ~addr ~width:w in
+              if old = ce fr then I.mem_write_cached t ~addr ~width:w (cr fr);
               fr.regs.(id) <- old
         | Instr.Atomic_add (p, d) ->
             let w = I.ty_width (Value.ty d) in
             let cp = cval t p and cd = cval t d in
             fun fr ->
               tick t;
-              let addr = I.to_addr (cp fr) in
-              let old = I.mem_read_int t ~addr ~width:w in
-              I.mem_write_int t ~addr ~width:w (Int64.add old (cd fr));
+              let addr = Int64.to_int (cp fr) in
+              let old = I.mem_read_cached t ~addr ~width:w in
+              I.mem_write_cached t ~addr ~width:w (Int64.add old (cd fr));
               fr.regs.(id) <- old
         | Instr.Membar -> fun _ -> tick t
         | Instr.Intrinsic _ | Instr.Call _ | Instr.Phi _ -> assert false)

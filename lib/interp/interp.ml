@@ -115,6 +115,19 @@ and prepared_func = {
       (* the compiled-tier entry point, once promoted *)
 }
 
+(* The compiled tier's page-to-frame cache (see [mem_read_cached]): per
+   slot, the virtual page it holds (-1: none), the same page again when a
+   store may go through the slot (-1 otherwise), and the page's frame. *)
+type frame_cache = {
+  fm_gen : Mmu.generation;  (* the MMU's live counter *)
+  mutable fm_seen : int;  (* its value when the slots were filled *)
+  fm_tag : int array;
+  fm_wtag : int array;
+  fm_frame : Bytes.t array;
+  mutable fm_misses : int;
+  mutable fm_flushes : int;
+}
+
 type t = {
   im_mod : Irmod.t;
   im_sys : Svaos.t;
@@ -136,6 +149,7 @@ type t = {
   mutable ncycles : int;
   mutable limit : int option;
   mutable jit : jit option;
+  fcache : frame_cache;
 }
 
 (* The second execution tier (Section 3.4's translate-and-cache SVM).
@@ -416,6 +430,21 @@ let prepare_func (f : Func.t) =
   let pf_blocks = Array.map prep_block blocks in
   { pf = f; pf_blocks; pf_max_phis = !max_phis; pf_calls = 0; pf_entry = None }
 
+let fm_bits = 6
+let fm_slots = 1 lsl fm_bits
+
+let new_frame_cache mmu =
+  let g = Mmu.generation mmu in
+  {
+    fm_gen = g;
+    fm_seen = g.Mmu.gen;
+    fm_tag = Array.make fm_slots (-1);
+    fm_wtag = Array.make fm_slots (-1);
+    fm_frame = Array.make fm_slots Bytes.empty;
+    fm_misses = 0;
+    fm_flushes = 0;
+  }
+
 let load ?sys ?(metapools = []) (m : Irmod.t) =
   let sys = match sys with Some s -> s | None -> Svaos.create () in
   let t =
@@ -440,6 +469,7 @@ let load ?sys ?(metapools = []) (m : Irmod.t) =
       ncycles = 0;
       limit = None;
       jit = None;
+      fcache = new_frame_cache sys.Svaos.mmu;
     }
   in
   let install_funcs t =
@@ -513,6 +543,118 @@ let mem_read_int t ~addr ~width =
 
 let mem_write_int t ~addr ~width v =
   Machine.write_int t.im_sys.Svaos.machine ~addr:(xlate t ~write:true addr) ~width v
+
+(* ---------- the compiled tier's frame cache ----------
+
+   Compiled loads and stores reach memory through a direct-mapped cache
+   from a virtual page number to the host frame backing the page
+   (DESIGN.md section 10).  Its rules:
+   - a slot is filled only after the uncached access succeeded, so every
+     fault raises the uncached path's exception and message;
+   - a frame never moves once allocated, but an untouched page's shared
+     zero frame is replaced by its first store, so no slot holds it;
+   - a slot opens to stores only when a store filled it, which found the
+     page writable and made its frame private, and never for an
+     SVM-reserved page, whose stores depend on the SVM mode;
+   - only widths 1, 2, 4 and 8 inside one page take the fast path;
+   - every slot is dropped once the MMU's generation has moved;
+   - it charges no modeled cycle.
+   The interpreter keeps the uncached accessors above: it is the oracle
+   every differential compares the compiled tier against. *)
+
+(* Fibonacci hashing: the top [fm_bits] of the 63 bits of the page number
+   times 2^63 / phi.  Every region base is a multiple of 64 pages, so the
+   page number's low bits alone would send each region's first page to
+   slot 0. *)
+let[@inline] fm_slot vpn = (vpn * 0x4F1BBCDCBFA53E0B) lsr (63 - fm_bits)
+
+(* Literals, not Machine's values: the hit path reads no other module. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let () = assert (page_size = Machine.page_size)
+
+let fm_sync c =
+  let g = c.fm_gen.Mmu.gen in
+  if c.fm_seen <> g then begin
+    Array.fill c.fm_tag 0 fm_slots (-1);
+    Array.fill c.fm_wtag 0 fm_slots (-1);
+    c.fm_seen <- g;
+    c.fm_flushes <- c.fm_flushes + 1
+  end
+
+let read_miss t ~addr ~width =
+  let c = t.fcache in
+  fm_sync c;
+  c.fm_misses <- c.fm_misses + 1;
+  let phys = xlate t ~write:false addr in
+  let m = t.im_sys.Svaos.machine in
+  let v = Machine.read_int m ~addr:phys ~width in
+  (match Machine.frame_of m ~addr:phys ~write:false with
+  | Some f ->
+      let vpn = addr lsr page_bits in
+      let i = fm_slot vpn in
+      c.fm_tag.(i) <- vpn;
+      c.fm_wtag.(i) <- -1;
+      c.fm_frame.(i) <- f
+  | None -> ());
+  v
+
+let write_miss t ~addr ~width v =
+  let c = t.fcache in
+  fm_sync c;
+  c.fm_misses <- c.fm_misses + 1;
+  let phys = xlate t ~write:true addr in
+  let m = t.im_sys.Svaos.machine in
+  Machine.write_int m ~addr:phys ~width v;
+  match Machine.frame_of m ~addr:phys ~write:true with
+  | Some f ->
+      let vpn = addr lsr page_bits in
+      let i = fm_slot vpn in
+      c.fm_tag.(i) <- vpn;
+      c.fm_wtag.(i) <- vpn;
+      c.fm_frame.(i) <- f
+  | None -> ()
+
+let mem_read_cached t ~addr ~width =
+  let c = t.fcache in
+  let vpn = addr lsr page_bits in
+  let i = fm_slot vpn in
+  let po = addr land page_mask in
+  if
+    Array.unsafe_get c.fm_tag i = vpn
+    && c.fm_seen = c.fm_gen.Mmu.gen
+    && po <= page_size - width
+  then
+    let f = Array.unsafe_get c.fm_frame i in
+    match width with
+    | 1 -> Int64.of_int (Bytes.get_int8 f po)
+    | 2 -> Int64.of_int (Bytes.get_int16_le f po)
+    | 4 -> Int64.of_int32 (Bytes.get_int32_le f po)
+    | 8 -> Bytes.get_int64_le f po
+    | _ -> read_miss t ~addr ~width
+  else read_miss t ~addr ~width
+
+let mem_write_cached t ~addr ~width v =
+  let c = t.fcache in
+  let vpn = addr lsr page_bits in
+  let i = fm_slot vpn in
+  let po = addr land page_mask in
+  if
+    Array.unsafe_get c.fm_wtag i = vpn
+    && c.fm_seen = c.fm_gen.Mmu.gen
+    && po <= page_size - width
+  then
+    let f = Array.unsafe_get c.fm_frame i in
+    match width with
+    | 1 -> Bytes.set_int8 f po (Int64.to_int v)
+    | 2 -> Bytes.set_int16_le f po (Int64.to_int v)
+    | 4 -> Bytes.set_int32_le f po (Int64.to_int32 v)
+    | 8 -> Bytes.set_int64_le f po v
+    | _ -> write_miss t ~addr ~width v
+  else write_miss t ~addr ~width v
+
+let frame_cache_counts t = (t.fcache.fm_misses, t.fcache.fm_flushes)
 
 let blit_chunk t s d n =
   Machine.blit t.im_sys.Svaos.machine
@@ -650,6 +792,9 @@ let gep_offset t (base_pointee : Ty.t) regs idxs =
 
 let strlen_limit = 1 lsl 20
 
+(* The byte at [addr] as C's string functions compare it: unsigned. *)
+let ubyte t addr = Int64.to_int (mem_read_int t ~addr ~width:1) land 0xff
+
 let builtin t name (args : int64 array) : int64 option =
   let a n = args.(n) in
   (match name with
@@ -672,11 +817,8 @@ let builtin t name (args : int64 array) : int64 option =
       let rec go i =
         if i >= n then 0L
         else
-          let cx = mem_read_int t ~addr:(x + i) ~width:1
-          and cy = mem_read_int t ~addr:(y + i) ~width:1 in
-          if cx = cy then go (i + 1)
-          else if Int64.compare cx cy < 0 then -1L
-          else 1L
+          let cx = ubyte t (x + i) and cy = ubyte t (y + i) in
+          if cx = cy then go (i + 1) else if cx < cy then -1L else 1L
       in
       Some (go 0)
   | "strlen" ->
@@ -690,10 +832,9 @@ let builtin t name (args : int64 array) : int64 option =
   | "strcmp" ->
       let x = to_addr (a 0) and y = to_addr (a 1) in
       let rec go i =
-        let cx = mem_read_int t ~addr:(x + i) ~width:1
-        and cy = mem_read_int t ~addr:(y + i) ~width:1 in
-        if cx <> cy then if Int64.compare cx cy < 0 then -1L else 1L
-        else if cx = 0L then 0L
+        let cx = ubyte t (x + i) and cy = ubyte t (y + i) in
+        if cx <> cy then if cx < cy then -1L else 1L
+        else if cx = 0 then 0L
         else go (i + 1)
       in
       Some (go 0)

@@ -114,6 +114,17 @@ and prepared_func = {
   mutable pf_entry : (int64 list -> int64 option) option;
 }
 
+type frame_cache = {
+  fm_gen : Sva_hw.Mmu.generation;
+  mutable fm_seen : int;
+  fm_tag : int array;
+  fm_wtag : int array;
+  fm_frame : Bytes.t array;
+  mutable fm_misses : int;
+  mutable fm_flushes : int;
+}
+(** The compiled tier's page-to-frame cache; see {!mem_read_cached}. *)
+
 type t = {
   im_mod : Irmod.t;
   im_sys : Sva_os.Svaos.t;
@@ -135,6 +146,7 @@ type t = {
   mutable ncycles : int;
   mutable limit : int option;
   mutable jit : jit option;
+  fcache : frame_cache;
 }
 
 and jit = {
@@ -241,6 +253,27 @@ val width_of_value : Value.t -> int
 val gep_offset : t -> Ty.t -> int64 array -> Value.t list -> int64
 val mem_read_int : t -> addr:int -> width:int -> int64
 val mem_write_int : t -> addr:int -> width:int -> int64 -> unit
+
+val mem_read_cached : t -> addr:int -> width:int -> int64
+(** {!mem_read_int} through the VM's page-to-frame cache, as compiled
+    code reaches memory: the same value or the same exception, and no
+    modeled cycle.  A hit (a page this cache filled since the MMU last
+    changed, an access of width 1, 2, 4 or 8 inside it) is a tag and a
+    generation compare and one [Bytes] read; anything else takes the
+    uncached path and then fills the page's slot, unless the page is
+    still untouched (reads as the shared zero frame).  The interpreter
+    does not use it: it stays the uncached oracle. *)
+
+val mem_write_cached : t -> addr:int -> width:int -> int64 -> unit
+(** {!mem_write_int} through the same cache.  Only a store fills a slot
+    that stores may hit, after the uncached store made the page's frame
+    private and found the page writable; an SVM-reserved page is never
+    opened to stores. *)
+
+val frame_cache_counts : t -> int * int
+(** Misses (accesses that took the uncached path) and flushes (MMU
+    generation changes seen) of the cache since {!load}. *)
+
 val heap_alloc : t -> int -> int
 val heap_free : t -> int -> unit
 

@@ -105,6 +105,16 @@ let load_error file = function
         (Printf.sprintf "%s:%d:%d: parse error: %s" file loc.Minic.Token.line
            loc.Minic.Token.col msg)
   | Minic.Lower.Lower_error msg -> Some (Printf.sprintf "%s: error: %s" file msg)
+  | Sva_tyck.Cert.Rejected (what, errs) ->
+      let first, more =
+        match errs with
+        | [] -> ("", "")
+        | e :: rest ->
+            ( ": " ^ Sva_tyck.Cert.string_of_error e,
+              if rest = [] then ""
+              else Printf.sprintf " (%d more)" (List.length rest) )
+      in
+      Some (Printf.sprintf "%s: %s checking failed%s%s" file what first more)
   | Sys_error msg ->
       (* A failed open already names the file; a failed read does not. *)
       let prefix = file ^ ": " in

@@ -128,9 +128,11 @@ val load_error : string -> exn -> string option
 (** [load_error file e]: the one-line [FILE: ...] diagnostic for an
     exception {!load_file} (or {!load_source}, {!compile}) raises on
     unreadable input — a missing or unreadable file, corrupt bytecode, a
-    MiniC parse or lowering error — and [None] for any other exception.
-    The command-line tools print it instead of letting the exception
-    escape. *)
+    MiniC parse or lowering error — or {!build} raises when a trusted
+    checker rejects the evidence it produced
+    ([FILE: <what> checking failed: <first error> (n more)]), and [None]
+    for any other exception.  The command-line tools print it instead of
+    letting the exception escape. *)
 
 val build :
   ?conf:conf ->

@@ -1,6 +1,7 @@
 (* Tests for the SVM executor itself: memory semantics, atomics, traps,
-   step limits, heap reuse, user-address translation, code addresses and
-   global layout. *)
+   step limits, heap reuse, user-address translation, the compiled tier's
+   frame cache, the C string builtins, code addresses and global
+   layout. *)
 
 open Sva_ir
 module Interp = Sva_interp.Interp
@@ -261,6 +262,221 @@ let test_user_translation () =
   Alcotest.(check (option int64)) "translated read" (Some 424242L)
     (Interp.call t "peek" [ Int64.of_int Machine.user_base ])
 
+(* ---------- the compiled tier's frame cache ---------- *)
+
+(* One step of a random history, run on two identical systems: one
+   reaches memory through the cached accessors compiled code uses, the
+   other through the interpreter's uncached ones.  Spaces are indices
+   into the ids created so far; pages are numbered inside the user
+   window; [Poke], [Fill] and [Blit] are direct machine stores at
+   physical addresses, the paths that bypass the cache. *)
+type mop =
+  | Map of int * int * int * bool  (* space, user page, frame, writable *)
+  | Unmap of int * int
+  | Activate of int
+  | Clone of int
+  | Destroy of int
+  | Poke of int * int  (* physical address, byte *)
+  | Fill of int * int * char
+  | Blit of int * int * int
+  | Load of int * int  (* address, width *)
+  | Store of int * int * int64
+  | Svm_store of int * int * int64  (* with SVM privileges *)
+
+let show_mop = function
+  | Map (s, p, f, w) -> Printf.sprintf "map s%d p%d -> 0x%x %b" s p f w
+  | Unmap (s, p) -> Printf.sprintf "unmap s%d p%d" s p
+  | Activate s -> Printf.sprintf "activate s%d" s
+  | Clone s -> Printf.sprintf "clone s%d" s
+  | Destroy s -> Printf.sprintf "destroy s%d" s
+  | Poke (a, b) -> Printf.sprintf "poke 0x%x %d" a b
+  | Fill (a, n, c) -> Printf.sprintf "fill 0x%x %d %C" a n c
+  | Blit (s, d, n) -> Printf.sprintf "blit 0x%x -> 0x%x %d" s d n
+  | Load (a, w) -> Printf.sprintf "load%d 0x%x" (8 * w) a
+  | Store (a, w, v) -> Printf.sprintf "store%d 0x%x %Ld" (8 * w) a v
+  | Svm_store (a, w, v) -> Printf.sprintf "svm store%d 0x%x %Ld" (8 * w) a v
+
+let page = Machine.page_size
+let user_vpn = Machine.user_base / page
+
+(* Kernel, SVM-reserved, unmapped and user pages; the heap page is also
+   a frame the user pages may map, so it is reachable by two names. *)
+let heap_page = Machine.heap_base + page
+
+let kpages =
+  [ Machine.globals_base; heap_page; Machine.svm_base;
+    0x150000 (* between the SVM and globals regions *) ]
+
+let upages = List.init 3 (fun k -> Machine.user_base + (k * page))
+let vpages = kpages @ upages
+
+(* Frames a user page may map: user frames (aliases among themselves),
+   the heap page, and an SVM-reserved frame the MMU refuses. *)
+let frames =
+  (List.init 3 (fun k -> user_vpn + k))
+  @ [ heap_page / page; Machine.svm_base / page ]
+
+(* Few pages, so that a history revisits what it cached. *)
+let gen_mop =
+  QCheck2.Gen.(
+    let space = int_bound 2 in
+    let upage = int_bound 2 in
+    let addr =
+      map2 (fun p o -> p + o)
+        (frequency [ (2, oneofl kpages); (3, oneofl upages) ])
+        (frequency [ (3, int_bound 24); (1, int_range (page - 12) (page - 1)) ])
+    in
+    let width = oneofl [ 1; 2; 4; 8 ] in
+    let value = oneof [ int64; map Int64.of_int small_signed_int ] in
+    frequency
+      [
+        ( 2,
+          map4 (fun s p f w -> Map (s, p, f, w)) space upage (oneofl frames) bool
+        );
+        (1, map2 (fun s p -> Unmap (s, p)) space upage);
+        (1, map (fun s -> Activate s) space);
+        (1, map (fun s -> Clone s) space);
+        (1, map (fun s -> Destroy s) space);
+        (1, map2 (fun a b -> Poke (a, b)) addr (int_bound 255));
+        (1, map3 (fun a n c -> Fill (a, n, c)) addr (int_bound 24) char);
+        (1, map3 (fun s d n -> Blit (s, d, n)) addr addr (int_bound 24));
+        (6, map2 (fun a w -> Load (a, w)) addr width);
+        (5, map3 (fun a w v -> Store (a, w, v)) addr width value);
+        (2, map3 (fun a w v -> Svm_store (a, w, v)) addr width value);
+      ])
+
+let frame_cache_system () =
+  let sys = Svaos.create () in
+  let t = Interp.load ~sys (Irmod.create "t") in
+  let sids = ref [ Svaos.mmu_new_space sys; Svaos.mmu_new_space sys ] in
+  Svaos.mmu_activate sys ~sid:(List.hd !sids);
+  (t, sids)
+
+(* The step's outcome: its value, or the exception it raised. *)
+let run_mop ~cached (t, sids) op =
+  let sys = Interp.sys t in
+  let m = sys.Svaos.machine in
+  let sid s = List.nth !sids (s mod List.length !sids) in
+  let load a w =
+    if cached then Interp.mem_read_cached t ~addr:a ~width:w
+    else Interp.mem_read_int t ~addr:a ~width:w
+  in
+  let store a w v =
+    if cached then Interp.mem_write_cached t ~addr:a ~width:w v
+    else Interp.mem_write_int t ~addr:a ~width:w v
+  in
+  match
+    match op with
+    | Map (s, p, f, w) ->
+        Svaos.mmu_map_page sys ~sid:(sid s) ~vpn:(user_vpn + p) ~ppn:f
+          ~writable:w;
+        0L
+    | Unmap (s, p) ->
+        Svaos.mmu_unmap_page sys ~sid:(sid s) ~vpn:(user_vpn + p);
+        0L
+    | Activate s ->
+        Svaos.mmu_activate sys ~sid:(sid s);
+        0L
+    | Clone s ->
+        sids := !sids @ [ Svaos.mmu_clone_space sys ~sid:(sid s) ];
+        0L
+    | Destroy s ->
+        Svaos.mmu_destroy_space sys ~sid:(sid s);
+        0L
+    | Poke (a, b) ->
+        Machine.write m ~addr:a (Bytes.make 1 (Char.chr b));
+        0L
+    | Fill (a, n, c) ->
+        Machine.fill m ~addr:a ~len:n c;
+        0L
+    | Blit (src, dst, n) ->
+        Machine.blit m ~src ~dst ~len:n;
+        0L
+    | Load (a, w) -> load a w
+    | Store (a, w, v) ->
+        store a w v;
+        0L
+    | Svm_store (a, w, v) ->
+        Machine.with_svm_mode m (fun () -> store a w v);
+        0L
+  with
+  | v -> Int64.to_string v
+  | exception e -> Printexc.to_string e
+
+let prop_frame_cache_matches_uncached =
+  QCheck2.Test.make ~name:"cached accessors agree with the uncached path"
+    ~count:1000
+    ~print:(fun ops -> String.concat "\n" (List.map show_mop ops))
+    QCheck2.Gen.(list_size (int_range 1 80) gen_mop)
+    (fun ops ->
+      let a = frame_cache_system () and b = frame_cache_system () in
+      List.iter
+        (fun op ->
+          let got = run_mop ~cached:true a op
+          and want = run_mop ~cached:false b op in
+          if got <> want then
+            QCheck2.Test.fail_reportf "%s: cached %s, uncached %s" (show_mop op)
+              got want)
+        ops;
+      let mem (t, _) p =
+        try Some (Machine.read (Interp.sys t).Svaos.machine ~addr:p ~len:page)
+        with Machine.Hw_fault _ -> None
+      in
+      List.iter
+        (fun p ->
+          if mem a p <> mem b p then
+            QCheck2.Test.fail_reportf "page 0x%x differs" p)
+        (vpages @ List.map (fun f -> f * page) frames);
+      true)
+
+(* A hit serves a page the cache filled, and only a store opens a page
+   to stores; a fault is the uncached path's, and the MMU's changes
+   flush every slot. *)
+let test_frame_cache_counts () =
+  let t, sids = frame_cache_system () in
+  let sys = Interp.sys t in
+  let a = Machine.heap_base + 64 in
+  (* the space activated after load is the first flush *)
+  let counts () =
+    let misses, flushes = Interp.frame_cache_counts t in
+    (misses, flushes - 1)
+  in
+  ignore (Interp.mem_read_cached t ~addr:a ~width:8);
+  ignore (Interp.mem_read_cached t ~addr:a ~width:8);
+  Alcotest.(check (pair int int)) "an untouched page is never filled" (2, 0)
+    (counts ());
+  Interp.mem_write_cached t ~addr:a ~width:8 7L;
+  Interp.mem_write_cached t ~addr:(a + 8) ~width:4 9L;
+  Alcotest.(check int64) "hit" 7L (Interp.mem_read_cached t ~addr:a ~width:8);
+  Alcotest.(check int64) "hit, other width" 9L
+    (Interp.mem_read_cached t ~addr:(a + 8) ~width:2);
+  Alcotest.(check (pair int int)) "one store filled the slot" (3, 0) (counts ());
+  ignore (Interp.mem_read_cached t ~addr:(a - 64 + page - 4) ~width:8);
+  Alcotest.(check (pair int int)) "a straddling access misses" (4, 0) (counts ());
+  Svaos.mmu_activate sys ~sid:(List.nth !sids 1);
+  ignore (Interp.mem_read_cached t ~addr:a ~width:8);
+  ignore (Interp.mem_read_cached t ~addr:a ~width:8);
+  Alcotest.(check (pair int int)) "activate flushed, the refill hits" (5, 1)
+    (counts ())
+
+let test_string_builtins_unsigned () =
+  let t = Interp.load (Irmod.create "t") in
+  let m = (Interp.sys t).Svaos.machine in
+  let x = Machine.heap_base and y = Machine.heap_base + 16 in
+  Machine.write m ~addr:x (Bytes.of_string "\x80\000");
+  Machine.write m ~addr:y (Bytes.of_string "\x7f\000");
+  let call name args = Interp.builtin t name (Array.of_list args) in
+  let ax = Int64.of_int x and ay = Int64.of_int y in
+  Alcotest.(check (option int64)) "memcmp(\"\\x80\", \"\\x7f\", 1)" (Some 1L)
+    (call "memcmp" [ ax; ay; 1L ]);
+  Alcotest.(check (option int64)) "memcmp(\"\\x7f\", \"\\x80\", 1)" (Some (-1L))
+    (call "memcmp" [ ay; ax; 1L ]);
+  Alcotest.(check (option int64)) "strcmp(\"\\x80\", \"\\x7f\")" (Some 1L)
+    (call "strcmp" [ ax; ay ]);
+  Alcotest.(check (option int64)) "strcmp(\"\\x80\", \"\")" (Some 1L)
+    (call "strcmp" [ ax; Int64.of_int (y + 1) ]);
+  Alcotest.(check (option int64)) "equal" (Some 0L) (call "strcmp" [ ax; ax ])
+
 let test_cycle_model_monotone () =
   let m =
     build_module (fun m ->
@@ -338,4 +554,14 @@ let () =
             test_indirect_call_through_memory;
         ] );
       ( "mmu", [ Alcotest.test_case "user translation" `Quick test_user_translation ] );
+      ( "frame-cache",
+        [
+          QCheck_alcotest.to_alcotest prop_frame_cache_matches_uncached;
+          Alcotest.test_case "misses and flushes" `Quick test_frame_cache_counts;
+        ] );
+      ( "builtins",
+        [
+          Alcotest.test_case "memcmp/strcmp compare unsigned bytes" `Quick
+            test_string_builtins_unsigned;
+        ] );
     ]

@@ -113,7 +113,26 @@ let check_gate what cert m b =
           let printed = Printexc.to_string e in
           Alcotest.(check string) "registered printer" prefix
             (String.sub printed 0
-               (min (String.length prefix) (String.length printed))))
+               (min (String.length prefix) (String.length printed)));
+          match Pipeline.load_error "k.c" e with
+          | Some line ->
+              Alcotest.(check bool) "one-line CLI diagnostic" false
+                (String.contains line '\n')
+          | None -> Alcotest.fail "no CLI diagnostic for a rejection")
+
+(* The command-line tools end a rejected build with this one line, exit
+   1, instead of the exception's backtrace. *)
+let test_rejection_diagnostic () =
+  let err func instr msg = { Cert.func; instr; msg } in
+  let line errs =
+    Pipeline.load_error "k.c" (Cert.Rejected ("range certificate", errs))
+  in
+  Alcotest.(check (option string)) "first error, count of the rest"
+    (Some "k.c: range certificate checking failed: @f:3: bad fact (2 more)")
+    (line [ err "f" 3 "bad fact"; err "g" (-1) "x"; err "h" 1 "y" ]);
+  Alcotest.(check (option string)) "a single error"
+    (Some "k.c: range certificate checking failed: @g: no entry")
+    (line [ err "g" (-1) "no entry" ])
 
 let test_valid_annotations_pass () =
   let b = build () in
@@ -456,6 +475,8 @@ let () =
           Alcotest.test_case "annotations nonempty" `Quick
             test_annotations_nonempty;
           Alcotest.test_case "instrumented module runs" `Quick test_still_runs;
+          Alcotest.test_case "rejection is a one-line CLI diagnostic" `Quick
+            test_rejection_diagnostic;
         ] );
       ( "injection",
         [

@@ -8,7 +8,7 @@ module Pipeline = Sva_pipeline.Pipeline
 (* Compile each configuration once; boot fresh per test. *)
 let built = Hashtbl.create 4
 
-let kernel conf =
+let kernel ?engine conf =
   let b =
     match Hashtbl.find_opt built conf with
     | Some b -> b
@@ -17,7 +17,7 @@ let kernel conf =
         Hashtbl.replace built conf b;
         b
   in
-  Boot.boot_built b ~variant:Ukern.Kbuild.as_tested
+  Boot.boot_built ?engine b ~variant:Ukern.Kbuild.as_tested
 
 let both_confs = [ Pipeline.Native; Pipeline.Sva_safe ]
 
@@ -346,6 +346,73 @@ let test_fault_drops_stack_objects () =
         fresh (file_probe t))
     llvm_and_safe
 
+(* ---------- the compiled tier's frame cache ---------- *)
+
+let aot = { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Aot }
+
+(* A user page's mapping changes between system calls, by SVA-OS alone:
+   the kernel's compiled copy loops must see each change as the
+   interpreter does, although the first call left the page in their
+   frame cache. *)
+let remap_results engine =
+  let t = kernel ?engine Pipeline.Sva_safe in
+  let sys = t.Boot.sys in
+  let mmu = sys.Sva_os.Svaos.mmu in
+  let ubuf = Boot.user_addr t 8192 in
+  let addr = Int64.to_int ubuf and page = Sva_hw.Machine.page_size in
+  let sid =
+    match Sva_hw.Mmu.current mmu with
+    | Some sp -> Sva_hw.Mmu.space_id sp
+    | None -> Alcotest.fail "no active address space"
+  in
+  let vpn = addr / page
+  and ppn = Sva_hw.Mmu.translate mmu ~addr ~write:false / page in
+  Boot.write_user t 0 "remap.txt\000";
+  let fd = Boot.syscall t n_open [ Boot.user_addr t 0; 1L ] in
+  let warm = Boot.syscall t n_gettimeofday [ ubuf ] in
+  let mapped = Boot.syscall t n_gettimeofday [ ubuf ] in
+  Sva_os.Svaos.mmu_unmap_page sys ~sid ~vpn;
+  let unmapped = Boot.syscall t n_gettimeofday [ ubuf ] in
+  Sva_os.Svaos.mmu_map_page sys ~sid ~vpn ~ppn ~writable:false;
+  let written = Boot.syscall t n_write [ fd; ubuf; 16L ] in
+  let read () =
+    ignore (Boot.syscall t n_lseek [ fd; 0L; 0L ]);
+    Boot.syscall t n_read [ fd; ubuf; 16L ]
+  in
+  let read_only = read () in
+  (* writable again, then read-only again without an unmap between *)
+  Sva_os.Svaos.mmu_map_page sys ~sid ~vpn ~ppn ~writable:true;
+  let writable = read () in
+  Sva_os.Svaos.mmu_map_page sys ~sid ~vpn ~ppn ~writable:false;
+  [ warm; mapped; unmapped; written; read_only; writable; read () ]
+
+let test_remap_invalidates () =
+  let interp = remap_results None in
+  Alcotest.(check (list int64))
+    "gettimeofday mapped, unmapped; write, read on a read-only page; read \
+     writable, read-only"
+    [ 0L; 0L; -14L; 16L; -14L; 16L; -14L ] interp;
+  Alcotest.(check (list int64)) "warm aot agrees with the interpreter" interp
+    (remap_results (Some aot))
+
+(* Once warm, the Table 7 mix's every compiled load and store hits. *)
+let test_table7_mix_hits () =
+  let t = kernel ~engine:aot Pipeline.Sva_safe in
+  let ctx = Harness.Workloads.prepare t in
+  let pass () =
+    Harness.Workloads.op_open_close ctx;
+    Harness.Workloads.op_write ctx;
+    Harness.Workloads.op_pipe_latency ctx;
+    Harness.Workloads.op_getpid ctx
+  in
+  pass ();
+  let before = Sva_interp.Interp.frame_cache_counts t.Boot.vm in
+  pass ();
+  let misses, flushes = Sva_interp.Interp.frame_cache_counts t.Boot.vm in
+  Alcotest.(check (pair int int)) "second pass: no miss, no flush" before
+    (misses, flushes);
+  Alcotest.(check bool) "the first pass filled the cache" true (misses > 0)
+
 let test_timer_interrupts () =
   for_both (fun t ->
       check64 "no ticks yet" 0L (Boot.kernel_global t "jiffies");
@@ -492,6 +559,13 @@ let () =
             test_unmapped_user_pointer_efault;
           Alcotest.test_case "faulted call leaves no stack object" `Quick
             test_fault_drops_stack_objects;
+        ] );
+      ( "frame-cache",
+        [
+          Alcotest.test_case "unmap and read-only remap, interp = aot" `Quick
+            test_remap_invalidates;
+          Alcotest.test_case "warm Table 7 mix takes no miss" `Quick
+            test_table7_mix_hits;
         ] );
       ( "interrupts",
         [ Alcotest.test_case "timer via icontext" `Quick test_timer_interrupts ] );
