@@ -11,7 +11,6 @@
 
 open Sva_ir
 
-module IM = Map.Make (Int)
 module SS = Set.Make (String)
 
 (* ------------------------------------------------------------------ *)
@@ -51,17 +50,42 @@ let norm lo hi = match (lo, hi) with
   | Some l, Some h when l > h -> Bot
   | _ -> Iv (lo, hi)
 
-let equal_ival (a : ival) (b : ival) = a = b
+let bound_eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Int64.equal x y
+  | _ -> false
+
+let equal_ival a b =
+  a == b
+  ||
+  match (a, b) with
+  | Bot, Bot -> true
+  | Iv (l1, h1), Iv (l2, h2) -> bound_eq l1 l2 && bound_eq h1 h2
+  | _ -> false
+
+(* The lattice operations below return an argument itself whenever the
+   result equals it, so an unchanged environment slot stays physically
+   unchanged and the element-wise environment operations can share it. *)
+let reuse a b lo hi =
+  match (a, b) with
+  | Iv (l1, h1), _ when bound_eq lo l1 && bound_eq hi h1 -> a
+  | _, Iv (l2, h2) when bound_eq lo l2 && bound_eq hi h2 -> b
+  | _ -> Iv (lo, hi)
 
 let join_ival a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
-  | Iv (l1, h1), Iv (l2, h2) -> Iv (lo_min l1 l2, hi_max h1 h2)
+  | Iv (l1, h1), Iv (l2, h2) -> reuse a b (lo_min l1 l2) (hi_max h1 h2)
 
 let meet_ival a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | Iv (l1, h1), Iv (l2, h2) -> norm (lo_max l1 l2) (hi_min h1 h2)
+  | Iv (l1, h1), Iv (l2, h2) -> (
+      let lo = lo_max l1 l2 and hi = hi_min h1 h2 in
+      match (lo, hi) with
+      | Some l, Some h when l > h -> Bot
+      | _ -> reuse a b lo hi)
 
 let subset a b =
   match (a, b) with
@@ -77,16 +101,22 @@ let widen_ival old cur =
   match (old, cur) with
   | Bot, x | x, Bot -> x
   | Iv (l1, h1), Iv (l2, h2) ->
-      Iv ((if lo_le l1 l2 then l1 else None),
-          (if hi_le h2 h1 then h1 else None))
+      reuse old cur
+        (if lo_le l1 l2 then l1 else None)
+        (if hi_le h2 h1 then h1 else None)
 
-(* The canonical value range of a w-bit register. *)
+(* The canonical value range of a w-bit register, one shared value per
+   width. *)
+let width_ranges =
+  Array.init 65 (fun w ->
+      if w >= 64 then top
+      else if w <= 1 then range 0L 1L
+      else
+        let p = Int64.shift_left 1L (w - 1) in
+        range (Int64.neg p) (Int64.sub p 1L))
+
 let width_range w =
-  if w >= 64 then top
-  else if w <= 1 then range 0L 1L
-  else
-    let p = Int64.shift_left 1L (w - 1) in
-    range (Int64.neg p) (Int64.sub p 1L)
+  width_ranges.(if w >= 64 then 64 else if w < 0 then 0 else w)
 
 (* Sound post-op clamp at width [w]: if the exact interval fits inside
    the representable range, the wrapped result equals the exact one on
@@ -372,29 +402,101 @@ let ival_to_string = function
 (* Per-function analysis.                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Abstract environment: interval per int-typed SSA register.  A missing
-   key means "not computed on any path processed so far" — the union
-   join treats it as bottom, and so does {!value_of}.  That optimism is
-   sound at the fixpoint: [step] stores a key for every int-typed
-   result, and SSA dominance guarantees the key is present on every
-   path that can reach a use. *)
-module EnvL = struct
-  type t = ival IM.t
+(* Register layout of one function: a dense slot for every
+   integer-typed register, parameters first, then instruction results in
+   block and instruction order.  Only these registers carry an interval. *)
+type layout = {
+  ly_slot : int array;  (** register id -> slot, or -1 *)
+  ly_reg : int array;  (** slot -> register id *)
+}
 
-  let bottom = IM.empty
-  let equal = IM.equal equal_ival
-  let join = IM.union (fun _ a b -> Some (join_ival a b))
+let layout_of (f : Func.t) =
+  let regs = ref [] and max_id = ref (List.length f.Func.f_params - 1) in
+  List.iteri
+    (fun k (_, ty) -> match ty with Ty.Int _ -> regs := k :: !regs | _ -> ())
+    f.Func.f_params;
+  Func.iter_instrs f (fun _ i ->
+      match i.Instr.ty with
+      | Ty.Int _ ->
+          max_id := max !max_id i.Instr.id;
+          regs := i.Instr.id :: !regs
+      | _ -> ());
+  let ly_reg = Array.of_list (List.rev !regs) in
+  let ly_slot = Array.make (!max_id + 1) (-1) in
+  Array.iteri (fun s r -> ly_slot.(r) <- s) ly_reg;
+  { ly_slot; ly_reg }
+
+let slot_of ly id =
+  if id >= 0 && id < Array.length ly.ly_slot then ly.ly_slot.(id) else -1
+
+(* Abstract environment: the interval of every slot of the function's
+   layout.  The empty array is bottom, "no path processed so far"; a
+   [Bot] slot likewise means the register was not computed on any path
+   processed so far, and {!value_of} reads both as bottom.  That optimism
+   is sound at the fixpoint: [step] writes every integer result, and SSA
+   dominance guarantees the slot is written on every path that can reach
+   a use.  Every other environment of a function has the layout's
+   length.  Join, equality and widening work slot by slot and return an
+   argument itself whenever the result equals it, so an environment is
+   only copied where a slot changes; nothing writes to an environment
+   once it is shared. *)
+module EnvL = struct
+  type t = ival array
+
+  let bottom = [||]
+
+  let equal a b =
+    a == b
+    || Array.length a = Array.length b
+       &&
+       let rec go k = k < 0 || (equal_ival a.(k) b.(k) && go (k - 1)) in
+       go (Array.length a - 1)
+
+  (* [f] slot by slot over two environments of one length, where [f x y]
+     is [x] itself whenever it equals [x]. *)
+  let map2 f a b =
+    let n = Array.length a in
+    let rec first_change k =
+      if k = n || f a.(k) b.(k) != a.(k) then k else first_change (k + 1)
+    in
+    let k0 = first_change 0 in
+    if k0 = n then a
+    else begin
+      let r = Array.copy a in
+      let is_b = ref true in
+      for k = 0 to k0 - 1 do
+        if !is_b && not (equal_ival a.(k) b.(k)) then is_b := false
+      done;
+      for k = k0 to n - 1 do
+        let x = f a.(k) b.(k) in
+        r.(k) <- x;
+        if !is_b && not (equal_ival x b.(k)) then is_b := false
+      done;
+      if !is_b then b else r
+    end
+
+  let join a b =
+    if a == b || Array.length b = 0 then a
+    else if Array.length a = 0 then b
+    else map2 join_ival a b
 end
 
 module Solver = Dataflow.Make (EnvL)
 
 let width_of_ty = function Ty.Int w -> Some w | _ -> None
 
-let value_of env (v : Value.t) =
+(* A fresh full-length environment holding [env]'s intervals, for a
+   transfer to write in place. *)
+let own ly env =
+  if Array.length env = 0 then Array.make (Array.length ly.ly_reg) Bot
+  else Array.copy env
+
+let value_of ly env (v : Value.t) =
   match v with
   | Value.Imm (Ty.Int _, n) -> const n
-  | Value.Reg (id, Ty.Int _, _) -> (
-      match IM.find_opt id env with Some iv -> iv | None -> Bot)
+  | Value.Reg (id, Ty.Int _, _) ->
+      let s = slot_of ly id in
+      if s < 0 || s >= Array.length env then Bot else env.(s)
   | _ -> top
 
 (* Shared instruction evaluation: given the operand intervals (in
@@ -417,25 +519,38 @@ let eval_def (i : Instr.t) ivs =
      bounds that an all-or-nothing [wrap] would discard *)
   match i.Instr.ty with Ty.Int w -> meet_ival v (width_range w) | _ -> v
 
-let step ret_of env (i : Instr.t) =
-  match width_of_ty i.Instr.ty with
-  | None -> env
-  | Some w ->
+(* Evaluate [i] over [env], a full-length environment the caller owns,
+   and write its result slot. *)
+let step ly ret_of env (i : Instr.t) =
+  match i.Instr.ty with
+  | Ty.Int w ->
       let v =
         match i.Instr.kind with
         | Instr.Binop _ | Instr.Icmp _ | Instr.Cast _ | Instr.Select _ ->
-            eval_def i (List.map (value_of env) (Instr.operands i.Instr.kind))
+            eval_def i
+              (List.map (value_of ly env) (Instr.operands i.Instr.kind))
         | Instr.Phi incoming ->
             List.fold_left
-              (fun acc (_, x) -> join_ival acc (value_of env x))
+              (fun acc (_, x) -> join_ival acc (value_of ly env x))
               Bot incoming
         | Instr.Call (Value.Fn (g, _), _) -> ret_of g
         | _ -> top
       in
-      IM.add i.Instr.id (meet_ival v (width_range w)) env
+      env.(ly.ly_slot.(i.Instr.id)) <- meet_ival v (width_range w)
+  | _ -> ()
 
-let transfer_block ret_of (b : Func.block) env =
-  List.fold_left (step ret_of) env b.Func.insns
+let defines_int (b : Func.block) =
+  List.exists
+    (fun (i : Instr.t) -> match i.Instr.ty with Ty.Int _ -> true | _ -> false)
+    b.Func.insns
+
+let transfer_block ly ret_of (b : Func.block) env =
+  if not (defines_int b) then env
+  else begin
+    let env = own ly env in
+    List.iter (step ly ret_of env) b.Func.insns;
+    env
+  end
 
 (* Resolve a branch condition to the icmp that decides it, peeling the
    int-cast and bool-retest chains MiniC lowering produces.  [pos] is
@@ -471,44 +586,13 @@ let resolve_cond defs v pos depth =
     (fun id -> Option.map snd (Hashtbl.find_opt defs id))
     v pos depth
 
-(* Edge refinement: meet the branch constraint into both icmp operands
-   when the source block ends in a two-way conditional branch. *)
-let refine_env defs (f : Func.t) ~src ~dst env =
-  match (Func.find_block f src).Func.term with
-  | Instr.Br (cond, tl, el) when tl <> el -> (
-      match resolve_cond defs cond (dst = tl) 0 with
-      | None -> env
-      | Some (op, a, b) ->
-          let apply subj side env =
-            match subj with
-            | Value.Reg (id, Ty.Int _, _) ->
-                let other = if side = `Left then b else a in
-                let cons = refine op side (value_of env other) in
-                IM.add id (meet_ival (value_of env subj) cons) env
-            | _ -> env
-          in
-          env |> apply a `Left |> apply b `Right)
-  | _ -> env
-
-let widen_env headers ~label ~old ~cur =
-  if not (SS.mem label headers) then cur
-  else
-    IM.merge
-      (fun _ o c ->
-        match (o, c) with
-        | Some o, Some c -> Some (widen_ival o c)
-        | Some o, None -> Some o
-        | None, c -> c)
-      old cur
-
-type finfo = {
-  fi_func : Func.t;
-  fi_cfg : Cfg.t;
-  fi_defs : (int, string * Instr.t) Hashtbl.t;  (** reg id -> (block, instr) *)
-  fi_nparams : int;
-  fi_ret_of : string -> ival;  (** callee return ranges used during solve *)
-  fi_plain : ival IM.t;  (** guard-free per-register fixpoint *)
-  fi_input : (string, ival IM.t) Hashtbl.t;  (** refined+narrowed block entry *)
+(* What the analysis knows of a function before solving it. *)
+type fshape = {
+  sh_func : Func.t;
+  sh_cfg : Cfg.t;
+  sh_defs : (int, string * Instr.t) Hashtbl.t;  (** reg id -> (block, instr) *)
+  sh_layout : layout;
+  sh_headers : SS.t;  (** loop heads: the widening points *)
 }
 
 let defs_of (f : Func.t) =
@@ -519,21 +603,83 @@ let defs_of (f : Func.t) =
       | None -> ());
   t
 
-let entry_env (f : Func.t) sp =
-  List.fold_left
-    (fun (k, env) (_, ty) ->
+let shape_of (f : Func.t) =
+  let cfg = Cfg.build f in
+  {
+    sh_func = f;
+    sh_cfg = cfg;
+    sh_defs = defs_of f;
+    sh_layout = layout_of f;
+    sh_headers = SS.of_list (List.map snd (Cfg.back_edges cfg));
+  }
+
+(* Edge refinement: meet the branch constraint into both icmp operands
+   when the source block ends in a two-way conditional branch.  The
+   environment is copied once, and only if a slot changes. *)
+let refine_env sh ~src ~dst env =
+  let ly = sh.sh_layout in
+  match (Func.find_block sh.sh_func src).Func.term with
+  | Instr.Br (cond, tl, el) when tl <> el -> (
+      match resolve_cond sh.sh_defs cond (dst = tl) 0 with
+      | None -> env
+      | Some (op, a, b) ->
+          let env = ref env and owned = ref false in
+          let apply subj side =
+            match subj with
+            | Value.Reg (id, Ty.Int _, _) ->
+                let other = if side = `Left then b else a in
+                let cons = refine op side (value_of ly !env other) in
+                let old = value_of ly !env subj in
+                let nv = meet_ival old cons in
+                if nv != old then begin
+                  if not !owned then begin
+                    env := Array.copy !env;
+                    owned := true
+                  end;
+                  !env.(slot_of ly id) <- nv
+                end
+            | _ -> ()
+          in
+          apply a `Left;
+          apply b `Right;
+          !env)
+  | _ -> env
+
+let widen_env headers ~label ~old ~cur =
+  if not (SS.mem label headers) then cur
+  else if Array.length old = 0 then cur
+  else if Array.length cur = 0 then old
+  else EnvL.map2 widen_ival old cur
+
+type finfo = {
+  fi_func : Func.t;
+  fi_cfg : Cfg.t;
+  fi_defs : (int, string * Instr.t) Hashtbl.t;  (** reg id -> (block, instr) *)
+  fi_layout : layout;
+  fi_nparams : int;
+  fi_ret_of : string -> ival;  (** callee return ranges used during solve *)
+  fi_plain : ival array;
+      (** guard-free fixpoint, joined over the reachable blocks *)
+  fi_input : (string, ival array) Hashtbl.t;
+      (** refined+narrowed block entry *)
+}
+
+let entry_env ly (f : Func.t) sp =
+  let env = Array.make (Array.length ly.ly_reg) Bot in
+  List.iteri
+    (fun k (_, ty) ->
       match ty with
       | Ty.Int _ ->
-          let iv = if k < Array.length sp then sp.(k) else top in
-          (k + 1, IM.add k iv env)
-      | _ -> (k + 1, env))
-    (0, IM.empty) f.Func.f_params
-  |> snd
+          env.(ly.ly_slot.(k)) <- (if k < Array.length sp then sp.(k) else top)
+      | _ -> ())
+    f.Func.f_params;
+  env
 
 (* Two decreasing re-application sweeps from the widened post-fixpoint:
    sound for a monotone transfer, and enough to recover the bounds the
    loop-exit guards give back after widening jumped to infinity. *)
-let narrow ret_of defs (f : Func.t) cfg ~entry (r : Solver.result) rounds =
+let narrow sh ret_of ~entry (r : Solver.result) rounds =
+  let f = sh.sh_func and cfg = sh.sh_cfg in
   let out = Hashtbl.create 16 in
   let inp = Hashtbl.create 16 in
   let blocks = Cfg.reachable cfg in
@@ -548,42 +694,40 @@ let narrow ret_of defs (f : Func.t) cfg ~entry (r : Solver.result) rounds =
               let fact =
                 match Hashtbl.find_opt out p with
                 | Some e -> e
-                | None -> IM.empty
+                | None -> EnvL.bottom
               in
-              EnvL.join acc (refine_env defs f ~src:p ~dst:l fact))
+              EnvL.join acc (refine_env sh ~src:p ~dst:l fact))
             EnvL.bottom (Cfg.predecessors cfg l)
         in
         let in_fact = if l = entry_label then EnvL.join entry flowed else flowed in
         Hashtbl.replace inp l in_fact;
-        Hashtbl.replace out l (transfer_block ret_of (Func.find_block f l) in_fact))
+        Hashtbl.replace out l
+          (transfer_block sh.sh_layout ret_of (Func.find_block f l) in_fact))
       blocks
   done;
   inp
 
 let iters = ref 0
 
-let analyze_func ret_of (f : Func.t) cfg defs sp =
-  let entry = entry_env f sp in
-  let headers = SS.of_list (List.map snd (Cfg.back_edges cfg)) in
-  let widen = widen_env headers in
-  let transfer = transfer_block ret_of in
-  (* guard-free fixpoint: per-register facts every block agrees on *)
-  let plain_r = Solver.solve ~entry ~widen ~transfer f cfg in
-  iters := !iters + plain_r.Solver.iterations;
-  let plain =
-    List.fold_left
-      (fun acc l -> EnvL.join acc (plain_r.Solver.output l))
-      entry (Cfg.reachable cfg)
-  in
+(* [plain] is the guard-free fixpoint the summary phase solved last,
+   joined over the reachable blocks (see {!run}). *)
+let analyze_func ret_of sh sp plain =
+  let f = sh.sh_func and cfg = sh.sh_cfg and ly = sh.sh_layout in
+  let entry = entry_env ly f sp in
   (* refined fixpoint with edge constraints, then narrowing *)
-  let edge = refine_env defs f in
-  let ref_r = Solver.solve ~entry ~edge ~widen ~transfer f cfg in
+  let ref_r =
+    Solver.solve ~entry
+      ~edge:(refine_env sh)
+      ~widen:(widen_env sh.sh_headers)
+      ~transfer:(transfer_block ly ret_of) f cfg
+  in
   iters := !iters + ref_r.Solver.iterations;
-  let input = narrow ret_of defs f cfg ~entry ref_r 2 in
+  let input = narrow sh ret_of ~entry ref_r 2 in
   {
     fi_func = f;
     fi_cfg = cfg;
-    fi_defs = defs;
+    fi_defs = sh.sh_defs;
+    fi_layout = ly;
     fi_nparams = List.length f.Func.f_params;
     fi_ret_of = ret_of;
     fi_plain = plain;
@@ -756,15 +900,18 @@ let refined_def_value cs reg =
       match Hashtbl.find_opt fi.fi_input blk with
       | None -> top
       | Some env0 ->
-          let rec go env = function
+          let ly = fi.fi_layout in
+          let env = own ly env0 in
+          let rec go = function
             | [] -> top
             | (i : Instr.t) :: tl ->
-                let env' = step fi.fi_ret_of env i in
+                step ly fi.fi_ret_of env i;
                 if i.Instr.id = reg && Instr.result i <> None then
-                  Option.value ~default:top (IM.find_opt reg env')
-                else go env' tl
+                  let s = slot_of ly reg in
+                  if s < 0 then top else env.(s)
+                else go tl
           in
-          go env0 (Func.find_block fi.fi_func blk).Func.insns)
+          go (Func.find_block fi.fi_func blk).Func.insns)
 
 (* Certified value of [reg]'s definition (no guards): a fact whose chain
    the checker can replay.  Returns the interval plus the fact index, or
@@ -1266,11 +1413,9 @@ let run ?(entries = fun _ -> true) (m : Irmod.t) (pa : Pointsto.result) =
   let names = List.map (fun (f : Func.t) -> f.Func.f_name) funcs in
   let pre = Hashtbl.create 64 in
   List.iter
-    (fun (f : Func.t) ->
-      Hashtbl.replace pre f.Func.f_name (f, Cfg.build f, defs_of f))
+    (fun (f : Func.t) -> Hashtbl.replace pre f.Func.f_name (shape_of f))
     funcs;
   let init fn =
-    let f, _, _ = Hashtbl.find pre fn in
     let e = eff fn in
     let sp =
       Array.of_list
@@ -1279,72 +1424,80 @@ let run ?(entries = fun _ -> true) (m : Irmod.t) (pa : Pointsto.result) =
              match ty with
              | Ty.Int w -> if e then width_range w else Bot
              | _ -> top)
-           f.Func.f_params)
+           (Hashtbl.find pre fn).sh_func.Func.f_params)
     in
     { sp_params = sp; sp_ret = Bot }
   in
   let equal_sum a b =
-    equal_ival a.sp_ret b.sp_ret && a.sp_params = b.sp_params
+    equal_ival a.sp_ret b.sp_ret
+    && Array.for_all2 equal_ival a.sp_params b.sp_params
   in
+  (* The guard-free fixpoint of each function's last summary solve,
+     joined over its reachable blocks.  That solve already ran with the
+     final summaries: [Summaries] re-queues a function whenever its own
+     summary or a direct callee's summary changes, and the call graph
+     records every direct call of an analyzed function. *)
+  let plain = Hashtbl.create 64 in
   let sums_t =
     Dataflow.Summaries.solve cg ~funcs:names ~init ~equal:equal_sum
       ~transfer:(fun ~get ~update fn ->
-        let f, cfg, _ = Hashtbl.find pre fn in
-        let me = get fn in
+        let sh = Hashtbl.find pre fn in
+        let f = sh.sh_func and cfg = sh.sh_cfg and ly = sh.sh_layout in
         let ret_of g =
           if Hashtbl.mem pre g then (get g).sp_ret else top
         in
-        let entry = entry_env f me.sp_params in
-        let headers = SS.of_list (List.map snd (Cfg.back_edges cfg)) in
+        let entry = entry_env ly f (get fn).sp_params in
         let r =
-          Solver.solve ~entry ~widen:(widen_env headers)
-            ~transfer:(transfer_block ret_of) f cfg
+          Solver.solve ~entry ~widen:(widen_env sh.sh_headers)
+            ~transfer:(transfer_block ly ret_of) f cfg
         in
         iters := !iters + r.Solver.iterations;
+        Hashtbl.replace plain fn
+          (List.fold_left
+             (fun acc l -> EnvL.join acc (r.Solver.output l))
+             entry (Cfg.reachable cfg));
         let rv = ref Bot in
         List.iter
           (fun (b : Func.block) ->
             if Cfg.is_reachable cfg b.Func.label then begin
-              let env =
-                List.fold_left
-                  (fun env (i : Instr.t) ->
-                    (match i.Instr.kind with
-                    | Instr.Call (Value.Fn (g, _), args)
-                      when Hashtbl.mem pre g && not (eff g) ->
-                        (* join the argument ranges into the callee's
-                           parameter summary *)
-                        let gf, _, _ = Hashtbl.find pre g in
-                        let gs = get g in
-                        let sp = Array.copy gs.sp_params in
-                        let changed = ref false in
-                        List.iteri
-                          (fun k arg ->
-                            if k < Array.length sp then
-                              match List.nth gf.Func.f_params k with
-                              | _, Ty.Int w ->
-                                  let av =
-                                    meet_ival (value_of env arg)
-                                      (width_range w)
-                                  in
-                                  let nv = join_ival sp.(k) av in
-                                  if not (equal_ival nv sp.(k)) then begin
-                                    sp.(k) <- nv;
-                                    changed := true
-                                  end
-                              | _ -> ())
-                          args;
-                        if !changed then update g { gs with sp_params = sp }
-                    | _ -> ());
-                    step ret_of env i)
-                  (r.Solver.input b.Func.label)
-                  b.Func.insns
-              in
+              let env = own ly (r.Solver.input b.Func.label) in
+              List.iter
+                (fun (i : Instr.t) ->
+                  (match i.Instr.kind with
+                  | Instr.Call (Value.Fn (g, _), args)
+                    when Hashtbl.mem pre g && not (eff g) ->
+                      (* join the argument ranges into the callee's
+                         parameter summary *)
+                      let gf = (Hashtbl.find pre g).sh_func in
+                      let gs = get g in
+                      let sp = Array.copy gs.sp_params in
+                      let changed = ref false in
+                      List.iteri
+                        (fun k arg ->
+                          if k < Array.length sp then
+                            match List.nth gf.Func.f_params k with
+                            | _, Ty.Int w ->
+                                let av =
+                                  meet_ival (value_of ly env arg)
+                                    (width_range w)
+                                in
+                                let nv = join_ival sp.(k) av in
+                                if not (equal_ival nv sp.(k)) then begin
+                                  sp.(k) <- nv;
+                                  changed := true
+                                end
+                            | _ -> ())
+                        args;
+                      if !changed then update g { gs with sp_params = sp }
+                  | _ -> ());
+                  step ly ret_of env i)
+                b.Func.insns;
               match b.Func.term with
               | Instr.Ret (Some v) ->
                   let rw =
                     match f.Func.f_ret with
                     | Ty.Int w ->
-                        meet_ival (value_of env v) (width_range w)
+                        meet_ival (value_of ly env v) (width_range w)
                     | _ -> top
                   in
                   rv := join_ival !rv rw
@@ -1366,9 +1519,10 @@ let run ?(entries = fun _ -> true) (m : Irmod.t) (pa : Pointsto.result) =
   let cstates = Hashtbl.create 64 in
   List.iter
     (fun fn ->
-      let f, cfg, defs = Hashtbl.find pre fn in
       let sp = (Hashtbl.find sums fn).sp_params in
-      let fi = analyze_func ret_of f cfg defs sp in
+      let fi =
+        analyze_func ret_of (Hashtbl.find pre fn) sp (Hashtbl.find plain fn)
+      in
       Hashtbl.replace cstates fn
         {
           cs_fi = fi;
@@ -1470,10 +1624,23 @@ let plain_facts res ~fname =
   match cstate_of res fname with
   | None -> []
   | Some cs ->
-      IM.fold
-        (fun reg iv acc -> if is_top iv then acc else (reg, iv) :: acc)
-        cs.cs_fi.fi_plain []
-      |> List.rev
+      (* the fixpoint covers the integer parameters and the integer
+         results of the reachable blocks, bottom included *)
+      let fi = cs.cs_fi in
+      let covered reg =
+        reg < fi.fi_nparams
+        ||
+        match Hashtbl.find_opt fi.fi_defs reg with
+        | Some (blk, _) -> Cfg.is_reachable fi.fi_cfg blk
+        | None -> false
+      in
+      let facts = ref [] in
+      Array.iteri
+        (fun s reg ->
+          let iv = fi.fi_plain.(s) in
+          if covered reg && not (is_top iv) then facts := (reg, iv) :: !facts)
+        fi.fi_layout.ly_reg;
+      List.sort (fun (a, _) (b, _) -> Int.compare a b) !facts
 
 let func_summary res fn =
   match Hashtbl.find_opt res.r_sums fn with

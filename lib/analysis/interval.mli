@@ -28,7 +28,16 @@ val range : int64 -> int64 -> ival
 
 val is_top : ival -> bool
 val equal_ival : ival -> ival -> bool
+
+val join_ival : ival -> ival -> ival
+(** Least upper bound.  [join_ival], {!meet_ival} and {!widen_ival}
+    return an argument itself whenever the result equals it. *)
+
 val meet_ival : ival -> ival -> ival
+
+val widen_ival : ival -> ival -> ival
+(** [widen_ival old cur]: an upper bound of both in which each bound of
+    [cur] that moved past [old]'s is infinite. *)
 
 val subset : ival -> ival -> bool
 (** Inclusion order of the lattice. *)

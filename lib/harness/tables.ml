@@ -1578,13 +1578,63 @@ let lint_report j =
 
 (* ---------- value-range elision (Section 5 certificates) ---------- *)
 
+(* One sorted line per fact of an interval result: every summary, plain
+   fact, exported fact (justification, dependencies, validity block),
+   module-level claim and certificate.  Its digest pins the analysis
+   output exactly, so a rewrite of the analysis's internals that moves
+   any fact moves the digest. *)
+let ranges_dump rr =
+  let module I = Sva_analysis.Interval in
+  let iv = I.ival_to_string in
+  let b = I.bundle rr in
+  let lines = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
+  List.iter
+    (fun fn ->
+      (match I.func_summary rr fn with
+      | Some (ps, ret) ->
+          add "sum @%s (%s) -> %s" fn
+            (String.concat ", " (Array.to_list (Array.map iv ps)))
+            (iv ret)
+      | None -> ());
+      List.iter
+        (fun (r, v) -> add "plain @%s %%%d %s" fn r (iv v))
+        (I.plain_facts rr ~fname:fn))
+    (I.analyzed_funcs rr);
+  Hashtbl.iter
+    (fun fn facts ->
+      Array.iteri
+        (fun k (fa : I.fact) ->
+          add "fact @%s #%d %%%d %s %s [%s] in %s" fn k fa.I.fa_reg
+            (iv fa.I.fa_ival) (I.just_to_string fa.I.fa_just)
+            (String.concat " "
+               (List.map
+                  (function Some d -> string_of_int d | None -> "-")
+                  fa.I.fa_deps))
+            fa.I.fa_valid)
+        facts)
+    b.I.cb_facts;
+  Hashtbl.iter
+    (fun (fn, k) v -> add "param @%s %d %s" fn k (iv v))
+    b.I.cb_params;
+  Hashtbl.iter (fun g v -> add "ret @%s %s" g (iv v)) b.I.cb_rets;
+  List.iter
+    (fun (c : I.cert) ->
+      add "cert @%s %s %%%d %s [%s]" c.I.ce_func c.I.ce_block c.I.ce_gep
+        (I.cert_kind_to_string c.I.ce_kind)
+        (String.concat " "
+           (List.map (fun (p, k) -> Printf.sprintf "%d:%d" p k) c.I.ce_idx)))
+    b.I.cb_certs;
+  String.concat "\n" (List.sort compare !lines)
+
 (* ranges-off is the lint-on entire-kernel build already cached by
    [entire_pair]; ranges-on rebuilds it with the interval analysis, its
    certified elisions, and the trusted-checker gate (the build fails if
    any certificate is rejected, so a successful pair implies the whole
    bundle re-verified).  range-geps counts the lint proofs whose
    in-bounds step used ranges; cert-elided the geps elided via a
-   verified bounds certificate. *)
+   verified bounds certificate.  The two digests pin the ranges-on
+   build's interval result and bytecode. *)
 let ranges_payload =
   memo (fun _ ->
       let _, off = entire_pair () in
@@ -1623,6 +1673,12 @@ let ranges_payload =
              ]);
           ("facts", J.Int (Sva_analysis.Interval.fact_count rr));
           ("iterations", J.Int (Sva_analysis.Interval.iterations rr));
+          ("result-sha256",
+           J.Str (Sva_bytecode.Sha256.hex (ranges_dump rr)));
+          ("image-sha256",
+           J.Str
+             (Sva_bytecode.Sha256.hex
+                (Sva_bytecode.Codec.encode on.Pipeline.bl_mod)));
         ])
 
 (* Certified elision only removes checks, exactly the certified ones. *)

@@ -82,37 +82,36 @@ let lex_ident st =
   | Some kw -> kw
   | None -> Token.IDENT s
 
+(* An integer literal's 64-bit pattern: hexadecimal up to 16 digits,
+   decimal up to 2^64-1 (C's [18446744073709551615UL] is -1). *)
 let lex_number st =
-  let start = st.pos in
-  if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
+  let start = st.pos and at = loc st in
+  let hex =
+    peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
+  in
+  if hex then begin
     advance st;
-    advance st;
-    while (match peek st with Some c -> is_hex c | None -> false) do
-      advance st
-    done;
-    let s = String.sub st.src start (st.pos - start) in
-    while (match peek st with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false) do
-      advance st
-    done;
-    Token.INT_LIT (Int64.of_string s)
-  end
-  else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
-    (* Optional UL / L / U suffixes, ignored (widths come from context). *)
-    while (match peek st with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false) do
-      advance st
-    done;
-    let rec strip s =
-      let n = String.length s in
-      if n > 0 && (match s.[n - 1] with 'u' | 'U' | 'l' | 'L' -> true | _ -> false)
-      then strip (String.sub s 0 (n - 1))
-      else s
-    in
-    let s = strip (String.sub st.src start (st.pos - start)) in
-    Token.INT_LIT (Int64.of_string s)
-  end
+    advance st
+  end;
+  while
+    match peek st with
+    | Some c -> if hex then is_hex c else is_digit c
+    | None -> false
+  do
+    advance st
+  done;
+  let s = String.sub st.src start (st.pos - start) in
+  (* Optional UL / L / U suffixes, ignored (widths come from context). *)
+  while
+    match peek st with Some ('u' | 'U' | 'l' | 'L') -> true | _ -> false
+  do
+    advance st
+  done;
+  match Int64.of_string_opt (if hex then s else "0u" ^ s) with
+  | Some n -> Token.INT_LIT n
+  | None ->
+      let what = if s = "0x" || s = "0X" then "malformed" else "out of range" in
+      raise (Lex_error (Printf.sprintf "integer literal %s %s" s what, at))
 
 let escape st c =
   match c with

@@ -288,7 +288,10 @@ and rvalue fe (e : Ast.expr) : Value.t * Ast.mty =
   let b = fe.bld in
   match e with
   | Ast.Eint n ->
-      let t = if Int64.abs n > 0x7fffffffL then clong else cint in
+      (* [Int64.abs min_int] is negative: 2^63 needs a long too *)
+      let t =
+        if n = Int64.min_int || Int64.abs n > 0x7fffffffL then clong else cint
+      in
       ((match t with Ast.Mint (w, _) -> imm_of w n | _ -> assert false), t)
   | Ast.Estr s ->
       let name = Printf.sprintf ".str.%d" fe.env.str_count in

@@ -104,6 +104,10 @@ let load_error file = function
       Some
         (Printf.sprintf "%s:%d:%d: parse error: %s" file loc.Minic.Token.line
            loc.Minic.Token.col msg)
+  | Minic.Lexer.Lex_error (msg, loc) ->
+      Some
+        (Printf.sprintf "%s:%d:%d: lex error: %s" file loc.Minic.Token.line
+           loc.Minic.Token.col msg)
   | Minic.Lower.Lower_error msg -> Some (Printf.sprintf "%s: error: %s" file msg)
   | Sva_tyck.Cert.Rejected (what, errs) ->
       let first, more =

@@ -496,6 +496,113 @@ let test_interval_certificates_validate () =
   let b = Interval.bundle res in
   Alcotest.(check bool) "cert emitted" true (List.length b.Interval.cb_certs = 1)
 
+(* The interval lattice operations against the formulas they replaced,
+   on bottom, finite and infinite bounds; the second interval is often a
+   separately built copy of the first, equal but not physically equal. *)
+let ival_pair_gen =
+  let open QCheck2.Gen in
+  let bound =
+    frequency
+      [
+        (1, pure None);
+        (4, map (fun n -> Some (Int64.of_int n)) (int_range (-6) 6));
+        (1, map Option.some (oneofl [ Int64.min_int; Int64.max_int ]));
+      ]
+  in
+  let ival =
+    frequency
+      [
+        (1, pure Interval.Bot);
+        ( 5,
+          map2
+            (fun l h ->
+              match (l, h) with
+              | Some a, Some b when a > b -> Interval.Iv (h, l)
+              | _ -> Interval.Iv (l, h))
+            bound bound );
+      ]
+  in
+  let copy = function
+    | Interval.Bot -> Interval.Bot
+    | Interval.Iv (l, h) ->
+        let c = Option.map (fun x -> Int64.add x 0L) in
+        Interval.Iv (c l, c h)
+  in
+  frequency
+    [ (2, pair ival ival); (1, map (fun a -> (a, copy a)) ival) ]
+
+let prop_ival_ops =
+  let lo_le a b =
+    match (a, b) with
+    | None, _ -> true
+    | _, None -> false
+    | Some x, Some y -> x <= y
+  and hi_le a b =
+    match (a, b) with
+    | _, None -> true
+    | None, _ -> false
+    | Some x, Some y -> x <= y
+  in
+  let join a b =
+    match (a, b) with
+    | Interval.Bot, x | x, Interval.Bot -> x
+    | Interval.Iv (l1, h1), Interval.Iv (l2, h2) ->
+        Interval.Iv
+          ((if lo_le l1 l2 then l1 else l2), if hi_le h1 h2 then h2 else h1)
+  and meet a b =
+    match (a, b) with
+    | Interval.Bot, _ | _, Interval.Bot -> Interval.Bot
+    | Interval.Iv (l1, h1), Interval.Iv (l2, h2) -> (
+        let l = if lo_le l1 l2 then l2 else l1
+        and h = if hi_le h1 h2 then h1 else h2 in
+        match (l, h) with
+        | Some l, Some h when l > h -> Interval.Bot
+        | _ -> Interval.Iv (l, h))
+  and widen a b =
+    match (a, b) with
+    | Interval.Bot, x | x, Interval.Bot -> x
+    | Interval.Iv (l1, h1), Interval.Iv (l2, h2) ->
+        Interval.Iv
+          ((if lo_le l1 l2 then l1 else None), if hi_le h2 h1 then h1 else None)
+  in
+  QCheck2.Test.make ~name:"ival join/meet/widen: old formulas, argument reuse"
+    ~count:2000 ival_pair_gen (fun (a, b) ->
+      let op name f reference =
+        let r = f a b in
+        if r <> reference a b then
+          QCheck2.Test.fail_reportf "%s %s %s = %s" name
+            (Interval.ival_to_string a) (Interval.ival_to_string b)
+            (Interval.ival_to_string r);
+        if (r = a || r = b) && not (r == a || r == b) then
+          QCheck2.Test.fail_reportf "%s %s %s: a fresh copy of an argument"
+            name (Interval.ival_to_string a) (Interval.ival_to_string b)
+      in
+      op "join" Interval.join_ival join;
+      op "meet" Interval.meet_ival meet;
+      op "widen" Interval.widen_ival widen;
+      Interval.equal_ival a b = (a = b))
+
+(* A never-called function of a closed module keeps bottom ranges, and
+   its plain facts list them: every integer parameter and every integer
+   result of a reachable block. *)
+let test_interval_plain_bottom () =
+  let m, pa =
+    compile
+      [
+        "static long dead(long x) { return x + 1; }
+         long live(void) { return 3; }";
+      ]
+  in
+  let res = Interval.run ~entries:(fun f -> f = "live") m pa in
+  let facts = Interval.plain_facts res ~fname:"dead" in
+  Alcotest.(check bool) "facts listed" true (facts <> []);
+  List.iter
+    (fun (r, v) ->
+      Alcotest.(check string) (Printf.sprintf "%%%d" r) "bot"
+        (Interval.ival_to_string v))
+    facts;
+  Alcotest.(check bool) "parameter listed" true (List.mem_assoc 0 facts)
+
 (* ---------- concurrency-safety pass: lattice laws + detector ---------- *)
 
 module Lockset = Sva_analysis.Lockset
@@ -686,6 +793,9 @@ let () =
             test_interval_summaries;
           Alcotest.test_case "certificates validate" `Quick
             test_interval_certificates_validate;
+          Alcotest.test_case "plain facts keep bottom" `Quick
+            test_interval_plain_bottom;
+          QCheck_alcotest.to_alcotest prop_ival_ops;
         ] );
       ( "callgraph",
         [

@@ -441,6 +441,27 @@ let test_intrinsic_lowering () =
   | Some v -> Alcotest.(check bool) "timer ticks" true (Int64.compare v 0L > 0)
   | None -> Alcotest.fail "no timer value"
 
+(* Integer literals read as their 64-bit pattern up to 2^64-1; a larger
+   literal is a lexical error, not an escaping exception. *)
+let test_literal_bounds () =
+  let src lit = Printf.sprintf "long main(void) { return %s; }" lit in
+  let value lit =
+    match run (src lit) "main" [] with
+    | Some v -> v
+    | None -> Alcotest.failf "%s: no value" lit
+  in
+  Alcotest.(check int64) "2^63-1" Int64.max_int (value "9223372036854775807");
+  Alcotest.(check int64) "2^63" Int64.min_int (value "9223372036854775808UL");
+  Alcotest.(check int64) "2^64-1" (-1L) (value "18446744073709551615UL");
+  Alcotest.(check int64) "hex 2^64-1" (-1L) (value "0xFFFFFFFFFFFFFFFF");
+  List.iter
+    (fun lit ->
+      match Minic.Lower.compile_string ~name:"t" (src lit) with
+      | _ -> Alcotest.failf "%s: accepted" lit
+      | exception Minic.Lexer.Lex_error (_, loc) ->
+          Alcotest.(check int) (lit ^ " column") 26 loc.Minic.Token.col)
+    [ "18446744073709551616"; "99999999999999999999"; "0x10000000000000000" ]
+
 let () =
   Alcotest.run "minic"
     [
@@ -489,6 +510,7 @@ let () =
       ( "errors",
         [
           Alcotest.test_case "parse error" `Quick test_parse_error_reported;
+          Alcotest.test_case "literal bounds" `Quick test_literal_bounds;
           Alcotest.test_case "union rejected" `Quick test_union_rejected;
           Alcotest.test_case "type error" `Quick test_type_error_reported;
           Alcotest.test_case "intrinsics" `Quick test_intrinsic_lowering;

@@ -210,6 +210,71 @@ let test_cse_load_invalidation () =
   Alcotest.(check int) "store kills available load" 0 (Cse.run_func f);
   Verify.check m
 
+(* Constants are keyed by type and value: an immediate or a null that
+   differs from an available one only in its type is a different
+   operand, so its computation is not merged; the same constant is. *)
+let test_cse_typed_constants () =
+  let m = new_module () in
+  let f = Func.create "csek" Ty.i64 [] in
+  Irmod.add_func m f;
+  let b = Builder.create m f in
+  ignore (Builder.start_block b "entry");
+  let i8_1 = Builder.b_cast b Instr.Zext (Value.Imm (Ty.Int 8, 1L)) Ty.i64 in
+  let i16_1 = Builder.b_cast b Instr.Zext (Value.Imm (Ty.Int 16, 1L)) Ty.i64 in
+  let i8_1' = Builder.b_cast b Instr.Zext (Value.Imm (Ty.Int 8, 1L)) Ty.i64 in
+  let null8 =
+    Builder.b_cast b Instr.Ptrtoint (Value.Null (Ty.Ptr (Ty.Int 8))) Ty.i64
+  in
+  let null32 =
+    Builder.b_cast b Instr.Ptrtoint (Value.Null (Ty.Ptr Ty.i32)) Ty.i64
+  in
+  let s =
+    List.fold_left (Builder.b_binop b Instr.Add) i8_1
+      [ i16_1; i8_1'; null8; null32 ]
+  in
+  Builder.b_ret b (Some s);
+  Alcotest.(check int) "only the same-typed repeat merges" 1 (Cse.run_func f);
+  Verify.check m
+
+(* A load [l1 = load p; <between>; l2 = load p]: how many loads CSE
+   eliminates. *)
+let cse_loads_around between =
+  let m = new_module () in
+  let g = Func.create "g" Ty.Void [] in
+  Irmod.add_func m g;
+  let gb = Builder.create m g in
+  ignore (Builder.start_block gb "entry");
+  Builder.b_ret gb None;
+  let f = Func.create "csel2" Ty.i32 [ ("p", Ty.Ptr Ty.i32) ] in
+  Irmod.add_func m f;
+  let b = Builder.create m f in
+  ignore (Builder.start_block b "entry");
+  let p = Func.param_value f 0 in
+  let l1 = Builder.b_load b p in
+  between b p l1;
+  let l2 = Builder.b_load b p in
+  Builder.b_ret b (Some (Builder.b_binop b Instr.Add l1 l2));
+  let n = Cse.run_func f in
+  Verify.check m;
+  n
+
+let test_cse_load_reuse_and_kills () =
+  Alcotest.(check int) "reused across an icmp" 1
+    (cse_loads_around (fun b _ l1 ->
+         ignore (Builder.b_icmp b Instr.Eq l1 (Value.imm 0))));
+  List.iter
+    (fun (what, between) ->
+      Alcotest.(check int)
+        (what ^ " kills the load")
+        0 (cse_loads_around between))
+    [
+      ("store", fun b p _ -> Builder.b_store b (Value.imm 9) p);
+      ("call", fun b _ _ -> ignore (Builder.b_call_named b "g" []));
+      ( "atomic add",
+        fun b p _ -> ignore (Builder.b_atomic_add b p (Value.imm 1)) );
+      ("membar", fun b _ _ -> ignore (Builder.insert b Ty.Void Instr.Membar));
+    ]
+
 let test_pipeline_llvm_like () =
   let m = new_module () in
   let f = if_else_slot_func m in
@@ -246,6 +311,9 @@ let () =
         [
           Alcotest.test_case "dedup" `Quick test_cse_dedups;
           Alcotest.test_case "load invalidation" `Quick test_cse_load_invalidation;
+          Alcotest.test_case "typed constants" `Quick test_cse_typed_constants;
+          Alcotest.test_case "load reuse and kills" `Quick
+            test_cse_load_reuse_and_kills;
         ] );
       ( "pipeline",
         [ Alcotest.test_case "llvm-like" `Quick test_pipeline_llvm_like ] );
