@@ -128,26 +128,6 @@ let bechamel_crosscheck ~quick ~strict:_ =
       with_cache false (fun () -> Harness.Workloads.op_open_close safe));
   med "open-close/sva-safe/cache-on" (fun () ->
       with_cache true (fun () -> Harness.Workloads.op_open_close safe));
-  (* Tiered-engine A/B: the same checked kernel image on the pre-decoded
-     interpreter vs the closure-compiled second tier (warmed so the hot
-     functions are already promoted). *)
-  let tiered =
-    let b = Ukern.Kbuild.build ~conf:Pipeline.Sva_safe Ukern.Kbuild.as_tested in
-    let t =
-      Boot.boot_built
-        ~engine:{ Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered; eng_threshold = 2 }
-        b ~variant:Ukern.Kbuild.as_tested
-    in
-    let ctx = Harness.Workloads.prepare t in
-    for _ = 1 to 3 do
-      Harness.Workloads.op_open_close ctx
-    done;
-    ctx
-  in
-  med "open-close/sva-safe/interp" (fun () ->
-      Harness.Workloads.op_open_close safe);
-  med "open-close/sva-safe/tiered" (fun () ->
-      Harness.Workloads.op_open_close tiered);
   Buffer.contents buf
 
 let sections =

@@ -50,14 +50,9 @@ let engine =
          & opt (named "engine" Pipeline.engine_of_string Pipeline.engine_name)
              Pipeline.Interp
          & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Execution engine: interp (pre-decoded interpreter), \
-                   tiered (closure-compiled hot functions with a signed \
-                   translation cache) or aot (whole-kernel closure \
-                   compilation at instantiate time, no warmup).")
-  and threshold =
-    Arg.(value & opt (int_in 1) Pipeline.default_jit_threshold
-         & info [ "jit-threshold" ] ~docv:"N"
-             ~doc:"Calls before the tiered engine promotes a function.")
+             ~doc:"Execution engine: interp (pre-decoded interpreter) or \
+                   aot (whole-kernel closure compilation at instantiate \
+                   time through a signed translation cache).")
   and dir =
     Arg.(value & opt (some path) None
          & info [ "tcache-dir" ] ~docv:"DIR"
@@ -66,9 +61,9 @@ let engine =
                    process starts with a hot translation cache while \
                    tampered or stale files merely re-translate.")
   in
-  Term.(const (fun eng_kind eng_threshold eng_tcache_dir ->
-            { Pipeline.eng_kind; eng_threshold; eng_tcache_dir })
-        $ kind $ threshold $ dir)
+  Term.(const (fun eng_kind eng_tcache_dir ->
+            { Pipeline.eng_kind; eng_tcache_dir })
+        $ kind $ dir)
 
 (* The event trace and profiler, enabled as the term is evaluated —
    before the tool builds anything, so build-time events are captured.

@@ -6,8 +6,7 @@
    configuration it runs under inserts the checks.
 
      sva_run FILE [-f FUNC] [-a INT]... [--conf native|gcc|llvm|safe]
-             [--engine interp|tiered|aot] [--jit-threshold N]
-             [--tcache-dir DIR] [--ranges]
+             [--engine interp|aot] [--tcache-dir DIR] [--ranges]
              [--trace[=N]] [--trace-out FILE] [--profile]
              [--dump-ir] [--emit-bytecode OUT]
 
@@ -68,8 +67,8 @@ let run file func args conf engine trace_out ranges dump_ir emit_bytecode =
             (Sva_interp.Interp.steps vm)
             (Sva_interp.Interp.cycles vm)
       | None -> Printf.printf "%s returned void\n" func);
-      if engine.Pipeline.eng_kind <> Pipeline.Interp then
-        Printf.printf "tiered:   %s\n"
+      if engine.Pipeline.eng_kind = Pipeline.Aot then
+        Printf.printf "aot:      %s\n"
           (Sva_rt.Stats.tier_to_string (Sva_rt.Stats.read_tier ()));
       if ranges then
         Printf.printf "ranges:   %s\n" (Pipeline.range_counts built);

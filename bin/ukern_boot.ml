@@ -6,8 +6,8 @@
    engine, trace, SMP and --ranges flags of [Cli] plus --races and
    --poolcert.  Prints the boot transcript, runs a small syscall
    workload, and reports instruction/cycle counts plus run-time check
-   statistics (and the tier counters when a compiling engine is
-   selected).  With --cpus N > 1 the smoke workload is followed by a
+   statistics (and the tier counters, on an [aot:] line, when the AOT
+   engine is selected).  With --cpus N > 1 the smoke workload is followed by a
    parallel section: the same syscall burst scheduled over the modeled
    CPUs by the seeded work-stealing scheduler, reporting per-CPU clocks,
    steals and IPIs.  With --trace/--profile the event-trace summary,
@@ -90,8 +90,8 @@ let run conf engine trace_out smp ranges races poolcert =
           st.Boot.ss_jobs_per.(i))
       st.Boot.ss_cycles
   end;
-  if engine.Pipeline.eng_kind <> Pipeline.Interp then
-    Printf.printf "tiered:   %s\n"
+  if engine.Pipeline.eng_kind = Pipeline.Aot then
+    Printf.printf "aot:      %s\n"
       (Sva_rt.Stats.tier_to_string (Sva_rt.Stats.read_tier ()));
   if ranges then
     Printf.printf "ranges:   %s\n" (Pipeline.range_counts t.Boot.built);

@@ -42,8 +42,8 @@ val tamper_native : entry -> entry
 
 (** {1 Per-function translation-cache entries}
 
-    The tiered execution engine ({!Sva_interp.Closcomp}) caches the
-    translation of each hot function, keyed by the SHA-256 of the
+    The compiled engine ({!Sva_interp.Closcomp}) caches the
+    translation of each function, keyed by the SHA-256 of the
     function's bytecode and signed with the SVM key.  Reuse re-verifies
     the signature (Section 3.4); a tampered entry is discarded and the
     function re-translated from (re-verified) bytecode. *)

@@ -1035,17 +1035,16 @@ let smp_report j =
          ])
        (field J.to_list "points" j))
 
-(* ---------- tiered execution engine ---------- *)
+(* ---------- AOT engine + persistent translation store ---------- *)
 
-(* The Table 7 syscall mix under SVA-Safe on both execution tiers.  The
-   modeled cycle counts and check statistics must be bit-identical — the
-   tiered engine is semantically invisible — so the only differing
-   columns are host wall-clock time and the tier counters. *)
-
-(* Promote early in the bench so the warm-up pass already compiles the
-   hot functions; measurement then runs fully on the second tier. *)
-let tiered_bench_engine =
-  { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered; eng_threshold = 2 }
+(* Whole-kernel closure compilation at instantiate time against a
+   persistent signed store: boot the AOT kernel twice through the same
+   --tcache-dir, first cold (every translation is fresh and persisted)
+   then warm with the in-memory cache cleared, simulating a second
+   process (every translation is a verified disk hit, zero
+   re-translations).  The warm VM then runs the Table 7 mix; the modeled
+   numbers must match the interpreter's bit-for-bit and the hot-path
+   wall clock must clear the warm-cache speedup floor. *)
 
 (* The Table 7 mix on a booted kernel, warmed three times: the
    workload context and the modeled cycles, steps and checks per rep. *)
@@ -1075,58 +1074,14 @@ let engine_timing ~reps interp engine =
     (fun () -> ablation_workload interp)
     (fun () -> ablation_workload engine)
 
-(* The interpreter baseline both engine sections time against. *)
+(* The interpreter baseline the aot section times against. *)
 let interp_run =
   memo (fun quick ->
       let reps = if quick then 10 else 40 in
       engine_per_op ~reps
         (Boot.boot_built (image Pipeline.Sva_safe) ~variant:Kbuild.as_tested))
 
-(* Modeled cycles, steps and checks per rep on both tiers, host ns per
-   rep (median batch) and the host speedup interp / tiered, and the tier
-   counters. *)
-let tiered_payload =
-  memo (fun quick ->
-      let reps = if quick then 10 else 40 in
-      let ictx, icyc, istep, ichk = interp_run quick in
-      Sva_interp.Closcomp.clear_cache ();
-      Sva_rt.Stats.reset_tier ();
-      let tctx, tcyc, tstep, tchk =
-        engine_per_op ~reps
-          (Boot.boot_built ~engine:tiered_bench_engine (image Pipeline.Sva_safe)
-             ~variant:Kbuild.as_tested)
-      in
-      let wall = engine_timing ~reps ictx tctx in
-      let tier = Sva_rt.Stats.read_tier () in
-      let pair interp tiered =
-        J.Obj [ ("interp", interp); ("tiered", tiered) ]
-      in
-      J.Obj
-        [
-          ("cycles-per-op", pair (J.Float icyc) (J.Float tcyc));
-          ("steps-per-op", pair (J.Float istep) (J.Float tstep));
-          ("checks-per-op", pair (J.Int ichk) (J.Int tchk));
-          ("host-ns-per-op",
-           pair (J.Float wall.Timing.p_base_ns)
-             (J.Float wall.Timing.p_test_ns));
-          ("host-speedup", J.Float wall.Timing.p_ratio);
-          ("promotions", J.Int tier.Sva_rt.Stats.promotions);
-          ("translation-cache",
-           J.Obj [ ("hits", J.Int tier.Sva_rt.Stats.tcache_hits);
-                   ("misses", J.Int tier.Sva_rt.Stats.tcache_misses);
-                   ("signature-verifications",
-                    J.Int tier.Sva_rt.Stats.sig_verifications);
-                   ("disk-hits", J.Int tier.Sva_rt.Stats.tcache_disk_hits);
-                   ("disk-stale", J.Int tier.Sva_rt.Stats.tcache_disk_stale);
-                   ("disk-writes",
-                    J.Int tier.Sva_rt.Stats.tcache_disk_writes) ]);
-        ])
-
-(* The wall-clock gate must hold on loaded CI machines; the measured
-   speedup on the syscall mix is well above this floor. *)
-let tiered_speedup_floor = 1.3
-
-(* The row of engine [k] in the tiered and aot engine tables. *)
+(* The row of engine [k] in the engine table. *)
 let engine_row name k j =
   let per_op m = num (m ^ "." ^ k) j in
   [
@@ -1137,74 +1092,20 @@ let engine_row name k j =
     Printf.sprintf "%.0fns" (per_op "host-ns-per-op");
   ]
 
-(* A second engine is invisible: modeled cycles, steps and checks per op
-   match the interpreter's bit for bit.  The host wall-clock floors are
-   judged by the reports alone. *)
-let engine_check engine j =
-  List.concat
-    [
-      same "cycles-per-op" "interp" engine j;
-      same "steps-per-op" "interp" engine j;
-      same "checks-per-op" "interp" engine j;
-      positive "host-speedup" j;
-    ]
-
-let tiered_check j = engine_check "tiered" j @ positive "promotions" j
-
-let tiered_report j =
-  let tcache k = int ("translation-cache." ^ k) j in
-  T.render
-    ~title:
-      "Tiered engine: closure-compiled hot functions on the Table 7 \
-       syscall mix (SVA-Safe)"
-    ~note:
-      (Printf.sprintf
-         "Workload: open/close + write + pipe round-trip + getpid per rep. \
-          The tiered engine promotes functions after %d calls, compiles \
-          them to fused closure chains, and records each translation in \
-          the signed cache (Section 3.4: %d promotions, %d/%d cache \
-          hits, %d signature verifications).  Modeled cycles, steps and \
-          checks are identical by construction; host speedup %.2fx, \
-          the median ratio over interleaved interpreter/tiered batch \
-          pairs (>= %.1fx required)."
-         tiered_bench_engine.Pipeline.eng_threshold (int "promotions" j)
-         (tcache "hits")
-         (tcache "hits" + tcache "misses")
-         (tcache "signature-verifications")
-         (num "host-speedup" j) tiered_speedup_floor)
-    [ T.L; T.R; T.R; T.R; T.R ]
-    [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
-    [ engine_row "interpreter" "interp" j; engine_row "tiered" "tiered" j ]
-
-(* ---------- AOT engine + persistent translation store ---------- *)
-
-(* Whole-kernel closure compilation at instantiate time against a
-   persistent signed store: boot the AOT kernel twice through the same
-   --tcache-dir, first cold (every translation is fresh and persisted)
-   then warm with the in-memory cache cleared, simulating a second
-   process (every translation is a verified disk hit, zero
-   re-translations).  The warm VM then runs the Table 7 mix; the modeled
-   numbers must match the interpreter's bit-for-bit and the hot-path
-   wall clock must clear the warm-cache speedup floor. *)
-
-(* Per op on each engine, with the interpreter and tiered numbers taken
-   from the tiered section except the interpreter side of the aot timing
-   pairs; the host speedup over the interpreter; each boot's host ns
-   (instantiate + compile_all, against the empty and then the populated
-   store); and the translation counters of the two boots. *)
+(* Per op on each engine, the interpreter's modeled numbers taken from
+   [interp_run]; the host speedup over the interpreter; each boot's host
+   ns (instantiate + compile_all, against the empty and then the
+   populated store); and the translation counters of the two boots. *)
 let aot_payload =
   memo (fun quick ->
       let reps = if quick then 10 else 40 in
       (* Measure the baseline first: computing it lazily below would boot
-         interpreter/tiered kernels while the persistent store is still
+         the interpreter kernel while the persistent store is still
          globally active. *)
-      let td = tiered_payload quick in
+      let ictx, icycles, isteps, ichecks = interp_run quick in
       let dir = Filename.temp_dir "sva-tcache" "" in
       let engine =
-        Some
-          { Pipeline.default_engine with
-            Pipeline.eng_kind = Pipeline.Aot;
-            eng_tcache_dir = Some dir }
+        Some { Pipeline.aot_engine with Pipeline.eng_tcache_dir = Some dir }
       in
       let boot_once () =
         (* a cleared in-memory cache is what a fresh process starts with *)
@@ -1227,22 +1128,15 @@ let aot_payload =
           let _, cold_ns, cold = boot_once () in
           let t, warm_ns, warm = boot_once () in
           let ctx, cycles, steps, checks = engine_per_op t ~reps in
-          let ictx, _, _, _ = interp_run quick in
           let wall = engine_timing ~reps ictx ctx in
-          let engines m interp aot =
-            J.Obj
-              [ ("interp", interp);
-                ("tiered", field Fun.id (m ^ ".tiered") td);
-                ("aot", aot) ]
-          in
-          let modeled m aot = engines m (field Fun.id (m ^ ".interp") td) aot in
+          let engines interp aot = J.Obj [ ("interp", interp); ("aot", aot) ] in
           J.Obj
             [
-              ("cycles-per-op", modeled "cycles-per-op" (J.Float cycles));
-              ("steps-per-op", modeled "steps-per-op" (J.Float steps));
-              ("checks-per-op", modeled "checks-per-op" (J.Int checks));
+              ("cycles-per-op", engines (J.Float icycles) (J.Float cycles));
+              ("steps-per-op", engines (J.Float isteps) (J.Float steps));
+              ("checks-per-op", engines (J.Int ichecks) (J.Int checks));
               ("host-ns-per-op",
-               engines "host-ns-per-op" (J.Float wall.Timing.p_base_ns)
+               engines (J.Float wall.Timing.p_base_ns)
                  (J.Float wall.Timing.p_test_ns));
               ("host-speedup", J.Float wall.Timing.p_ratio);
               ("boot-ns",
@@ -1262,12 +1156,17 @@ let aot_payload =
    flake on wall clock. *)
 let aot_speedup_floor = 2.0
 
-(* Against a warm persistent store every translation is reused from
-   disk and none is redone. *)
+(* AOT is invisible: modeled cycles, steps and checks per op match the
+   interpreter's bit for bit.  Against a warm persistent store every
+   translation is reused from disk and none is redone.  The host
+   wall-clock floor is judged by the report alone. *)
 let aot_check j =
   List.concat
     [
-      engine_check "aot" j;
+      same "cycles-per-op" "interp" "aot" j;
+      same "steps-per-op" "interp" "aot" j;
+      same "checks-per-op" "interp" "aot" j;
+      positive "host-speedup" j;
       positive "functions-compiled" j;
       positive "disk-cache.writes-cold" j;
       positive "disk-cache.hits-warm" j;
@@ -1296,11 +1195,7 @@ let aot_report j =
          (num "host-speedup" j) aot_speedup_floor)
     [ T.L; T.R; T.R; T.R; T.R ]
     [ "Engine"; "Cycles/op"; "Steps/op"; "Checks/op"; "Host/op" ]
-    [
-      engine_row "interpreter" "interp" j;
-      engine_row "tiered (warm)" "tiered" j;
-      engine_row "aot (warm disk)" "aot" j;
-    ]
+    [ engine_row "interpreter" "interp" j; engine_row "aot (warm disk)" "aot" j ]
 
 (* ---------- observability: event trace + profiler ---------- *)
 
@@ -2069,8 +1964,6 @@ let sections =
     { name = "ablation"; render = ablation; json = None };
     gated "fastpath" fastpath_payload fastpath_check fastpath_report;
     gated "smp" smp_payload smp_check smp_report;
-    gated "tiered" tiered_payload tiered_check tiered_report
-      ~floor:(fun ~strict:_ -> host_floor "host speedup" tiered_speedup_floor);
     gated "aot" aot_payload aot_check aot_report ~floor:(fun ~strict j ->
         if strict then host_floor "warm-cache host speedup" aot_speedup_floor j
         else []);

@@ -52,9 +52,8 @@ val sections : section list
     - [fastpath]: the object-lookup cache off vs on (same checks, >= 2x
       fewer splay comparisons, no extra cycles);
     - [smp]: the syscall mix over 1, 2 and 4 modeled CPUs;
-    - [tiered]: interpreter vs closure-compiled second tier;
-    - [aot]: whole-kernel AOT against a warm persistent translation
-      store;
+    - [aot]: the interpreter vs whole-kernel AOT against a warm
+      persistent translation store;
     - [trace]: the event trace and profiler are semantically invisible
       and attribute >= 95% of cycles to syscalls;
     - [exploits]: the Section 7.2 exploit experiment;
@@ -62,8 +61,7 @@ val sections : section list
       kernel annotations pass and all 20 injected analysis bugs are
       caught.
 
-    The eleven sections with a payload (lint, ranges, race, poolcert,
-    table7, fastpath, smp, tiered, aot, trace, verifier) end in the
-    verdict of their [check].  Only the host wall-clock floors stay outside it, in
-    the reports alone: tiered's >= 1.3x speedup is judged in every run,
-    aot's >= 2.0x only under [strict]. *)
+    The ten sections with a payload (lint, ranges, race, poolcert,
+    table7, fastpath, smp, aot, trace, verifier) end in the verdict of
+    their [check].  Only the host wall-clock floor stays outside it, in
+    the report alone: aot's >= 2.0x, judged only under [strict]. *)

@@ -809,8 +809,8 @@ let translate (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
   Stats.bump_promotion ();
   let fname = pf.I.pf.Func.f_name in
   (* Tier events are the one deliberate divergence between the two
-     engines' traces: the interpreter never promotes.  The event-identity
-     tests filter them out before comparing streams. *)
+     engines' traces: the interpreter never translates.  The
+     event-identity tests filter them out before comparing streams. *)
   if !Sva_rt.Trace.active then Sva_rt.Trace.emit_tier_promote fname;
   let bytecode = Codec.encode_func pf.I.pf in
   let key = Sha256.hex bytecode in
@@ -863,16 +863,17 @@ let translate (t : I.t) (pf : I.prepared_func) : int64 list -> int64 option =
   | None -> from_disk ());
   build t pf
 
-let enable ?(threshold = 16) (t : I.t) =
-  I.set_jit t
-    (Some { I.jit_threshold = max 1 threshold; I.jit_translate = translate })
+let enable ?(threshold = 1) (t : I.t) =
+  if threshold <> 1 then
+    invalid_arg "Closcomp.enable: only ~threshold:1 (the tiered engine was deleted)";
+  I.set_jit t (Some translate)
 
 (* Whole-kernel ahead-of-time mode: translate every loaded function at
    instantiate time (deterministic name order), so the first call of
    every function already runs compiled and a populated persistent store
    makes a second process boot hot.  Translation is host work — modeled
    cycles, steps and check counters are untouched, so AOT output is
-   bit-identical to the other engines'. *)
+   bit-identical to the interpreter's. *)
 let compile_all (t : I.t) =
   let names = Hashtbl.fold (fun name _ acc -> name :: acc) t.I.funcs [] in
   List.iter

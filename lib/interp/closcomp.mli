@@ -1,8 +1,9 @@
-(** The SVM's second execution tier: a closure compiler with a signed
+(** The SVM's compiled engine: a closure compiler with a signed
     translation cache (Section 3.4).
 
-    Hot functions (profiled by {!Interp.enter} against the installed
-    threshold) are compiled into trees of OCaml closures — one chain per
+    Functions ({!compile_all} at instantiate, or {!Interp.enter} on the
+    first entry of one linked later) are compiled into trees of OCaml
+    closures — one chain per
     basic block, with operands, widths and gep terms resolved at
     translation time, branch targets resolved to block indices, and a
     block-ending compare fused into its branch.  Each translation is
@@ -10,23 +11,24 @@
     function's bytecode; reuse re-verifies the signature and a tampered
     entry falls back to re-translation from re-verified bytecode.
 
-    The tier is semantically invisible: results, traps, check statistics
-    and the modeled cycle counts are bit-identical to the interpreter's.
-    Only host wall-clock time improves. *)
+    The engine is semantically invisible: results, traps, check
+    statistics and the modeled cycle counts are bit-identical to the
+    interpreter's.  Only host wall-clock time improves. *)
 
 open Sva_ir
 
 val enable : ?threshold:int -> Interp.t -> unit
-(** Install the tier on a VM: functions entered at least [threshold]
-    times (default 16, clamped to at least 1) are translated and run
-    compiled from then on. *)
+(** Install the translator on a VM: a function not yet compiled is
+    translated on its first entry and runs compiled from then on.
+    [threshold] is kept only because [bench/perf] passes [~threshold:1];
+    any other value raises [Invalid_argument]. *)
 
 val compile_all : Interp.t -> unit
 (** Whole-kernel AOT: translate every loaded function now (in
     deterministic name order), through the same signed cache — against a
     populated {!Tcache_disk} store this is all verified disk hits and
     zero re-translations.  Host work only; execution stays bit-identical
-    to the other engines. *)
+    to the interpreter. *)
 
 (** {1 Translation cache introspection (tests and demos)} *)
 

@@ -31,13 +31,9 @@ type fc_cache = { mutable fc_set : (int, string) Hashtbl.t option }
 type intr =
   | I_pchk_reg_obj
   | I_pchk_drop_obj
-  | I_pchk_drop_obj_opt
   | I_pchk_bounds
-  | I_pchk_bounds_known
   | I_pchk_lscheck
   | I_pchk_funccheck of fc_cache option
-  | I_pchk_getbounds_start
-  | I_pchk_getbounds_len
   | I_sva_pseudo_alloc
   | I_pchk_pseudo_alloc
   | I_save_integer
@@ -109,10 +105,8 @@ and prepared_func = {
   pf : Func.t;
   pf_blocks : pblock array;
   pf_max_phis : int;
-  mutable pf_calls : int;
-      (* profile counter: entries via [enter] while still interpreted *)
   mutable pf_entry : (int64 list -> int64 option) option;
-      (* the compiled-tier entry point, once promoted *)
+      (* the compiled entry point, once translated *)
 }
 
 (* The compiled tier's page-to-frame cache (see [mem_read_cached]): per
@@ -152,16 +146,13 @@ type t = {
   fcache : frame_cache;
 }
 
-(* The second execution tier (Section 3.4's translate-and-cache SVM).
-   When installed, [enter] counts calls per function and hands hot
-   functions to the translator, which returns a compiled entry point.
+(* The compiled engine (Section 3.4's translate-and-cache SVM): when
+   installed, [enter] hands a function not yet translated to it, and the
+   compiled entry point it returns runs every entry from then on.
    Translation happens on the host and is never charged to the cycle
    model: the compiled code must reproduce the interpreter's modeled
    cycles, steps and check statistics bit-for-bit. *)
-and jit = {
-  jit_threshold : int;
-  jit_translate : t -> prepared_func -> int64 list -> int64 option;
-}
+and jit = t -> prepared_func -> int64 list -> int64 option
 
 let sizeof t ty =
   match Hashtbl.find_opt t.size_cache ty with
@@ -234,133 +225,93 @@ let width_of_value (v : Value.t) =
   | Ty.Float -> 64
   | t -> vm_err "no integer width for %s" (Ty.to_string t)
 
-(* The cycle-model charge for an SVA-OS operation or run-time check.
-   Mediated mode pays the privilege-boundary premium (validation, full
-   state spills, integrity tags) over the native inline sequences. *)
-let intrinsic_base_cost ~mediated name nargs =
-  match name with
-  | "pchk_reg_obj" | "pchk_drop_obj" | "pchk_pseudo_alloc" -> 22
-  | "pchk_bounds" -> 18
-  | "pchk_bounds_known" -> 4
-  | "pchk_lscheck" -> 14
-  | "pchk_getbounds_start" | "pchk_getbounds_len" -> 14
-  | "pchk_funccheck" -> 6 + (nargs / 6)
-  | "llva_save_integer" | "llva_load_integer" -> if mediated then 54 else 22
-  | "llva_save_fp" | "llva_load_fp" -> if mediated then 22 else 10
-  | "llva_icontext_save" | "llva_icontext_load" -> if mediated then 48 else 16
-  | "llva_icontext_commit" -> if mediated then 40 else 14
-  | "llva_ipush_function" -> if mediated then 18 else 8
-  | "llva_was_privileged" -> 4
-  | "sva_register_syscall" | "sva_register_interrupt" -> 10
-  | "sva_syscall" -> if mediated then 16 else 8
-  | "sva_mmu_map_page" | "sva_mmu_unmap_page" -> if mediated then 16 else 8
-  | "sva_mmu_new_space" | "sva_mmu_destroy_space" | "sva_mmu_activate" ->
-      if mediated then 12 else 6
-  | "sva_mmu_clone_space" -> if mediated then 24 else 12
-  | "sva_mmu_page_count" -> 6
-  | "sva_io_console_write" | "sva_io_disk_read" | "sva_io_disk_write" -> 30
-  | "sva_io_nic_send" | "sva_io_nic_recv" -> 30
-  | "sva_timer_read" -> if mediated then 10 else 4
-  | "sva_cli" | "sva_sti" -> 2
-  | "sva_lock_acquire" | "sva_lock_release" -> if mediated then 12 else 4
-  | _ -> 2
+(* One row per intrinsic: its name, decoded variant, modeled cost in
+   native and in mediated mode (where the privilege boundary adds
+   validation, full state spills and integrity tags over the native
+   inline sequences), and whether it is an SVA-OS operation the event
+   trace names.  Run-time checks emit their own events inside
+   [Metapool_rt]; the pure constant accessors mediate nothing.
+   [pchk_funccheck]'s variant and cost depend on its operands
+   ([decode_intr]); a name with no row costs 2 and fails when run. *)
+let intrinsics =
+  [
+    ("pchk_reg_obj", I_pchk_reg_obj, 22, 22, false);
+    ("pchk_drop_obj", I_pchk_drop_obj, 22, 22, false);
+    ("pchk_bounds", I_pchk_bounds, 18, 18, false);
+    ("pchk_lscheck", I_pchk_lscheck, 14, 14, false);
+    ("pchk_funccheck", I_pchk_funccheck None, 6, 6, false);
+    ("sva_pseudo_alloc", I_sva_pseudo_alloc, 2, 2, true);
+    ("pchk_pseudo_alloc", I_pchk_pseudo_alloc, 22, 22, true);
+    ("llva_save_integer", I_save_integer, 22, 54, true);
+    ("llva_load_integer", I_load_integer, 22, 54, true);
+    ("llva_save_fp", I_save_fp, 10, 22, true);
+    ("llva_load_fp", I_load_fp, 10, 22, true);
+    ("llva_icontext_save", I_icontext_save, 16, 48, true);
+    ("llva_icontext_load", I_icontext_load, 16, 48, true);
+    ("llva_icontext_commit", I_icontext_commit, 14, 40, true);
+    ("llva_ipush_function", I_ipush_function, 8, 18, true);
+    ("llva_was_privileged", I_was_privileged, 4, 4, true);
+    ("sva_register_syscall", I_register_syscall, 10, 10, true);
+    ("sva_register_interrupt", I_register_interrupt, 10, 10, true);
+    ("sva_syscall", I_syscall, 8, 16, true);
+    ("sva_mmu_new_space", I_mmu_new_space, 6, 12, true);
+    ("sva_mmu_clone_space", I_mmu_clone_space, 12, 24, true);
+    ("sva_mmu_destroy_space", I_mmu_destroy_space, 6, 12, true);
+    ("sva_mmu_activate", I_mmu_activate, 6, 12, true);
+    ("sva_mmu_map_page", I_mmu_map_page, 8, 16, true);
+    ("sva_mmu_unmap_page", I_mmu_unmap_page, 8, 16, true);
+    ("sva_mmu_page_count", I_mmu_page_count, 6, 6, true);
+    ("sva_io_console_write", I_io_console_write, 30, 30, true);
+    ("sva_io_disk_read", I_io_disk_read, 30, 30, true);
+    ("sva_io_disk_write", I_io_disk_write, 30, 30, true);
+    ("sva_io_nic_send", I_io_nic_send, 30, 30, true);
+    ("sva_io_nic_recv", I_io_nic_recv, 30, 30, true);
+    ("sva_timer_read", I_timer_read, 4, 10, true);
+    ("sva_cli", I_cli, 2, 2, true);
+    ("sva_sti", I_sti, 2, 2, true);
+    ("sva_lock_acquire", I_lock_acquire, 4, 12, true);
+    ("sva_lock_release", I_lock_release, 4, 12, true);
+    ("sva_heap_base", I_heap_base, 2, 2, false);
+    ("sva_heap_size", I_heap_size, 2, 2, false);
+    ("sva_user_base", I_user_base, 2, 2, false);
+    ("sva_user_size", I_user_size, 2, 2, false);
+    ("sva_panic", I_panic, 2, 2, false);
+  ]
 
+let intrinsic_rows = Hashtbl.create 64
+
+let svaos_names : (intr, string) Hashtbl.t = Hashtbl.create 64
+
+let () =
+  List.iter
+    (fun ((name, intr, _, _, svaos) as row) ->
+      Hashtbl.replace intrinsic_rows name row;
+      if svaos then Hashtbl.replace svaos_names intr name)
+    intrinsics
+
+(* The decoded variant of an intrinsic call and its native and mediated
+   costs. *)
 let decode_intr name (args : Value.t list) =
-  match name with
-  | "pchk_reg_obj" -> I_pchk_reg_obj
-  | "pchk_drop_obj" -> I_pchk_drop_obj
-  | "pchk_drop_obj_opt" -> I_pchk_drop_obj_opt
-  | "pchk_bounds" -> I_pchk_bounds
-  | "pchk_bounds_known" -> I_pchk_bounds_known
-  | "pchk_lscheck" -> I_pchk_lscheck
-  | "pchk_funccheck" ->
+  match Hashtbl.find_opt intrinsic_rows name with
+  | None -> (I_unknown name, 2, 2)
+  | Some (_, I_pchk_funccheck _, native, mediated, _) ->
       let const_allowed =
         match args with
         | [] -> false
         | _ :: allowed ->
             List.for_all (function Value.Fn _ -> true | _ -> false) allowed
       in
-      I_pchk_funccheck (if const_allowed then Some { fc_set = None } else None)
-  | "pchk_getbounds_start" -> I_pchk_getbounds_start
-  | "pchk_getbounds_len" -> I_pchk_getbounds_len
-  | "sva_pseudo_alloc" -> I_sva_pseudo_alloc
-  | "pchk_pseudo_alloc" -> I_pchk_pseudo_alloc
-  | "llva_save_integer" -> I_save_integer
-  | "llva_load_integer" -> I_load_integer
-  | "llva_save_fp" -> I_save_fp
-  | "llva_load_fp" -> I_load_fp
-  | "llva_icontext_save" -> I_icontext_save
-  | "llva_icontext_load" -> I_icontext_load
-  | "llva_icontext_commit" -> I_icontext_commit
-  | "llva_ipush_function" -> I_ipush_function
-  | "llva_was_privileged" -> I_was_privileged
-  | "sva_register_syscall" -> I_register_syscall
-  | "sva_register_interrupt" -> I_register_interrupt
-  | "sva_syscall" -> I_syscall
-  | "sva_mmu_new_space" -> I_mmu_new_space
-  | "sva_mmu_clone_space" -> I_mmu_clone_space
-  | "sva_mmu_destroy_space" -> I_mmu_destroy_space
-  | "sva_mmu_activate" -> I_mmu_activate
-  | "sva_mmu_map_page" -> I_mmu_map_page
-  | "sva_mmu_unmap_page" -> I_mmu_unmap_page
-  | "sva_mmu_page_count" -> I_mmu_page_count
-  | "sva_io_console_write" -> I_io_console_write
-  | "sva_io_disk_read" -> I_io_disk_read
-  | "sva_io_disk_write" -> I_io_disk_write
-  | "sva_io_nic_send" -> I_io_nic_send
-  | "sva_io_nic_recv" -> I_io_nic_recv
-  | "sva_timer_read" -> I_timer_read
-  | "sva_cli" -> I_cli
-  | "sva_sti" -> I_sti
-  | "sva_lock_acquire" -> I_lock_acquire
-  | "sva_lock_release" -> I_lock_release
-  | "sva_heap_base" -> I_heap_base
-  | "sva_heap_size" -> I_heap_size
-  | "sva_user_base" -> I_user_base
-  | "sva_user_size" -> I_user_size
-  | "sva_panic" -> I_panic
-  | other -> I_unknown other
+      let per_args = List.length args / 6 in
+      ( I_pchk_funccheck (if const_allowed then Some { fc_set = None } else None),
+        native + per_args,
+        mediated + per_args )
+  | Some (_, intr, native, mediated, _) -> (intr, native, mediated)
 
-(* Source-level name of an SVA-OS operation for the event trace; [None]
-   for run-time checks (those emit their own events inside [Metapool_rt])
-   and for the pure constant accessors, which mediate nothing. *)
+(* The trace name of an SVA-OS operation; [None] for every other
+   intrinsic. *)
 let svaos_name = function
-  | I_pchk_reg_obj | I_pchk_drop_obj | I_pchk_drop_obj_opt | I_pchk_bounds
-  | I_pchk_bounds_known | I_pchk_lscheck | I_pchk_funccheck _
-  | I_pchk_getbounds_start | I_pchk_getbounds_len | I_heap_base | I_heap_size
-  | I_user_base | I_user_size | I_panic | I_unknown _ ->
-      None
-  | I_sva_pseudo_alloc -> Some "sva_pseudo_alloc"
-  | I_pchk_pseudo_alloc -> Some "pchk_pseudo_alloc"
-  | I_save_integer -> Some "llva_save_integer"
-  | I_load_integer -> Some "llva_load_integer"
-  | I_save_fp -> Some "llva_save_fp"
-  | I_load_fp -> Some "llva_load_fp"
-  | I_icontext_save -> Some "llva_icontext_save"
-  | I_icontext_load -> Some "llva_icontext_load"
-  | I_icontext_commit -> Some "llva_icontext_commit"
-  | I_ipush_function -> Some "llva_ipush_function"
-  | I_was_privileged -> Some "llva_was_privileged"
-  | I_register_syscall -> Some "sva_register_syscall"
-  | I_register_interrupt -> Some "sva_register_interrupt"
-  | I_syscall -> Some "sva_syscall"
-  | I_mmu_new_space -> Some "sva_mmu_new_space"
-  | I_mmu_clone_space -> Some "sva_mmu_clone_space"
-  | I_mmu_destroy_space -> Some "sva_mmu_destroy_space"
-  | I_mmu_activate -> Some "sva_mmu_activate"
-  | I_mmu_map_page -> Some "sva_mmu_map_page"
-  | I_mmu_unmap_page -> Some "sva_mmu_unmap_page"
-  | I_mmu_page_count -> Some "sva_mmu_page_count"
-  | I_io_console_write -> Some "sva_io_console_write"
-  | I_io_disk_read -> Some "sva_io_disk_read"
-  | I_io_disk_write -> Some "sva_io_disk_write"
-  | I_io_nic_send -> Some "sva_io_nic_send"
-  | I_io_nic_recv -> Some "sva_io_nic_recv"
-  | I_timer_read -> Some "sva_timer_read"
-  | I_cli -> Some "sva_cli"
-  | I_sti -> Some "sva_sti"
-  | I_lock_acquire -> Some "sva_lock_acquire"
-  | I_lock_release -> Some "sva_lock_release"
+  | I_pchk_funccheck _ | I_unknown _ -> None
+  | intr -> Hashtbl.find_opt svaos_names intr
 
 let prepare_func (f : Func.t) =
   let blocks = Array.of_list f.Func.f_blocks in
@@ -392,13 +343,8 @@ let prepare_func (f : Func.t) =
       match i.Instr.kind with
       | Instr.Phi _ -> vm_err "phi after non-phi instruction"
       | Instr.Intrinsic (name, args) ->
-          let nargs = List.length args in
-          P_intr
-            ( i,
-              decode_intr name args,
-              Array.of_list args,
-              intrinsic_base_cost ~mediated:false name nargs,
-              intrinsic_base_cost ~mediated:true name nargs )
+          let intr, native, mediated = decode_intr name args in
+          P_intr (i, intr, Array.of_list args, native, mediated)
       | Instr.Call (callee, cargs) ->
           P_call (i, callee, Array.of_list cargs, { cc = Cc_unresolved })
       | _ -> P_base i
@@ -428,7 +374,7 @@ let prepare_func (f : Func.t) =
     }
   in
   let pf_blocks = Array.map prep_block blocks in
-  { pf = f; pf_blocks; pf_max_phis = !max_phis; pf_calls = 0; pf_entry = None }
+  { pf = f; pf_blocks; pf_max_phis = !max_phis; pf_entry = None }
 
 let fm_bits = 6
 let fm_slots = 1 lsl fm_bits
@@ -444,6 +390,20 @@ let new_frame_cache mmu =
     fm_misses = 0;
     fm_flushes = 0;
   }
+
+(* Place and prepare every function of the module not yet installed:
+   names, once installed, are never rebound. *)
+let install_funcs t =
+  List.iter
+    (fun (f : Func.t) ->
+      if not (Hashtbl.mem t.funcs f.Func.f_name) then begin
+        let addr = code_base + (t.next_code * code_stride) in
+        t.next_code <- t.next_code + 1;
+        Hashtbl.replace t.funcs f.Func.f_name (prepare_func f);
+        Hashtbl.replace t.fn_addr f.Func.f_name addr;
+        Hashtbl.replace t.addr_fn addr f.Func.f_name
+      end)
+    t.im_mod.Irmod.m_funcs
 
 let load ?sys ?(metapools = []) (m : Irmod.t) =
   let sys = match sys with Some s -> s | None -> Svaos.create () in
@@ -472,18 +432,6 @@ let load ?sys ?(metapools = []) (m : Irmod.t) =
       fcache = new_frame_cache sys.Svaos.mmu;
     }
   in
-  let install_funcs t =
-    List.iter
-      (fun (f : Func.t) ->
-        if not (Hashtbl.mem t.funcs f.Func.f_name) then begin
-          let addr = code_base + (t.next_code * code_stride) in
-          t.next_code <- t.next_code + 1;
-          Hashtbl.replace t.funcs f.Func.f_name (prepare_func f);
-          Hashtbl.replace t.fn_addr f.Func.f_name addr;
-          Hashtbl.replace t.addr_fn addr f.Func.f_name
-        end)
-      t.im_mod.Irmod.m_funcs
-  in
   install_funcs t;
   List.iter (fun (id, mp) -> Hashtbl.replace t.mps id mp) metapools;
   let fresh = layout_globals t in
@@ -498,16 +446,7 @@ let load ?sys ?(metapools = []) (m : Irmod.t) =
    module's globals.  Existing code and data are not disturbed. *)
 let link_module t (m2 : Irmod.t) =
   Irmod.merge t.im_mod m2;
-  List.iter
-    (fun (f : Func.t) ->
-      if not (Hashtbl.mem t.funcs f.Func.f_name) then begin
-        let addr = code_base + (t.next_code * code_stride) in
-        t.next_code <- t.next_code + 1;
-        Hashtbl.replace t.funcs f.Func.f_name (prepare_func f);
-        Hashtbl.replace t.fn_addr f.Func.f_name addr;
-        Hashtbl.replace t.addr_fn addr f.Func.f_name
-      end)
-    t.im_mod.Irmod.m_funcs;
+  install_funcs t;
   let fresh = layout_globals t in
   write_global_inits t fresh
 
@@ -950,18 +889,11 @@ let rec exec_intr t intr (vargs : Value.t array) (args : int64 array) :
   | I_pchk_drop_obj ->
       Metapool_rt.drop (get_mp t (to_addr (a 0))) ~start:(addr 1);
       None
-  | I_pchk_drop_obj_opt ->
-      ignore (Metapool_rt.drop_if_present (get_mp t (to_addr (a 0))) ~start:(addr 1));
-      None
   | I_pchk_bounds ->
       Metapool_rt.boundscheck
         (get_mp t (to_addr (a 0)))
         ~src:(addr 1) ~dst:(addr 2)
         ~access_len:(to_addr (a 3));
-      None
-  | I_pchk_bounds_known ->
-      Metapool_rt.boundscheck_known ~start:(addr 0) ~len:(to_addr (a 1))
-        ~dst:(addr 2) ~access_len:(to_addr (a 3)) ~pool:"<static>";
       None
   | I_pchk_lscheck ->
       Metapool_rt.lscheck
@@ -983,18 +915,6 @@ let rec exec_intr t intr (vargs : Value.t array) (args : int64 array) :
       in
       Metapool_rt.funccheck_hashed ~allowed ~target;
       None
-  | I_pchk_getbounds_start ->
-      (* Returns the base of the object containing the pointer, 0 if
-         unknown. *)
-      Some
-        (match Metapool_rt.getbounds (get_mp t (to_addr (a 0))) (addr 1) with
-        | Some (s, _) -> Int64.of_int s
-        | None -> 0L)
-  | I_pchk_getbounds_len ->
-      Some
-        (match Metapool_rt.getbounds (get_mp t (to_addr (a 0))) (addr 1) with
-        | Some (_, l) -> Int64.of_int l
-        | None -> 0L)
   | I_sva_pseudo_alloc ->
       (* Unchecked build: just manufacture the pointer. *)
       Some (a 0)
@@ -1317,15 +1237,15 @@ and exec_func t (pf : prepared_func) (args : int64 list) : int64 option =
   t.sp <- sp_save;
   !result
 
-(* Tier dispatch: every function entry goes through here.  Without a JIT
-   installed this is one null test on top of the interpreter.  With one,
-   each interpreted entry bumps the function's profile counter; at the
-   threshold the function is translated (host work, zero modeled cycles)
-   and every subsequent entry runs the compiled closure tree. *)
+(* Engine dispatch: every function entry goes through here.  Without a
+   translator installed this is one null test on top of the interpreter.
+   With one, a function not yet translated (under AOT, one linked after
+   [compile_all]) is translated on its first entry (host work, zero
+   modeled cycles), and every entry runs the compiled closure tree. *)
 and enter t (pf : prepared_func) (args : int64 list) : int64 option =
   if not !Sva_rt.Trace.profiling then enter_raw t pf args
   else begin
-    (* Cycle-attribution profiling: bracket the whole tier dispatch so
+    (* Cycle-attribution profiling: bracket the whole engine dispatch so
        compiled and interpreted entries are charged identically.  The
        frames must balance even when a check traps out of the function. *)
     let name = pf.pf.Func.f_name in
@@ -1348,14 +1268,10 @@ and enter_raw t (pf : prepared_func) (args : int64 list) : int64 option =
   | None -> (
       match t.jit with
       | None -> exec_func t pf args
-      | Some j ->
-          pf.pf_calls <- pf.pf_calls + 1;
-          if pf.pf_calls >= j.jit_threshold then begin
-            let compiled = j.jit_translate t pf in
-            pf.pf_entry <- Some compiled;
-            compiled args
-          end
-          else exec_func t pf args)
+      | Some translate ->
+          let compiled = translate t pf in
+          pf.pf_entry <- Some compiled;
+          compiled args)
 
 and dispatch_call t name argv =
   match Hashtbl.find_opt t.funcs name with

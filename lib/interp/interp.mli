@@ -27,7 +27,7 @@ exception Vm_error of string
 (** {1 Internal representation}
 
     The pre-decoded program form and the VM state are exposed concretely
-    for the second execution tier ({!Closcomp}), which compiles prepared
+    for the compiled engine ({!Closcomp}), which compiles prepared
     functions into closure trees and must reproduce the interpreter's
     bookkeeping exactly.  Ordinary clients should treat {!t} as
     abstract. *)
@@ -38,13 +38,9 @@ type fc_cache = { mutable fc_set : (int, string) Hashtbl.t option }
 type intr =
   | I_pchk_reg_obj
   | I_pchk_drop_obj
-  | I_pchk_drop_obj_opt
   | I_pchk_bounds
-  | I_pchk_bounds_known
   | I_pchk_lscheck
   | I_pchk_funccheck of fc_cache option
-  | I_pchk_getbounds_start
-  | I_pchk_getbounds_len
   | I_sva_pseudo_alloc
   | I_pchk_pseudo_alloc
   | I_save_integer
@@ -110,7 +106,6 @@ and prepared_func = {
   pf : Func.t;
   pf_blocks : pblock array;
   pf_max_phis : int;
-  mutable pf_calls : int;
   mutable pf_entry : (int64 list -> int64 option) option;
 }
 
@@ -149,15 +144,12 @@ type t = {
   fcache : frame_cache;
 }
 
-and jit = {
-  jit_threshold : int;
-  jit_translate : t -> prepared_func -> int64 list -> int64 option;
-}
-(** The second execution tier (Section 3.4's translate-and-cache SVM):
-    [enter] profiles per-function call counts and promotes a function
-    past the threshold by calling [jit_translate], whose result becomes
-    the function's entry point.  Translation is host work — it must not
-    perturb the modeled cycles, steps, or check statistics. *)
+and jit = t -> prepared_func -> int64 list -> int64 option
+(** The compiled engine (Section 3.4's translate-and-cache SVM): [enter]
+    hands a function not yet translated to it on its first entry, and
+    the result becomes the function's entry point.  Translation is host
+    work — it must not perturb the modeled cycles, steps, or check
+    statistics. *)
 
 val load :
   ?sys:Sva_os.Svaos.t ->
@@ -299,14 +291,15 @@ val run_intr :
     execute intrinsics through it. *)
 
 val enter : t -> prepared_func -> int64 list -> int64 option
-(** Tier dispatch: run the compiled entry if the function was promoted,
-    otherwise interpret (bumping the profile counter when a JIT is
-    installed).  When {!Sva_rt.Trace.profiling} is on, the dispatch is
-    bracketed with profiler frames — identically for both tiers, and
-    balanced even when a safety violation unwinds through it. *)
+(** Engine dispatch: run the function's compiled entry, translating it
+    first if a translator is installed and it has none yet; with no
+    translator, interpret.  When {!Sva_rt.Trace.profiling} is on, the
+    dispatch is bracketed with profiler frames — identically for both
+    engines, and balanced even when a safety violation unwinds through
+    it. *)
 
 val dispatch_call : t -> string -> int64 list -> int64 option
-(** Call by name through tier dispatch; falls back to builtins. *)
+(** Call by name through engine dispatch; falls back to builtins. *)
 
 val set_jit : t -> jit option -> unit
-(** Install (or remove) the second execution tier. *)
+(** Install (or remove) the translator of the compiled engine. *)

@@ -146,9 +146,14 @@ let culong = Ast.Mint (64, false)
 
 (* ---------- static expression typing (for sizeof(expr)) ---------- *)
 
+(* An integer literal is an int, or a long when it does not fit in 32
+   bits ([Int64.abs min_int] is negative: 2^63 needs a long too). *)
+let literal_ty n =
+  if n = Int64.min_int || Int64.abs n > 0x7fffffffL then clong else cint
+
 let rec static_ty fe (e : Ast.expr) : Ast.mty =
   match e with
-  | Ast.Eint _ -> cint
+  | Ast.Eint n -> literal_ty n
   | Ast.Estr _ -> Ast.Mptr (Ast.Mint (8, true))
   | Ast.Eid name -> (
       match lookup_local fe name with
@@ -288,10 +293,7 @@ and rvalue fe (e : Ast.expr) : Value.t * Ast.mty =
   let b = fe.bld in
   match e with
   | Ast.Eint n ->
-      (* [Int64.abs min_int] is negative: 2^63 needs a long too *)
-      let t =
-        if n = Int64.min_int || Int64.abs n > 0x7fffffffL then clong else cint
-      in
+      let t = literal_ty n in
       ((match t with Ast.Mint (w, _) -> imm_of w n | _ -> assert false), t)
   | Ast.Estr s ->
       let name = Printf.sprintf ".str.%d" fe.env.str_count in

@@ -25,17 +25,10 @@ type engine = Interp | Tiered | Aot
 
 type engine_config = {
   eng_kind : engine;
-  eng_threshold : int;
   eng_tcache_dir : string option;
 }
 
-let default_jit_threshold = 16
-
-let default_engine =
-  { eng_kind = Interp; eng_threshold = default_jit_threshold;
-    eng_tcache_dir = None }
-
-let tiered_engine = { default_engine with eng_kind = Tiered }
+let default_engine = { eng_kind = Interp; eng_tcache_dir = None }
 let aot_engine = { default_engine with eng_kind = Aot }
 
 let engine_name = function
@@ -45,7 +38,6 @@ let engine_name = function
 
 let engine_of_string = function
   | "interp" -> Some Interp
-  | "tiered" -> Some Tiered
   | "aot" -> Some Aot
   | _ -> None
 
@@ -329,16 +321,16 @@ let instantiate ?sys ?(engine = default_engine) ?(smp = default_smp) built =
   (match engine.eng_tcache_dir with
   | Some _ as d -> Sva_interp.Tcache_disk.set_dir d
   | None -> ());
-  (* Second execution tier, if selected: installed before any code runs
-     so even the boot-time registration pass is profiled.  AOT closure-
-     compiles the whole kernel right now (threshold 1 catches stragglers
-     linked later) — against a populated persistent store this is pure
-     verified reuse, so a second process boots hot. *)
+  (* AOT closure-compiles the whole kernel before any code runs, the
+     boot-time registration pass included; the installed translator
+     compiles a function linked later on its first entry.  Against a
+     populated persistent store this is pure verified reuse, so a second
+     process boots hot. *)
   (match engine.eng_kind with
   | Interp -> ()
-  | Tiered -> Sva_interp.Closcomp.enable ~threshold:engine.eng_threshold t
+  | Tiered -> invalid_arg "Pipeline.instantiate: the tiered engine was deleted"
   | Aot ->
-      Sva_interp.Closcomp.enable ~threshold:1 t;
+      Sva_interp.Closcomp.enable t;
       Sva_interp.Closcomp.compile_all t);
   (* SVM boot step: register every global object in its metapool before
      control first enters the program. *)

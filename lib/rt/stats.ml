@@ -182,6 +182,6 @@ let conc_to_string s =
     s.ipis_sent
 
 (* The single-family resets stay for measurements that reset one family
-   on purpose (the tiered bench resets check counters per run but
-   accumulates tier counters across warm-up and measurement). *)
+   on purpose (ukern_boot resets check counters after boot but reports
+   tier counters over boot and workload together). *)
 let reset_all () = Array.fill c 0 (Array.length c) 0

@@ -64,14 +64,14 @@ val to_string : snapshot -> string
 
 (** {1 Execution-tier counters}
 
-    Accounting for the SVM's second execution tier (closure-compiled hot
-    functions with a signed translation cache, Section 3.4).  Kept in a
-    separate snapshot: the tiered engine leaves every field of
-    {!snapshot} identical to the interpreter's — the differential tests
-    rely on that — while these counters differ by design. *)
+    Accounting for the SVM's compiled engine (closure-compiled functions
+    with a signed translation cache, Section 3.4).  Kept in a separate
+    snapshot: AOT leaves every field of {!snapshot} identical to the
+    interpreter's — the differential tests rely on that — while these
+    counters differ by design. *)
 
 type tier_snapshot = {
-  promotions : int;  (** functions promoted to the compiled tier *)
+  promotions : int;  (** functions translated to compiled code *)
   tcache_hits : int;  (** translations reused from the signed cache *)
   tcache_misses : int;
       (** fresh translations (cold cache or rejected signature) *)

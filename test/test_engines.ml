@@ -1,9 +1,9 @@
-(* The tiered execution engine (closure-compiled hot functions with a
-   signed translation cache) must be semantically invisible: identical
-   results, traps, exploit verdicts, check statistics and modeled cycle
-   counts as the pre-decoded interpreter.  Plus the Section 3.4 cache
-   integrity story: entries are signed, reuse verifies the signature, and
-   a tampered entry falls back to re-translation. *)
+(* The two execution engines: AOT (closure-compiled code with a signed
+   translation cache) must be semantically invisible — identical results,
+   traps, exploit verdicts, check statistics and modeled cycle counts as
+   the pre-decoded interpreter.  Plus the Section 3.4 cache integrity
+   story: entries are signed, reuse verifies the signature, and a
+   tampered entry falls back to re-translation. *)
 
 module Pipeline = Sva_pipeline.Pipeline
 module Interp = Sva_interp.Interp
@@ -13,11 +13,8 @@ module Signing = Sva_bytecode.Signing
 module Stats = Sva_rt.Stats
 module Boot = Ukern.Boot
 
-let tiered_engine ?(threshold = 1) () =
-  { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered; eng_threshold = threshold }
-
 let aot_engine ?dir () =
-  { Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Aot; eng_tcache_dir = dir }
+  { Pipeline.aot_engine with Pipeline.eng_tcache_dir = dir }
 
 (* ---------- differential property: random programs ---------- *)
 
@@ -106,7 +103,7 @@ let prop_engines_agree =
   let gen =
     QCheck2.Gen.(tup3 (int_range 0 5000) small_signed_int small_signed_int)
   in
-  QCheck2.Test.make ~name:"tiered and aot engines agree with the interpreter"
+  QCheck2.Test.make ~name:"aot and interpreter agree on random programs"
     ~count:30 gen (fun (seed, a, b) ->
       let src = gen_program seed in
       let built =
@@ -115,14 +112,11 @@ let prop_engines_agree =
       let args = [ Int64.of_int a; Int64.of_int b ] in
       let ri = run_built built None args in
       Closcomp.clear_cache ();
-      let rt = run_built built (Some (tiered_engine ())) args in
-      Closcomp.clear_cache ();
-      let ra = run_built built (Some (aot_engine ())) args in
-      ri = rt && ri = ra)
+      ri = run_built built (Some (aot_engine ())) args)
 
 (* Every compiled closure checks the step limit where the interpreter
    does.  A limit from 0 to one past the interpreter's step count stops
-   every engine at the same step with the same trap, or lets all three
+   both engines at the same step with the same trap, or lets both
    finish. *)
 let prop_step_limit_agrees =
   let gen =
@@ -145,7 +139,7 @@ let prop_step_limit_agrees =
         run_built ~limit built engine args
       in
       let ri = run None in
-      ri = run (Some (tiered_engine ())) && ri = run (Some (aot_engine ())))
+      ri = run (Some (aot_engine ())))
 
 (* Same property with the certified range elision on: the elided-check
    module must behave identically on both engines too. *)
@@ -171,7 +165,7 @@ let prop_engines_agree_with_ranges =
     QCheck2.Gen.(tup3 (int_range 0 5000) small_signed_int small_signed_int)
   in
   QCheck2.Test.make
-    ~name:"tiered engine agrees with the interpreter under range elision"
+    ~name:"range elision: aot agrees with the interpreter"
     ~count:15 gen
     (fun (seed, a, b) ->
       let src = gen_range_program seed in
@@ -182,11 +176,10 @@ let prop_engines_agree_with_ranges =
       let args = [ Int64.of_int a; Int64.of_int b ] in
       let ri = run_built built None args in
       Closcomp.clear_cache ();
-      let rt = run_built built (Some (tiered_engine ())) args in
-      ri = rt)
+      ri = run_built built (Some (aot_engine ())) args)
 
 (* A zero divisor, constant or in a register, traps with the same
-   message on every engine. *)
+   message on both engines. *)
 let test_division_by_zero_traps () =
   List.iter
     (fun body ->
@@ -203,8 +196,7 @@ let test_division_by_zero_traps () =
         (fun (name, engine) ->
           Alcotest.(check bool) (Printf.sprintf "%s: %s" body name) true
             (outcome engine = expected))
-        [ ("interpreter", None); ("tiered", Some (tiered_engine ()));
-          ("aot", Some (aot_engine ())) ])
+        [ ("interpreter", None); ("aot", Some (aot_engine ())) ])
     [ "a / b"; "a % b"; "a / 0"; "a % 0"; "(unsigned)a / (unsigned)b";
       "(unsigned long)a % (unsigned long)b" ]
 
@@ -379,17 +371,17 @@ let test_exploit_verdicts_agree () =
       in
       let vi = verdict None in
       Closcomp.clear_cache ();
-      let vt = verdict (Some (tiered_engine ())) in
       Alcotest.(check string)
         (Printf.sprintf "verdict for %s" (Exploits.name ex))
-        vi vt)
+        vi
+        (verdict (Some (aot_engine ()))))
     Exploits.all
 
 (* ---------- a corrupted syscall table slot ---------- *)
 
 (* The getpid slot overwritten with the address of a function outside
    the syscall set: the funccheck in kernel_syscall_entry must stop the
-   trap with the same Indirect_call violation on every engine. *)
+   trap with the same Indirect_call violation on both engines. *)
 let test_corrupted_syscall_slot () =
   let violation engine =
     Closcomp.clear_cache ();
@@ -404,15 +396,14 @@ let test_corrupted_syscall_slot () =
           (v.Sva_rt.Violation.v_kind = Sva_rt.Violation.Indirect_call);
         Sva_rt.Violation.to_string v
   in
-  let vi = violation None in
-  Alcotest.(check string) "tiered" vi (violation (Some (tiered_engine ())));
-  Alcotest.(check string) "aot" vi (violation (Some (aot_engine ())))
+  Alcotest.(check string) "aot" (violation None)
+    (violation (Some (aot_engine ())))
 
 (* ---------- syscall mix: cycles, steps and stats bit-identical ---------- *)
 
 let syscall_mix t =
   ignore (Boot.syscall t 1 []);
-  Boot.write_user t 0 "tiered.txt\000";
+  Boot.write_user t 0 "engine.txt\000";
   let fd = Boot.syscall t 4 [ Boot.user_addr t 0; 1L ] in
   Boot.write_user t 1024 "secure virtual architecture";
   ignore (Boot.syscall t 7 [ fd; Boot.user_addr t 1024; 27L ]);
@@ -430,20 +421,8 @@ let measure_mix engine =
   done;
   (Boot.cycles t, Boot.steps t, Stats.to_string (Stats.read ()))
 
-let test_syscall_mix_identical () =
-  let ci, si, ki = measure_mix None in
-  Closcomp.clear_cache ();
-  Stats.reset_tier ();
-  let ct, st, kt = measure_mix (Some (tiered_engine ~threshold:2 ())) in
-  let tier = Stats.read_tier () in
-  Alcotest.(check int) "modeled cycles" ci ct;
-  Alcotest.(check int) "steps" si st;
-  Alcotest.(check string) "check stats" ki kt;
-  Alcotest.(check bool) "functions were promoted" true
-    (tier.Stats.promotions > 0)
-
-(* Same gate for the whole-kernel AOT engine: compiling everything at
-   instantiate time must not move a single modeled number. *)
+(* Compiling the whole kernel at instantiate time must not move a single
+   modeled number. *)
 let test_syscall_mix_identical_aot () =
   let ci, si, ki = measure_mix None in
   Closcomp.clear_cache ();
@@ -524,14 +503,14 @@ let test_cache_hit_across_instances () =
   let built = build_sum () in
   Closcomp.clear_cache ();
   Stats.reset_tier ();
-  let t1 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t1 = Pipeline.instantiate ~engine:(aot_engine ()) built in
   let r1 = Interp.call t1 "f" [ 5L; 7L ] in
   let after_first = Stats.read_tier () in
   Alcotest.(check bool) "first run populates the cache" true
     (after_first.Stats.tcache_misses > 0);
   Alcotest.(check bool) "cache holds entries" true (Closcomp.cache_size () > 0);
   (* a second VM instance reuses the signed translations *)
-  let t2 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t2 = Pipeline.instantiate ~engine:(aot_engine ()) built in
   let r2 = Interp.call t2 "f" [ 5L; 7L ] in
   let after_second = Stats.read_tier () in
   Alcotest.(check bool) "same result" true (r1 = r2);
@@ -546,8 +525,8 @@ let test_tampered_entry_falls_back () =
   let ti = Pipeline.instantiate built in
   let expected = Interp.call ti "f" [ 5L; 7L ] in
   Closcomp.clear_cache ();
-  let t1 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
-  Alcotest.(check bool) "clean tiered run" true
+  let t1 = Pipeline.instantiate ~engine:(aot_engine ()) built in
+  Alcotest.(check bool) "clean aot run" true
     (Interp.call t1 "f" [ 5L; 7L ] = expected);
   let key = key_of built "f" in
   Alcotest.(check bool) "entry for f is cached" true
@@ -555,7 +534,7 @@ let test_tampered_entry_falls_back () =
   Alcotest.(check bool) "tampering succeeds" true
     (Closcomp.tamper_cached key Signing.tamper_fentry_signature);
   Stats.reset_tier ();
-  let t2 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t2 = Pipeline.instantiate ~engine:(aot_engine ()) built in
   let r2 = Interp.call t2 "f" [ 5L; 7L ] in
   let tier = Stats.read_tier () in
   Alcotest.(check bool) "tampered entry detected (cache miss + resign)" true
@@ -572,17 +551,38 @@ let test_tampered_entry_falls_back () =
 let test_tampered_native_falls_back () =
   let built = build_sum () in
   Closcomp.clear_cache ();
-  let t1 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t1 = Pipeline.instantiate ~engine:(aot_engine ()) built in
   let expected = Interp.call t1 "f" [ 2L; 3L ] in
   let key = key_of built "f" in
   Alcotest.(check bool) "tampering succeeds" true
     (Closcomp.tamper_cached key Signing.tamper_fentry_native);
   Stats.reset_tier ();
-  let t2 = Pipeline.instantiate ~engine:(tiered_engine ()) built in
+  let t2 = Pipeline.instantiate ~engine:(aot_engine ()) built in
   Alcotest.(check bool) "fallback reproduces the result" true
     (Interp.call t2 "f" [ 2L; 3L ] = expected);
   Alcotest.(check bool) "tamper counted as a miss" true
     ((Stats.read_tier ()).Stats.tcache_misses > 0)
+
+(* ---------- the deleted tiered engine's two vestiges ---------- *)
+
+(* [Pipeline.Tiered] and [Closcomp.enable]'s [?threshold] stay only
+   because bench/perf still names them; neither may select anything. *)
+let test_vestiges_reject () =
+  let built = build_sum () in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "instantiate on Tiered" (fun () ->
+      ignore
+        (Pipeline.instantiate
+           ~engine:{ Pipeline.default_engine with Pipeline.eng_kind = Pipeline.Tiered }
+           built));
+  rejects "enable ~threshold:2" (fun () ->
+      Closcomp.enable ~threshold:2 (Interp.load built.Pipeline.bl_mod));
+  Alcotest.(check bool) "no engine is named tiered" true
+    (Pipeline.engine_of_string "tiered" = None)
 
 (* ---------- persistent translation store ---------- *)
 
@@ -598,8 +598,7 @@ let with_store f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f dir)
 
-let disk_engine dir =
-  { (tiered_engine ()) with Pipeline.eng_tcache_dir = Some dir }
+let disk_engine dir = aot_engine ~dir ()
 
 (* A fresh process has an empty in-memory cache but the same store: the
    second instantiation must reload every translation from disk,
@@ -690,7 +689,7 @@ let wrong_key data =
   Signing.encode_fentry e'
 
 let () =
-  Alcotest.run "sva_tiered"
+  Alcotest.run "sva_engines"
     [
       ( "differential",
         [
@@ -706,8 +705,6 @@ let () =
             test_corrupted_syscall_slot;
           Alcotest.test_case "exploit verdicts agree" `Slow
             test_exploit_verdicts_agree;
-          Alcotest.test_case "syscall mix bit-identical" `Quick
-            test_syscall_mix_identical;
           Alcotest.test_case "syscall mix bit-identical (aot)" `Quick
             test_syscall_mix_identical_aot;
         ] );
@@ -739,5 +736,10 @@ let () =
             (test_disk_corruption stale_bytecode);
           Alcotest.test_case "wrong-key entry falls back" `Quick
             (test_disk_corruption wrong_key);
+        ] );
+      ( "vestiges",
+        [
+          Alcotest.test_case "Tiered and a threshold raise" `Quick
+            test_vestiges_reject;
         ] );
     ]

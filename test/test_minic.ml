@@ -135,6 +135,26 @@ let test_sizeof () =
   check_int "sizeof types" (16 + 4 + 8) (run src "szs" []);
   check_int "sizeof expr" 16 (run src "sze" [])
 
+(* A literal beyond 32 bits is a long wherever it is typed: under
+   [sizeof], and as the first arm of a ternary, whose slot takes that
+   arm's type. *)
+let test_literal_types () =
+  List.iter
+    (fun (lit, size) ->
+      check_int
+        (Printf.sprintf "sizeof(%s)" lit)
+        size
+        (run
+           (Printf.sprintf "long main(void) { return sizeof(%s); }" lit)
+           "main" []))
+    [ ("4294967296", 8); ("2147483648", 8); ("-2147483649", 8);
+      ("2147483647", 4) ];
+  let src lit =
+    Printf.sprintf "long sel(int c) { long x = c ? %s : 1; return x; }" lit
+  in
+  check_int "c ? 4294967296 : 1" 4294967296 (run (src "4294967296") "sel" [ 1 ]);
+  check_int "c ? 4294967297 : 1" 4294967297 (run (src "4294967297") "sel" [ 1 ])
+
 let test_shortcircuit () =
   let src =
     "int counter = 0;\n\
@@ -481,6 +501,7 @@ let () =
           Alcotest.test_case "structs" `Quick test_structs;
           Alcotest.test_case "linked list" `Quick test_struct_pointers_and_arrow;
           Alcotest.test_case "sizeof" `Quick test_sizeof;
+          Alcotest.test_case "literal types" `Quick test_literal_types;
           Alcotest.test_case "short circuit" `Quick test_shortcircuit;
           Alcotest.test_case "ternary" `Quick test_ternary;
           Alcotest.test_case "function pointers" `Quick test_function_pointers;

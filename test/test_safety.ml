@@ -234,7 +234,7 @@ let test_dangling_harmless () =
 (* ---------- certified range elision is semantically invisible ---------- *)
 
 (* Random arithmetic over a, b, c with non-trapping operators (same shape
-   as the test_tiered generator). *)
+   as the test_engines generator). *)
 let rec gen_expr rng depth =
   if depth = 0 then
     match Random.State.int rng 4 with

@@ -470,6 +470,25 @@ let test_dynamic_module_load_native () =
   check64 "module global" 2L (Boot.kernel_global t "hellomod_calls");
   check64 "old syscalls fine" 1L (Boot.syscall t 1 [])
 
+(* Under AOT [compile_all] ran at boot, before the module existed: its
+   functions are translated on their first entry and run compiled.  The
+   image is built afresh: linking merges the module into the image the
+   kernel was booted from, and the cached Native image has it already. *)
+let test_dynamic_module_load_aot () =
+  let v = Ukern.Kbuild.as_tested in
+  let t =
+    Boot.boot_built ~engine:aot
+      (Ukern.Kbuild.build ~conf:Pipeline.Native v)
+      ~variant:v
+  in
+  let translated () = (Sva_rt.Stats.read_tier ()).Sva_rt.Stats.promotions in
+  let before = translated () in
+  link_hellomod t;
+  check64 "new syscall" 4243L (Boot.syscall t 40 [ 1L ]);
+  check64 "again" 4245L (Boot.syscall t 40 [ 3L ]);
+  Alcotest.(check int) "hellomod_init and sys_hellomod translated"
+    (before + 2) (translated ())
+
 let test_dynamic_module_cfi_on_safe_kernel () =
   (* An unknown-code module's handler is NOT in the dispatcher's
      compile-time call graph: the indirect-call check refuses to jump to
@@ -573,6 +592,8 @@ let () =
         [
           Alcotest.test_case "dynamic load (Sec 3.4)" `Quick
             test_dynamic_module_load_native;
+          Alcotest.test_case "dynamic load on aot" `Quick
+            test_dynamic_module_load_aot;
           Alcotest.test_case "CFI vs unknown module" `Quick
             test_dynamic_module_cfi_on_safe_kernel;
         ] );
