@@ -161,11 +161,12 @@ let () =
     | "--quick" -> quick := true
     | "--strict" -> strict := true
     | "--json" ->
-        if !i + 1 < argc then begin
-          incr i;
-          json_out := Some Sys.argv.(!i)
-        end
-        else die "--json requires a file argument"
+        (* the next token is the file, unless it is missing or a flag *)
+        let file = if !i + 1 < argc then Sys.argv.(!i + 1) else "" in
+        if file = "" || file.[0] = '-' then
+          die "--json requires a file argument";
+        incr i;
+        json_out := Some file
     | s when String.length s > 0 && s.[0] = '-' -> die "unknown flag '%s'" s
     | s when List.exists (fun sec -> sec.Tables.name = s) sections ->
         only := s :: !only
@@ -203,10 +204,10 @@ let () =
   List.iter
     (fun (s : Tables.section) ->
       Printf.printf "\n";
-      (* Measurement boundary: the closure-compiler's translation cache and
-         tier counters are process globals, so a section that warmed the
-         second tier must not hand the next section pre-promoted functions
-         or inflated counters. *)
+      (* Measurement boundary: the AOT translation cache and the tier
+         counters are process globals, so a section that translated
+         functions must not hand the next section cached translations or
+         inflated counters. *)
       Sva_interp.Closcomp.clear_cache ();
       Sva_rt.Stats.reset_tier ();
       Option.iter print_string

@@ -16,13 +16,12 @@
    interprocedural summaries and the in-extent gep certificates.
    --races dumps the concurrency pass: per-function entry protections,
    the lock-order graph, the atomicity certificates and any findings.
-   --poolcert dumps the pool-safety evidence bundle: the TH,
-   completeness and devirtualization certificates plus every recorded
-   check elision.  The trusted checker then re-verifies the whole
-   evidence (a rejection exits 1), the analysis summary follows, and the
-   certificate-bug injection experiment corrupts the evidence in every
-   supported way: each injected bug must be rejected (a missed one exits
-   1).
+   --poolcert dumps the pool-safety evidence bundle: the TH and
+   completeness certificates plus every recorded check elision.  The
+   trusted checker then re-verifies the whole evidence (a rejection
+   exits 1), the analysis summary follows, and the certificate-bug
+   injection experiment corrupts the evidence in every supported way:
+   each injected bug must be rejected (a missed one exits 1).
 
    The kernel's own certificates, and the Section 5 metapool-type
    experiment on it, are gated by the bench sections (bench/main.exe
@@ -172,14 +171,6 @@ let poolcert path m pa wanted =
             ^ String.concat "; " (List.map site_str fr)
             ^ "]"))
     b.Poolev.pb_comp;
-  print_endline "\n== devirtualization certificates ==";
-  List.iter
-    (fun (c : Poolev.dv_cert) ->
-      if wanted c.Poolev.dc_func then
-        Printf.printf "  @%s %%%d MP%d -> {%s}\n" c.Poolev.dc_func
-          c.Poolev.dc_instr c.Poolev.dc_mp
-          (String.concat ", " c.Poolev.dc_targets))
-    b.Poolev.pb_dv;
   print_endline "\n== recorded elisions ==";
   List.iter
     (fun (e : Poolev.elision) ->

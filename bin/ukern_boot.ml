@@ -100,11 +100,10 @@ let run conf engine trace_out smp ranges races poolcert =
     match t.Boot.built.Pipeline.bl_poolcert with
     | Some b ->
         Printf.printf
-          "          %d TH + %d completeness + %d devirt certificates, \
-           all re-verified by the trusted checker\n"
+          "          %d TH + %d completeness certificates, all \
+           re-verified by the trusted checker\n"
           (List.length b.Sva_safety.Poolev.pb_th)
           (List.length b.Sva_safety.Poolev.pb_comp)
-          (List.length b.Sva_safety.Poolev.pb_dv)
     | None -> ()
   end;
   if races then begin

@@ -658,11 +658,11 @@ let ablation_workload ctx =
 let ablation ~quick ~strict:_ =
   let reps = if quick then 10 else 40 in
   let lint = Kbuild.lint_config Kbuild.as_tested in
-  let build ?(options = Sva_safety.Checkinsert.default_options)
-      ?(clone = false) ?(devirt = false) ?lint ?(ranges = false) () =
+  let build ?(options = Sva_safety.Checkinsert.default_options) ?lint
+      ?(ranges = false) () =
     Pipeline.build ~conf:Pipeline.Sva_safe
       ~aconfig:(Kbuild.aconfig Kbuild.as_tested)
-      ~options ~clone ~devirt ?lint ~ranges ~name:"ukern-ablation"
+      ~options ?lint ~ranges ~name:"ukern-ablation"
       (Kbuild.sources Kbuild.as_tested)
   in
   let measure built =
@@ -701,7 +701,6 @@ let ablation ~quick ~strict:_ =
             { Sva_safety.Checkinsert.default_options with
               Sva_safety.Checkinsert.th_elides_lscheck = false }
           ~lint () );
-      ("+ cloning + devirtualization (Sec 4.8)", build ~clone:true ~devirt:true ());
       ("+ range-certified elision (Sec 5)", build ~lint ~ranges:true ());
     ]
   in
@@ -725,16 +724,12 @@ let ablation ~quick ~strict:_ =
               Printf.sprintf " (lint-proved %d)"
                 s.Sva_safety.Checkinsert.ls_proved_static
           | _ -> "")
-          ^ (match built.Pipeline.bl_summary with
-            | Some s when s.Sva_safety.Checkinsert.bounds_static_range > 0 ->
-                Printf.sprintf " (range-elided %d)"
-                  s.Sva_safety.Checkinsert.bounds_static_range
-            | _ -> "")
           ^
-          if built.Pipeline.bl_cloned > 0 || built.Pipeline.bl_devirt > 0 then
-            Printf.sprintf " (cloned %d, devirt %d)" built.Pipeline.bl_cloned
-              built.Pipeline.bl_devirt
-          else ""
+          match built.Pipeline.bl_summary with
+          | Some s when s.Sva_safety.Checkinsert.bounds_static_range > 0 ->
+              Printf.sprintf " (range-elided %d)"
+                s.Sva_safety.Checkinsert.bounds_static_range
+          | _ -> ""
         in
         [
           name;
@@ -1835,7 +1830,6 @@ let poolcert_payload =
                   (List.length
                      (List.filter (fun c -> c.Poolev.cc_complete)
                         b.Poolev.pb_comp)));
-               ("devirt", J.Int (List.length b.Poolev.pb_dv));
                ("errors", J.Int (List.length clean_errs));
                ("verified", J.Bool (clean_errs = []));
              ]);
@@ -1891,9 +1885,9 @@ let poolcert_report j =
     ~note:
       "Every check elision taken on the points-to analysis's word - \
        lschecks skipped on type-homogeneous pools, reduced checks on \
-       incomplete pools, devirtualized funcchecks - is backed by a \
-       certificate Sva_tyck.Poolcert re-verified against an independent \
-       scan of the instrumented kernel, so Pointsto and Devirt stay \
+       incomplete pools, funcchecks elided on either ground - is backed \
+       by a certificate Sva_tyck.Poolcert re-verified against an \
+       independent scan of the instrumented kernel, so Pointsto stays \
        outside the TCB (Section 5).  Certification is pure observation: \
        boot/workload cycles and every check counter must be \
        bit-identical with it on or off."
@@ -1902,7 +1896,6 @@ let poolcert_report j =
       [ "completeness certificates (one per pool)";
         count "certificates.completeness" j ];
       [ "pools certified complete"; count "certificates.complete-pools" j ];
-      [ "devirtualization certificates"; count "certificates.devirt" j ];
       [ "lscheck elisions on TH pools"; count "elisions.th" j ];
       [ "lscheck reductions on incomplete pools"; count "elisions.reduced" j ];
       [ "funccheck elisions"; count "elisions.funccheck" j ];

@@ -123,7 +123,10 @@ type frame_cache = {
 }
 
 type t = {
-  im_mod : Irmod.t;
+  mutable im_mod : Irmod.t;
+  mutable im_own_mod : bool;
+      (* im_mod is this VM's private copy, not the module it was loaded
+         from (the first link_module makes the copy) *)
   im_sys : Svaos.t;
   funcs : (string, prepared_func) Hashtbl.t;
   fn_addr : (string, int) Hashtbl.t;
@@ -410,6 +413,7 @@ let load ?sys ?(metapools = []) (m : Irmod.t) =
   let t =
     {
       im_mod = m;
+      im_own_mod = false;
       im_sys = sys;
       funcs = Hashtbl.create 64;
       fn_addr = Hashtbl.create 64;
@@ -443,8 +447,14 @@ let load ?sys ?(metapools = []) (m : Irmod.t) =
   t
 
 (* Dynamic module loading: link, place code, lay out and initialize the
-   module's globals.  Existing code and data are not disturbed. *)
+   module's globals.  Existing code and data are not disturbed, and
+   neither is the module the VM was loaded from: other VMs may be
+   loaded from it too. *)
 let link_module t (m2 : Irmod.t) =
+  if not t.im_own_mod then begin
+    t.im_mod <- Irmod.copy t.im_mod;
+    t.im_own_mod <- true
+  end;
   Irmod.merge t.im_mod m2;
   install_funcs t;
   let fresh = layout_globals t in

@@ -121,7 +121,10 @@ type frame_cache = {
 (** The compiled tier's page-to-frame cache; see {!mem_read_cached}. *)
 
 type t = {
-  im_mod : Irmod.t;
+  mutable im_mod : Irmod.t;
+  mutable im_own_mod : bool;
+      (** [im_mod] is this instance's private copy, made by the first
+          {!link_module} *)
   im_sys : Sva_os.Svaos.t;
   funcs : (string, prepared_func) Hashtbl.t;
   fn_addr : (string, int) Hashtbl.t;
@@ -171,7 +174,10 @@ val link_module : t -> Irmod.t -> unit
     the running kernel (externs resolve to kernel definitions), its
     functions receive code addresses, and its globals are laid out and
     initialized; already-loaded code is not moved.  The module must
-    already be verified.  @raise Invalid_argument on symbol clashes. *)
+    already be verified.  The image's module is copied on the first
+    link, so the module it was loaded from, and every other instance
+    loaded from it, never sees the linked symbols.
+    @raise Invalid_argument on symbol clashes. *)
 
 val call : t -> string -> int64 list -> int64 option
 (** Execute a function by name.  Returns its result (integers and

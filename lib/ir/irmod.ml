@@ -49,12 +49,20 @@ let symbol_ty m name =
 
 let global_value g = Value.Global (g.g_name, g.g_ty)
 
-let merge dst src =
+let add_structs dst src =
   List.iter
     (fun name ->
       let def = Ty.find_struct src.m_ctx name in
       ignore (Ty.define_struct dst.m_ctx name def.Ty.s_fields))
-    (Ty.struct_names src.m_ctx);
+    (Ty.struct_names src.m_ctx)
+
+let copy m =
+  let c = { m with m_ctx = Ty.create_ctx () } in
+  add_structs c m;
+  c
+
+let merge dst src =
+  add_structs dst src;
   List.iter (fun g -> add_global dst g) src.m_globals;
   List.iter (fun f -> add_func dst f) src.m_funcs;
   List.iter

@@ -51,6 +51,11 @@ val symbol_ty : t -> string -> Ty.t option
 
 val global_value : global -> Value.t
 
+val copy : t -> t
+(** A copy whose structure table and global, function and extern lists
+    grow independently of the original's; the functions themselves are
+    shared. *)
+
 val merge : t -> t -> unit
 (** [merge dst src] links [src] into [dst] (module-level linking as used for
     loadable kernel modules).  Struct definitions must agree; an external

@@ -125,8 +125,7 @@ let range_ls_elided = function
   | None -> 0
 
 let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
-    ?(options = Checkinsert.default_options) ?(clone = false)
-    ?(devirt = false) ?lint ?(ranges = false)
+    ?(options = Checkinsert.default_options) ?lint ?(ranges = false)
     ?(races = false) ?(poolcert = false) ~name m =
   match conf with
   | Native | Sva_gcc | Sva_llvm ->
@@ -148,7 +147,6 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_poolcert = None;
       }
   | Sva_safe ->
-      let cloned = if clone then Clone.run m else 0 in
       let pa = Pointsto.run ~config:aconfig m in
       let mps = Metapool.infer m pa aconfig.Pointsto.allocators in
       (* Section 5: encode the analysis as metapool type annotations and
@@ -162,15 +160,12 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         m annot;
       (* Pool-safety evidence (Section 5 applied to the points-to layer):
          distill the analysis into an explicit certificate bundle before
-         anything consumes it, so devirtualization and check insertion
-         can append their dv-cert / elision records as they go.  Bundle
-         construction and recording are pure observation — the built
-         module is bit-identical with and without certification. *)
+         anything consumes it, so check insertion can append its elision
+         records as it goes.  Bundle construction and recording are pure
+         observation — the built module is bit-identical with and
+         without certification. *)
       let pbundle =
         if poolcert then Some (Poolev.create m pa mps) else None
-      in
-      let devirted =
-        if devirt then Devirt.run ?poolcert:pbundle m pa else 0
       in
       (* Value-range abstract interpretation (untrusted): runs on the
          final pre-instrumentation IR; every elision it grants below is
@@ -216,8 +211,8 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
               ~count:(range_ls_elided lint_res)
           end);
       (* Section 5 gate for the pool-safety pipeline: the trusted checker
-         re-verifies every membership fact, TH/completeness/devirt
-         certificate and elision record against the instrumented module,
+         re-verifies every membership fact, TH/completeness certificate
+         and elision record against the instrumented module,
          or the build is rejected as a compiler bug. *)
       Option.iter
         (Sva_tyck.Cert.gate (Sva_tyck.Inject.poolcert ~config:aconfig) m)
@@ -247,8 +242,8 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_summary = Some summary;
         bl_aconfig = aconfig;
         bl_annot = Some annot;
-        bl_cloned = cloned;
-        bl_devirt = devirted;
+        bl_cloned = 0;
+        bl_devirt = 0;
         bl_checkopt = None;
         bl_lint = lint_res;
         bl_ranges = rres;
@@ -256,16 +251,15 @@ let build_module ?(conf = Sva_safe) ?(aconfig = Pointsto.default_config)
         bl_poolcert = pbundle;
       }
 
-let build ?conf ?aconfig ?options ?clone ?devirt ?lint ?ranges ?races
-    ?poolcert ~name sources =
+let build ?conf ?aconfig ?options ?lint ?ranges ?races ?poolcert ~name
+    sources =
   let pipeline =
     match conf with
     | Some Native | Some Sva_gcc -> Passes.Gcc_like
     | Some Sva_llvm | Some Sva_safe | None -> Passes.Llvm_like
   in
   let m = compile ~pipeline ~name sources in
-  build_module ?conf ?aconfig ?options ?clone ?devirt ?lint ?ranges ?races
-    ?poolcert ~name m
+  build_module ?conf ?aconfig ?options ?lint ?ranges ?races ?poolcert ~name m
 
 (* ---------- build-time certification counts ---------- *)
 

@@ -83,8 +83,13 @@ type built = {
   bl_annot : Sva_tyck.Tyck.annot option;
       (** the metapool type annotations, validated by the trusted checker
           before check insertion (Section 5) *)
-  bl_cloned : int;  (** functions cloned (Section 4.8), when enabled *)
-  bl_devirt : int;  (** indirect calls devirtualized (Section 4.8) *)
+  bl_cloned : int;  (** always [0], as [bl_devirt] *)
+  bl_devirt : int;
+      (** always [0]: the Section 4.8 cloning and devirtualization passes
+          were removed (on the kernel they cloned 8 functions,
+          devirtualized no call and moved no executed check).  Like
+          [bl_checkopt], the fields stay only because [bench/perf]
+          builds a [built] record literal. *)
   bl_checkopt : unit option;
       (** always [None]: the Section 7.1.3 check optimizer was removed
           (it elided no executed check and left no record a checker
@@ -103,7 +108,7 @@ type built = {
           checker ([Sva_tyck.Atomcert]) against the instrumented module *)
   bl_poolcert : Poolev.bundle option;
       (** the pool-safety evidence bundle, when [~poolcert:true]; every
-          membership fact, TH/completeness/devirt certificate and
+          membership fact, TH/completeness certificate and
           check-elision record in it has been verified by the trusted
           checker ([Sva_tyck.Poolcert]) against the instrumented module *)
 }
@@ -139,8 +144,6 @@ val build :
   ?conf:conf ->
   ?aconfig:Pointsto.config ->
   ?options:Checkinsert.options ->
-  ?clone:bool ->
-  ?devirt:bool ->
   ?lint:Sva_lint.Lint.config ->
   ?ranges:bool ->
   ?races:bool ->
@@ -149,13 +152,11 @@ val build :
   string list ->
   built
 (** Compile MiniC sources under a configuration.  For [Sva_safe] the full
-    safety pipeline runs: optional function cloning (Section 4.8),
-    points-to analysis, metapool inference, metapool type annotation
-    extraction + trusted type checking,
-    optional devirtualization, the static lint stage under the [lint]
-    configuration when one is given (its safe-access proofs elide
-    provably-redundant load/store checks), run-time check insertion and
-    IR re-verification.
+    safety pipeline runs: points-to analysis, metapool inference,
+    metapool type annotation extraction + trusted type checking, the
+    static lint stage under the [lint] configuration when one is given
+    (its safe-access proofs elide provably-redundant load/store checks),
+    run-time check insertion and IR re-verification.
 
     [~ranges:true] additionally runs the value-range abstract
     interpretation ({!Sva_analysis.Interval}) on the analyzed module:
@@ -175,11 +176,10 @@ val build :
     certificate is rejected.
 
     [~poolcert:true] additionally evicts the points-to layer from the
-    TCB: before devirtualization and check insertion run, the analysis
-    results are distilled into a {!Sva_safety.Poolev.bundle} of
-    membership tables and TH/completeness certificates; devirtualization
-    appends a certificate per rewritten call and check insertion appends
-    a record per points-to-justified elision; after instrumentation the
+    TCB: before check insertion runs, the analysis results are distilled
+    into a {!Sva_safety.Poolev.bundle} of membership tables and
+    TH/completeness certificates; check insertion appends a record per
+    points-to-justified elision; after instrumentation the
     trusted checker ({!Sva_tyck.Poolcert}) re-verifies the whole bundle
     against an independent scan of the instrumented module — the build
     fails if anything is rejected.  Certification is pure observation:
@@ -193,8 +193,6 @@ val build_module :
   ?conf:conf ->
   ?aconfig:Pointsto.config ->
   ?options:Checkinsert.options ->
-  ?clone:bool ->
-  ?devirt:bool ->
   ?lint:Sva_lint.Lint.config ->
   ?ranges:bool ->
   ?races:bool ->

@@ -1,11 +1,11 @@
 (* Pool-safety evidence bundle: the untrusted side of the poolcert
    split.  Pointsto/Metapool classification is distilled into per-value
    metapool membership maps plus explicit certificates — type-homogeneity
-   witnesses, completeness (escape-frontier) witnesses and
-   devirtualization target sets — and Checkinsert/Devirt append one
-   elision record per check they leave out.  Nothing here is trusted:
-   the whole bundle is re-verified by the purely local checker in
-   Sva_tyck.Poolcert, which re-scans the IR independently. *)
+   witnesses and completeness (escape-frontier) witnesses — and
+   Checkinsert appends one elision record per check it leaves out.
+   Nothing here is trusted: the whole bundle is re-verified by the
+   purely local checker in Sva_tyck.Poolcert, which re-scans the IR
+   independently. *)
 
 open Sva_ir
 module Pointsto = Sva_analysis.Pointsto
@@ -31,13 +31,6 @@ type elision =
   | El_reduced of site * int  (* lscheck skipped: incomplete pool *)
   | El_func of site * int * fc_just  (* funccheck elided at a call site *)
 
-type dv_cert = {
-  dc_func : string;
-  dc_instr : int;  (* original indirect-call instruction id *)
-  dc_mp : int;  (* the callee pointer's metapool *)
-  dc_targets : string list;
-}
-
 type bundle = {
   pb_value_mp : (string * int, int) Hashtbl.t;
   pb_global_mp : (string, int) Hashtbl.t;
@@ -47,7 +40,6 @@ type bundle = {
   mutable pb_th : th_cert list;
   mutable pb_comp : comp_cert list;
   mutable pb_elisions : elision list;
-  mutable pb_dv : dv_cert list;
 }
 
 let mp_of_value b fname (v : Value.t) =
@@ -73,7 +65,6 @@ let create (m : Irmod.t) (pa : Pointsto.result) (mps : Metapool.t) : bundle =
       pb_th = [];
       pb_comp = [];
       pb_elisions = [];
-      pb_dv = [];
     }
   in
   let mp_of_node node = Metapool.of_node mps node in
@@ -192,9 +183,7 @@ let create (m : Irmod.t) (pa : Pointsto.result) (mps : Metapool.t) : bundle =
   b
 
 let record_elision b e = b.pb_elisions <- e :: b.pb_elisions
-let record_dv b c = b.pb_dv <- c :: b.pb_dv
 
-let cert_count b =
-  List.length b.pb_th + List.length b.pb_comp + List.length b.pb_dv
+let cert_count b = List.length b.pb_th + List.length b.pb_comp
 
 let elision_count b = List.length b.pb_elisions

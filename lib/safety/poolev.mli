@@ -11,15 +11,11 @@
     - a {e completeness certificate} per pool, carrying the claimed
       complete/incomplete verdict and the escape-frontier witness (the
       external-call / int-to-pointer sites that expose it);
-    - a {e devirtualization certificate} per rewritten indirect call,
-      carrying the callee pool and the claimed target set (appended by
-      {!Devirt.run});
 
     and {!Checkinsert.run} appends one {!elision} record for every check
     it leaves out on points-to grounds.  Nothing in this module is
     trusted: [Sva_tyck.Poolcert] re-verifies the whole bundle against an
-    independent IR scan, so [Pointsto] and [Devirt] stay out of the
-    TCB. *)
+    independent IR scan, so [Pointsto] stays out of the TCB. *)
 
 open Sva_ir
 
@@ -53,13 +49,6 @@ type elision =
   | El_reduced of site * int  (** [lscheck] skipped: incomplete pool *)
   | El_func of site * int * fc_just  (** [funccheck] elided *)
 
-type dv_cert = {
-  dc_func : string;
-  dc_instr : int;  (** the rewritten indirect call's instruction id *)
-  dc_mp : int;  (** the callee pointer's metapool *)
-  dc_targets : string list;  (** claimed complete target set *)
-}
-
 type bundle = {
   pb_value_mp : (string * int, int) Hashtbl.t;  (** (func, reg) → mp *)
   pb_global_mp : (string, int) Hashtbl.t;
@@ -69,7 +58,6 @@ type bundle = {
   mutable pb_th : th_cert list;
   mutable pb_comp : comp_cert list;
   mutable pb_elisions : elision list;
-  mutable pb_dv : dv_cert list;
 }
 
 val create : Irmod.t -> Sva_analysis.Pointsto.result -> Metapool.t -> bundle
@@ -85,9 +73,8 @@ val sort_sites : site list -> site list
 (** Sort and dedupe by (function, instr). *)
 
 val record_elision : bundle -> elision -> unit
-val record_dv : bundle -> dv_cert -> unit
 
 val cert_count : bundle -> int
-(** TH + completeness + devirt certificates. *)
+(** TH + completeness certificates. *)
 
 val elision_count : bundle -> int

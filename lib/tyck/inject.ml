@@ -201,7 +201,6 @@ type pool_bug =
   | Stale_find
   | Wrong_tau
   | Drop_member
-  | Bogus_devirt
 
 let pool_bug_name = function
   | Confuse_merge -> "type-confusing pool merge"
@@ -209,11 +208,9 @@ let pool_bug_name = function
   | Stale_find -> "stale unification find"
   | Wrong_tau -> "wrong homogeneous type"
   | Drop_member -> "missing membership witness site"
-  | Bogus_devirt -> "bogus devirtualization target"
 
 let all_pool_bugs =
-  [ Confuse_merge; Drop_escape; Stale_find; Wrong_tau; Drop_member;
-    Bogus_devirt ]
+  [ Confuse_merge; Drop_escape; Stale_find; Wrong_tau; Drop_member ]
 
 (* Deep copy: injection never mutates the original bundle. *)
 let copy_pool_bundle (b : Poolev.bundle) : Poolev.bundle =
@@ -226,7 +223,6 @@ let copy_pool_bundle (b : Poolev.bundle) : Poolev.bundle =
     pb_th = b.Poolev.pb_th;
     pb_comp = b.Poolev.pb_comp;
     pb_elisions = b.Poolev.pb_elisions;
-    pb_dv = b.Poolev.pb_dv;
   }
 
 (* Rewire every membership/edge reference of [src] to [dst] — the shape a
@@ -441,46 +437,6 @@ let pool_inject (m : Irmod.t) (b : Poolev.bundle) bug ~seed :
                 "access @%s:%d dropped from MP%d's membership witness"
                 site.Poolev.s_func site.Poolev.s_instr cert.Poolev.tc_mp )
       | None -> None)
-  | Bogus_devirt ->
-      let bogus = Printf.sprintf "__sva_bogus_target%d" seed in
-      (match b.Poolev.pb_dv with
-      | [] ->
-          (* no devirtualized sites: fabricate a certificate for one *)
-          let fname =
-            match
-              List.find_opt
-                (fun (f : Func.t) -> not (Func.has_attr f Func.Noanalyze))
-                m.Irmod.m_funcs
-            with
-            | Some f -> f.Func.f_name
-            | None -> "<none>"
-          in
-          b'.Poolev.pb_dv <-
-            [ { Poolev.dc_func = fname; dc_instr = 999000 + seed; dc_mp = 0;
-                dc_targets = [ bogus ] } ];
-          Some
-            ( b',
-              Printf.sprintf
-                "fabricated devirtualization certificate @%s targeting '%s'"
-                fname bogus )
-      | dvs ->
-          let cert = List.nth dvs (seed mod List.length dvs) in
-          b'.Poolev.pb_dv <-
-            List.map
-              (fun (c : Poolev.dv_cert) ->
-                if
-                  c.Poolev.dc_func = cert.Poolev.dc_func
-                  && c.Poolev.dc_instr = cert.Poolev.dc_instr
-                then
-                  { c with Poolev.dc_targets = bogus :: c.Poolev.dc_targets }
-                else c)
-              b'.Poolev.pb_dv;
-          Some
-            ( b',
-              Printf.sprintf
-                "undefined target '%s' smuggled into the devirtualization \
-                 of @%s:%d"
-                bogus cert.Poolev.dc_func cert.Poolev.dc_instr ))
 
 let poolcert ~config =
   {

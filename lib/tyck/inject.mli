@@ -34,8 +34,8 @@ val tyck : trusted:string list -> Tyck.annot Cert.t
 
     The same experiment transposed to the {!Poolcert} bundle: each
     injector perturbs a copy of the evidence the way a specific
-    points-to/devirt bug would, and the trusted checker must reject
-    every one. *)
+    points-to bug would, and the trusted checker must reject every
+    one. *)
 
 type pool_bug =
   | Confuse_merge
@@ -47,9 +47,6 @@ type pool_bug =
       (** a gep result left in a stale partition (missed find) *)
   | Wrong_tau  (** a TH certificate claims the wrong homogeneous type *)
   | Drop_member  (** a membership witness misses a real access site *)
-  | Bogus_devirt
-      (** an undefined function smuggled into (or a certificate forged
-          for) a devirtualization target set *)
 
 val all_pool_bugs : pool_bug list
 
@@ -65,4 +62,4 @@ val pool_inject :
 val poolcert :
   config:Sva_analysis.Pointsto.config -> Sva_safety.Poolev.bundle Cert.t
 (** {!Poolcert.check} under the porting configuration [config], with the
-    six pool-certificate injectors above. *)
+    five pool-certificate injectors above. *)

@@ -1,11 +1,10 @@
 (* Trusted pool-safety certificate checker.  Re-verifies the Poolev
-   bundle produced by the untrusted points-to/devirt layer against an
+   bundle produced by the untrusted points-to layer against an
    independent scan of the instrumented IR: membership maps via the same
    local rules as Tyck, type-homogeneity witnesses against a fresh
    evidence and use scan, completeness verdicts against a re-derived
-   escape frontier closed over the pool points-to edges, and
-   devirtualization certificates against the generated dispatch blocks
-   and the module's address-taken functions. *)
+   escape frontier closed over the pool points-to edges, and elision
+   records against the sites they name. *)
 
 open Sva_ir
 open Sva_analysis
@@ -34,15 +33,6 @@ let reduce_ty = function Ty.Array (e, _) -> e | t -> t
 let tbl_add tbl key v =
   let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
   Hashtbl.replace tbl key (v :: prev)
-
-let label_is_dv_test ~prefix label =
-  let p = prefix ^ ".t" in
-  let pl = String.length p in
-  String.length label > pl
-  && String.sub label 0 pl = p
-  && String.for_all
-       (fun c -> c >= '0' && c <= '9')
-       (String.sub label pl (String.length label - pl))
 
 let check ?(config = P.default_config) (m : Irmod.t) (b : Poolev.bundle) :
     Cert.error list =
@@ -163,19 +153,6 @@ let check ?(config = P.default_config) (m : Irmod.t) (b : Poolev.bundle) :
   let user_copy_pairs = ref [] in
   let userspace_seeds = ref [] in
   let indirect_sites : (string * int, int) Hashtbl.t = Hashtbl.create 32 in
-  let address_taken : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let take fn = Hashtbl.replace address_taken fn () in
-  List.iter
-    (fun (g : Irmod.global) ->
-      match g.Irmod.g_init with
-      | Irmod.Ptrs syms ->
-          List.iter
-            (fun s ->
-              if Irmod.find_func m s <> None || Irmod.extern_ty m s <> None
-              then take s)
-            syms
-      | _ -> ())
-    m.Irmod.m_globals;
   List.iter
     (fun (f : Func.t) ->
       if Func.has_attr f Func.Noanalyze then ()
@@ -216,17 +193,6 @@ let check ?(config = P.default_config) (m : Irmod.t) (b : Poolev.bundle) :
         in
         Func.iter_instrs f (fun _ (i : Instr.t) ->
             let site = (fname, i.Instr.id) in
-            (* address-taken functions: any Fn operand outside the callee
-               position of a direct call *)
-            (match i.Instr.kind with
-            | Instr.Call (Value.Fn (_, _), args) ->
-                List.iter
-                  (function Value.Fn (n, _) -> take n | _ -> ())
-                  args
-            | k ->
-                List.iter
-                  (function Value.Fn (n, _) -> take n | _ -> ())
-                  (Instr.operands k));
             match i.Instr.kind with
             | Instr.Load p ->
                 use site p ~ls:true;
@@ -571,166 +537,5 @@ let check ?(config = P.default_config) (m : Irmod.t) (b : Poolev.bundle) :
                      certified incomplete"
                     mpi)))
     b.Poolev.pb_elisions;
-
-  (* ---- devirtualization certificates ---- *)
-  let dv_tbl : (string * int, Poolev.dv_cert) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Poolev.dv_cert) ->
-      let key = (c.Poolev.dc_func, c.Poolev.dc_instr) in
-      if Hashtbl.mem dv_tbl key then
-        err c.Poolev.dc_func c.Poolev.dc_instr
-          "duplicate devirtualization certificate"
-      else Hashtbl.replace dv_tbl key c)
-    b.Poolev.pb_dv;
-  Hashtbl.iter
-    (fun (fname, instr) (c : Poolev.dv_cert) ->
-      let fail fmt = err fname instr fmt in
-      match Irmod.find_func m fname with
-      | None -> fail "devirtualization certificate names an unknown function"
-      | Some f -> (
-          let prefix = Printf.sprintf "dv%d" instr in
-          (match Hashtbl.find_opt comp_tbl c.Poolev.dc_mp with
-          | Some cc when cc.Poolev.cc_complete -> ()
-          | Some _ ->
-              fail "devirtualized a call through incomplete pool MP%d"
-                c.Poolev.dc_mp
-          | None ->
-              fail "devirtualized callee pool MP%d has no completeness \
-                    certificate"
-                c.Poolev.dc_mp);
-          let block l =
-            List.find_opt (fun (bl : Func.block) -> bl.Func.label = l)
-              f.Func.f_blocks
-          in
-          match block (prefix ^ ".trap") with
-          | None -> fail "no trap block for the devirtualized site"
-          | Some trap -> (
-              let callee_v =
-                match (trap.Func.insns, trap.Func.term) with
-                | ( [ { Instr.kind = Instr.Intrinsic ("pchk_funccheck", [ cv ]);
-                        _ } ],
-                    Instr.Unreachable ) ->
-                    Some cv
-                | _ ->
-                    fail
-                      "trap block is not an empty funccheck followed by \
-                       unreachable";
-                    None
-              in
-              match callee_v with
-              | None -> ()
-              | Some cv -> (
-                  (match mp fname cv with
-                  | Some cmp when cmp = c.Poolev.dc_mp -> ()
-                  | Some cmp ->
-                      fail "certificate names MP%d but the callee is in MP%d"
-                        c.Poolev.dc_mp cmp
-                  | None ->
-                      fail "devirtualized callee carries no metapool \
-                            qualifier");
-                  match Value.ty cv with
-                  | Ty.Ptr (Ty.Func (_, _, _) as fty) ->
-                      if c.Poolev.dc_targets = [] then
-                        fail "empty devirtualization target set";
-                      List.iter
-                        (fun t ->
-                          (match Irmod.find_func m t with
-                          | Some tf
-                            when Ty.equal (Func.func_ty tf) fty -> ()
-                          | Some _ ->
-                              fail
-                                "target '%s' is not signature-compatible \
-                                 with the call"
-                                t
-                          | None -> fail "target '%s' is not defined" t);
-                          match block (prefix ^ "." ^ t) with
-                          | Some tb -> (
-                              match (tb.Func.insns, tb.Func.term) with
-                              | ( [ { Instr.kind =
-                                        Instr.Call (Value.Fn (n, nty), _);
-                                      _ } ],
-                                  Instr.Jmp j )
-                                when n = t
-                                     && Ty.equal nty fty
-                                     && j = prefix ^ ".join" ->
-                                  ()
-                              | _ ->
-                                  fail
-                                    "dispatch block for target '%s' is not \
-                                     a single direct call"
-                                    t)
-                          | None ->
-                              fail "no dispatch block for target '%s'" t)
-                        c.Poolev.dc_targets;
-                      (* the comparison chain must test exactly the
-                         claimed targets *)
-                      let tested = Hashtbl.create 8 in
-                      List.iter
-                        (fun (bl : Func.block) ->
-                          if label_is_dv_test ~prefix bl.Func.label then
-                            List.iter
-                              (fun (ti : Instr.t) ->
-                                match ti.Instr.kind with
-                                | Instr.Icmp
-                                    (Instr.Eq, _, Value.Fn (n, _))
-                                | Instr.Icmp
-                                    (Instr.Eq, Value.Fn (n, _), _) ->
-                                    Hashtbl.replace tested n ()
-                                | _ -> ())
-                              bl.Func.insns)
-                        f.Func.f_blocks;
-                      List.iter
-                        (fun t ->
-                          if not (Hashtbl.mem tested t) then
-                            fail
-                              "claimed target '%s' is never tested by the \
-                               dispatch chain"
-                              t)
-                        c.Poolev.dc_targets;
-                      Hashtbl.iter
-                        (fun n () ->
-                          if not (List.mem n c.Poolev.dc_targets) then
-                            fail
-                              "dispatch chain tests '%s' which is not a \
-                               claimed target"
-                              n)
-                        tested;
-                      (* the claimed set must cover every address-taken
-                         signature-compatible function *)
-                      List.iter
-                        (fun (g : Func.t) ->
-                          if
-                            Ty.equal (Func.func_ty g) fty
-                            && Hashtbl.mem address_taken g.Func.f_name
-                            && not (List.mem g.Func.f_name c.Poolev.dc_targets)
-                          then
-                            fail
-                              "address-taken compatible function '%s' \
-                               missing from the target set"
-                              g.Func.f_name)
-                        m.Irmod.m_funcs
-                  | _ ->
-                      fail "devirtualized callee is not a function pointer"))))
-    dv_tbl;
-  (* every generated trap block must be covered by a certificate *)
-  List.iter
-    (fun (f : Func.t) ->
-      List.iter
-        (fun (bl : Func.block) ->
-          let l = bl.Func.label in
-          if
-            String.length l > 7
-            && String.sub l 0 2 = "dv"
-            && String.sub l (String.length l - 5) 5 = ".trap"
-          then
-            match
-              int_of_string_opt (String.sub l 2 (String.length l - 7))
-            with
-            | Some n when not (Hashtbl.mem dv_tbl (f.Func.f_name, n)) ->
-                err f.Func.f_name n
-                  "devirtualized site has no certificate"
-            | _ -> ())
-        f.Func.f_blocks)
-    m.Irmod.m_funcs;
 
   List.rev !errors

@@ -1,14 +1,14 @@
 (** The trusted pool-safety certificate checker (Section 5 discipline
     applied to the points-to layer).
 
-    {!Sva_analysis.Pointsto} and {!Sva_safety.Devirt} are complex,
-    interprocedural, untrusted analyses; every run-time check the
-    verifier elides on their word — load/store checks skipped on
-    type-homogeneous pools, "reduced checks" on incomplete pools, and
-    indirect-call checks removed by devirtualization — is backed by an
-    explicit certificate in a {!Sva_safety.Poolev.bundle}.  This module
-    re-verifies the whole bundle against an independent scan of the
-    (instrumented) IR, so neither analysis needs to be trusted:
+    {!Sva_analysis.Pointsto} is a complex, interprocedural, untrusted
+    analysis; every run-time check the verifier elides on its word —
+    load/store checks skipped on type-homogeneous pools, "reduced
+    checks" on incomplete pools, and indirect-call checks elided on
+    either ground — is backed by an explicit certificate in a
+    {!Sva_safety.Poolev.bundle}.  This module re-verifies the whole
+    bundle against an independent scan of the (instrumented) IR, so the
+    analysis need not be trusted:
 
     - {e membership}: the per-value metapool maps must satisfy the same
       purely local flow rules {!Tyck.check} enforces (gep preserves
@@ -36,13 +36,7 @@
     - {e elisions}: every recorded elision must name a real site of the
       right shape (a load/store/atomic for [lscheck] elisions, an
       indirect call for [funccheck] elisions) whose pointer maps to the
-      named pool, backed by the matching certificate kind;
-    - {e devirtualization}: every certificate must name a complete pool,
-      its rewritten dispatch blocks must exist and test exactly the
-      claimed target set, every target must be a defined function of the
-      callee's signature, the target set must cover every address-taken
-      signature-compatible function the checker finds, and every
-      generated trap block must be covered by a certificate.
+      named pool, backed by the matching certificate kind.
 
     Known over-approximations (they can reject sound bundles, never
     accept unsound ones the rules cover): direct calls to a declared

@@ -47,13 +47,30 @@ let sample_module () =
      int pick(int i) { return g_table[i]; }\n\
      long combine(struct pair *p) { return p->a + p->b; }\n\
      int maxi(int a, int b) { return a > b ? a : b; }\n\
-     int looped(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }"
+     int looped(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }\n\
+     int inc(int x) { return x + 1; }\n\
+     __callsig_assert int apply(int v) { int (*f)(int); f = inc; return f(v); }\n\
+     __noanalyze __kernel_entry long entry(void) { return apply(3); }"
   in
   Minic.Lower.compile_string ~name:"sample" src
 
 let test_roundtrip_simple () =
   let m = sample_module () in
   Alcotest.(check bool) "roundtrip" true (Codec.roundtrip_equal m)
+
+(* Every Func.attr has its own codec tag; each must decode to itself. *)
+let test_roundtrip_attrs () =
+  let m' = Codec.decode (Codec.encode (sample_module ())) in
+  let attrs name =
+    match Sva_ir.Irmod.find_func m' name with
+    | Some f -> List.sort compare f.Sva_ir.Func.f_attrs
+    | None -> Alcotest.failf "decoded module has no %s" name
+  in
+  Alcotest.(check bool) "apply keeps __callsig_assert" true
+    (attrs "apply" = [ Sva_ir.Func.Callsig_assert ]);
+  Alcotest.(check bool) "entry keeps __noanalyze and __kernel_entry" true
+    (attrs "entry"
+    = List.sort compare [ Sva_ir.Func.Noanalyze; Sva_ir.Func.Kernel_entry ])
 
 let test_roundtrip_optimized () =
   let m = sample_module () in
@@ -310,6 +327,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "roundtrip" `Quick test_roundtrip_simple;
+          Alcotest.test_case "attributes roundtrip" `Quick test_roundtrip_attrs;
           Alcotest.test_case "roundtrip optimized" `Quick test_roundtrip_optimized;
           Alcotest.test_case "decoded module runs" `Quick
             test_decoded_module_verifies_and_runs;

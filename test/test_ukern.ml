@@ -6,18 +6,18 @@ module Boot = Ukern.Boot
 module Pipeline = Sva_pipeline.Pipeline
 
 (* Compile each configuration once; boot fresh per test. *)
-let built = Hashtbl.create 4
+let images = Hashtbl.create 4
+
+let image conf =
+  match Hashtbl.find_opt images conf with
+  | Some b -> b
+  | None ->
+      let b = Ukern.Kbuild.build ~conf Ukern.Kbuild.as_tested in
+      Hashtbl.replace images conf b;
+      b
 
 let kernel ?engine conf =
-  let b =
-    match Hashtbl.find_opt built conf with
-    | Some b -> b
-    | None ->
-        let b = Ukern.Kbuild.build ~conf Ukern.Kbuild.as_tested in
-        Hashtbl.replace built conf b;
-        b
-  in
-  Boot.boot_built ?engine b ~variant:Ukern.Kbuild.as_tested
+  Boot.boot_built ?engine (image conf) ~variant:Ukern.Kbuild.as_tested
 
 let both_confs = [ Pipeline.Native; Pipeline.Sva_safe ]
 
@@ -471,16 +471,9 @@ let test_dynamic_module_load_native () =
   check64 "old syscalls fine" 1L (Boot.syscall t 1 [])
 
 (* Under AOT [compile_all] ran at boot, before the module existed: its
-   functions are translated on their first entry and run compiled.  The
-   image is built afresh: linking merges the module into the image the
-   kernel was booted from, and the cached Native image has it already. *)
+   functions are translated on their first entry and run compiled. *)
 let test_dynamic_module_load_aot () =
-  let v = Ukern.Kbuild.as_tested in
-  let t =
-    Boot.boot_built ~engine:aot
-      (Ukern.Kbuild.build ~conf:Pipeline.Native v)
-      ~variant:v
-  in
+  let t = kernel ~engine:aot Pipeline.Native in
   let translated () = (Sva_rt.Stats.read_tier ()).Sva_rt.Stats.promotions in
   let before = translated () in
   link_hellomod t;
@@ -488,6 +481,22 @@ let test_dynamic_module_load_aot () =
   check64 "again" 4245L (Boot.syscall t 40 [ 3L ]);
   Alcotest.(check int) "hellomod_init and sys_hellomod translated"
     (before + 2) (translated ())
+
+(* Linking gives the running kernel its own copy of the image's module:
+   two kernels booted from one image each link the module, and the
+   image itself is left as it was built. *)
+let test_dynamic_module_leaves_image () =
+  let bytecode () =
+    Sva_bytecode.Codec.encode (image Pipeline.Native).Pipeline.bl_mod
+  in
+  let before = bytecode () in
+  for _ = 1 to 2 do
+    let t = kernel Pipeline.Native in
+    link_hellomod t;
+    check64 "new syscall" 4243L (Boot.syscall t 40 [ 1L ])
+  done;
+  Alcotest.(check bool) "image bytecode unchanged" true
+    (String.equal before (bytecode ()))
 
 let test_dynamic_module_cfi_on_safe_kernel () =
   (* An unknown-code module's handler is NOT in the dispatcher's
@@ -594,6 +603,8 @@ let () =
             test_dynamic_module_load_native;
           Alcotest.test_case "dynamic load on aot" `Quick
             test_dynamic_module_load_aot;
+          Alcotest.test_case "linking leaves the booted image" `Quick
+            test_dynamic_module_leaves_image;
           Alcotest.test_case "CFI vs unknown module" `Quick
             test_dynamic_module_cfi_on_safe_kernel;
         ] );
