@@ -21,54 +21,60 @@ module Make (L : LATTICE) = struct
 
   let solve ?(entry = L.bottom) ?(edge = fun ~src:_ ~dst:_ fact -> fact)
       ?widen ~transfer (f : Func.t) (cfg : Cfg.t) =
-    let blocks = Cfg.reachable cfg in
-    let entry_label = (Func.entry f).Func.label in
-    let inf : (string, L.t) Hashtbl.t = Hashtbl.create 16 in
-    let outf : (string, L.t) Hashtbl.t = Hashtbl.create 16 in
-    let get tbl label =
-      match Hashtbl.find_opt tbl label with Some v -> v | None -> L.bottom
-    in
+    (* Facts, queue marks and block lookups by node number; node 0 is
+       the entry block. *)
+    let n = Cfg.size cfg and rpo = Cfg.rpo cfg in
+    let inf = Array.make n L.bottom and outf = Array.make n L.bottom in
+    let seen = Array.make n false and queued = Array.make n false in
     let visits = ref 0 in
     let worklist = Queue.create () in
-    let queued = Hashtbl.create 16 in
-    let enqueue label =
-      if Cfg.is_reachable cfg label && not (Hashtbl.mem queued label) then begin
-        Hashtbl.replace queued label ();
-        Queue.add label worklist
+    (* Only reachable nodes are ever queued: the seed is the reverse
+       postorder, and a successor of a reachable node is reachable. *)
+    let enqueue i =
+      if not queued.(i) then begin
+        queued.(i) <- true;
+        Queue.add i worklist
       end
     in
-    List.iter enqueue blocks;
+    Array.iter enqueue rpo;
     while not (Queue.is_empty worklist) do
-      let label = Queue.take worklist in
-      Hashtbl.remove queued label;
+      let i = Queue.take worklist in
+      queued.(i) <- false;
       incr visits;
-      if !visits > max_visits_per_block * List.length blocks then
+      if !visits > max_visits_per_block * Array.length rpo then
         failwith ("Dataflow.solve: no fixpoint in " ^ f.Func.f_name);
+      let label = Cfg.label cfg i in
       let in_fact =
         let flowed =
-          List.fold_left
-            (fun acc p -> L.join acc (edge ~src:p ~dst:label (get outf p)))
-            L.bottom
-            (Cfg.predecessors cfg label)
+          Array.fold_left
+            (fun acc p ->
+              L.join acc (edge ~src:(Cfg.label cfg p) ~dst:label outf.(p)))
+            L.bottom (Cfg.pred cfg i)
         in
-        if label = entry_label then L.join entry flowed else flowed
+        if i = 0 then L.join entry flowed else flowed
       in
       (* Widening hook: on revisits the client may extrapolate the new
          input against the previously stored one (infinite-height
          lattices such as intervals converge this way).  The widened
          fact must be >= both arguments. *)
       let in_fact =
-        match (widen, Hashtbl.find_opt inf label) with
-        | Some w, Some old -> w ~label ~old ~cur:in_fact
+        match widen with
+        | Some w when seen.(i) -> w ~label ~old:inf.(i) ~cur:in_fact
         | _ -> in_fact
       in
-      Hashtbl.replace inf label in_fact;
-      let out_fact = transfer (Func.find_block f label) in_fact in
-      if not (L.equal out_fact (get outf label)) then begin
-        Hashtbl.replace outf label out_fact;
-        List.iter enqueue (Cfg.successors cfg label)
+      inf.(i) <- in_fact;
+      seen.(i) <- true;
+      let out_fact = transfer (Cfg.block cfg i) in_fact in
+      if not (L.equal out_fact outf.(i)) then begin
+        outf.(i) <- out_fact;
+        Array.iter enqueue (Cfg.succ cfg i)
       end
     done;
+    let get facts label =
+      match Cfg.index cfg label with
+      | i -> facts.(i)
+      | exception Not_found -> L.bottom
+    in
     { input = get inf; output = get outf; iterations = !visits }
 end
 

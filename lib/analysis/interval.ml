@@ -618,7 +618,7 @@ let shape_of (f : Func.t) =
    environment is copied once, and only if a slot changes. *)
 let refine_env sh ~src ~dst env =
   let ly = sh.sh_layout in
-  match (Func.find_block sh.sh_func src).Func.term with
+  match (Cfg.find_block sh.sh_cfg src).Func.term with
   | Instr.Br (cond, tl, el) when tl <> el -> (
       match resolve_cond sh.sh_defs cond (dst = tl) 0 with
       | None -> env
@@ -660,8 +660,8 @@ type finfo = {
   fi_ret_of : string -> ival;  (** callee return ranges used during solve *)
   fi_plain : ival array;
       (** guard-free fixpoint, joined over the reachable blocks *)
-  fi_input : (string, ival array) Hashtbl.t;
-      (** refined+narrowed block entry *)
+  fi_input : ival array array;
+      (** refined+narrowed entry of each reachable block, by CFG node *)
 }
 
 let entry_env ly (f : Func.t) sp =
@@ -679,31 +679,25 @@ let entry_env ly (f : Func.t) sp =
    sound for a monotone transfer, and enough to recover the bounds the
    loop-exit guards give back after widening jumped to infinity. *)
 let narrow sh ret_of ~entry (r : Solver.result) rounds =
-  let f = sh.sh_func and cfg = sh.sh_cfg in
-  let out = Hashtbl.create 16 in
-  let inp = Hashtbl.create 16 in
-  let blocks = Cfg.reachable cfg in
-  List.iter (fun l -> Hashtbl.replace out l (r.Solver.output l)) blocks;
-  let entry_label = (Func.entry f).Func.label in
+  let cfg = sh.sh_cfg in
+  let rpo = Cfg.rpo cfg in
+  let out = Array.make (Cfg.size cfg) EnvL.bottom in
+  Array.iter (fun i -> out.(i) <- r.Solver.output (Cfg.label cfg i)) rpo;
+  let inp = Array.make (Cfg.size cfg) EnvL.bottom in
   for _ = 1 to rounds do
-    List.iter
-      (fun l ->
+    Array.iter
+      (fun i ->
+        let l = Cfg.label cfg i in
         let flowed =
-          List.fold_left
+          Array.fold_left
             (fun acc p ->
-              let fact =
-                match Hashtbl.find_opt out p with
-                | Some e -> e
-                | None -> EnvL.bottom
-              in
-              EnvL.join acc (refine_env sh ~src:p ~dst:l fact))
-            EnvL.bottom (Cfg.predecessors cfg l)
+              EnvL.join acc (refine_env sh ~src:(Cfg.label cfg p) ~dst:l out.(p)))
+            EnvL.bottom (Cfg.pred cfg i)
         in
-        let in_fact = if l = entry_label then EnvL.join entry flowed else flowed in
-        Hashtbl.replace inp l in_fact;
-        Hashtbl.replace out l
-          (transfer_block sh.sh_layout ret_of (Func.find_block f l) in_fact))
-      blocks
+        let in_fact = if i = 0 then EnvL.join entry flowed else flowed in
+        inp.(i) <- in_fact;
+        out.(i) <- transfer_block sh.sh_layout ret_of (Cfg.block cfg i) in_fact)
+      rpo
   done;
   inp
 
@@ -897,9 +891,11 @@ let refined_def_value cs reg =
   match Hashtbl.find_opt fi.fi_defs reg with
   | None -> top
   | Some (blk, _) -> (
-      match Hashtbl.find_opt fi.fi_input blk with
-      | None -> top
-      | Some env0 ->
+      match Cfg.index fi.fi_cfg blk with
+      | exception Not_found -> top
+      | i when not (Cfg.reachable_at fi.fi_cfg i) -> top
+      | i ->
+          let env0 = fi.fi_input.(i) in
           let ly = fi.fi_layout in
           let env = own ly env0 in
           let rec go = function
@@ -911,7 +907,7 @@ let refined_def_value cs reg =
                   if s < 0 then top else env.(s)
                 else go tl
           in
-          go (Func.find_block fi.fi_func blk).Func.insns)
+          go (Cfg.block fi.fi_cfg i).Func.insns)
 
 (* Certified value of [reg]'s definition (no guards): a fact whose chain
    the checker can replay.  Returns the interval plus the fact index, or
@@ -1008,7 +1004,7 @@ and certify_use res cs reg at_block =
   match Hashtbl.find_opt cs.cs_use (reg, at_block) with
   | Some r -> r
   | None ->
-      let f = cs.cs_fi.fi_func and cfg = cs.cs_fi.fi_cfg in
+      let cfg = cs.cs_fi.fi_cfg in
       let base = certify_def res cs reg in
       let rec idom_path b acc =
         match Cfg.idom cfg b with
@@ -1020,7 +1016,7 @@ and certify_use res cs reg at_block =
           (fun (cur, curidx) d ->
             match Cfg.predecessors cfg d with
             | [ p ] -> (
-                match (Func.find_block f p).Func.term with
+                match (Cfg.find_block cfg p).Func.term with
                 | Instr.Br (cond, tl, el) when tl <> el && (d = tl || d = el) -> (
                     match resolve_cond cs.cs_fi.fi_defs cond (d = tl) 0 with
                     | None -> (cur, curidx)
@@ -1214,7 +1210,7 @@ let fact_ok res cs (fa : fact) =
       | _ -> false)
   | Jguard { jg_src; jg_dst } -> (
       match
-        (Func.find_block fi.fi_func jg_src).Func.term
+        (Cfg.find_block fi.fi_cfg jg_src).Func.term
       with
       | Instr.Br (cond, tl, el) when tl <> el && (jg_dst = tl || jg_dst = el)
         -> (

@@ -375,15 +375,6 @@ let run ?(config = default_config) (m : Irmod.t) (pa : Pointsto.result) =
         Hashtbl.replace defs_tbl f.Func.f_name d;
         d
   in
-  let cfg_tbl = Hashtbl.create 64 in
-  let cfg_for (f : Func.t) =
-    match Hashtbl.find_opt cfg_tbl f.Func.f_name with
-    | Some c -> c
-    | None ->
-        let c = Cfg.build f in
-        Hashtbl.replace cfg_tbl f.Func.f_name c;
-        c
-  in
   (* --- entry points and their protection --- *)
   let irq_roots =
     List.filter (fun n -> SS.mem n analyzed_set) (interrupt_handlers config m)
@@ -430,7 +421,7 @@ let run ?(config = default_config) (m : Irmod.t) (pa : Pointsto.result) =
     let sol =
       Solver.solve ~entry:(Known entry_prot)
         ~transfer:(block_transfer ~defs:(defs_for f) ~effs)
-        f (cfg_for f)
+        f (Cfg.build f)
     in
     iterations := !iterations + sol.Solver.iterations;
     sol

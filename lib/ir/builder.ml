@@ -43,8 +43,7 @@ let gep_result_ty ctx base_ty idxs =
             | Ty.Struct sname -> (
                 match idx with
                 | Value.Imm (_, n) ->
-                    let _, fty = Ty.field_at ctx sname (Int64.to_int n) in
-                    descend fty rest
+                    descend (Ty.field_ty ctx sname (Int64.to_int n)) rest
                 | _ -> invalid_arg "gep: non-constant struct index")
             | _ -> invalid_arg "gep: indexing into a scalar")
       in

@@ -153,7 +153,7 @@ let run_func (f : Func.t) =
       in
       let entry_label = (Func.entry f).Func.label in
       let rec rename label =
-        let b = Func.find_block f label in
+        let b = Cfg.find_block cfg label in
         let pushed = ref [] in
         (* Phi results become the current definitions. *)
         Hashtbl.iter
@@ -210,7 +210,7 @@ let run_func (f : Func.t) =
         (fun label ->
           let t = phi_table label in
           if Hashtbl.length t > 0 then begin
-            let b = Func.find_block f label in
+            let b = Cfg.find_block cfg label in
             let new_phis =
               Hashtbl.fold (fun _ phi acc -> phi :: acc) t []
               |> List.sort (fun (a : Instr.t) b -> compare a.Instr.id b.Instr.id)

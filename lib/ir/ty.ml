@@ -101,6 +101,11 @@ let field_at ctx sname i =
   | Some (_, fty, off) -> (off, fty)
   | None -> raise Not_found
 
+let field_ty ctx sname i =
+  match List.nth_opt (find_struct ctx sname).s_fields i with
+  | Some (_, fty) -> fty
+  | None -> raise Not_found
+
 let is_integer = function Int _ -> true | _ -> false
 let is_pointer = function Ptr _ -> true | _ -> false
 let is_float = function Float -> true | _ -> false

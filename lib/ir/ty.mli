@@ -63,6 +63,10 @@ val field_index : ctx -> string -> string -> int
 val field_at : ctx -> string -> int -> int * t
 (** [field_at ctx sname i] is the byte offset and type of the [i]-th field. *)
 
+val field_ty : ctx -> string -> int -> t
+(** [field_ty ctx sname i] is the declared type of the [i]-th field, found
+    without laying the structure out.  @raise Not_found if absent. *)
+
 val is_integer : t -> bool
 val is_pointer : t -> bool
 val is_float : t -> bool

@@ -3,8 +3,14 @@ type error = { ve_func : string; ve_block : string; ve_msg : string }
 let string_of_error e =
   Printf.sprintf "@%s/%%%s: %s" e.ve_func e.ve_block e.ve_msg
 
+(* The module's symbol names, tabled once per [verify_module]. *)
+type symbols = {
+  globals : (string, unit) Hashtbl.t;
+  fns : (string, unit) Hashtbl.t;  (** defined or external functions *)
+}
+
 (* Type-check one instruction; returns error messages. *)
-let check_instr ctx (m : Irmod.t) (i : Instr.t) : string list =
+let check_instr ctx syms (i : Instr.t) : string list =
   let vty = Value.ty in
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -87,7 +93,7 @@ let check_instr ctx (m : Irmod.t) (i : Instr.t) : string list =
           (* Direct calls must reference a known symbol. *)
           (match callee with
           | Value.Fn (name, _) ->
-              if Irmod.symbol_ty m name = None then err "call of unknown @%s" name
+              if not (Hashtbl.mem syms.fns name) then err "call of unknown @%s" name
           | _ -> ())
       | t -> err "call through non-function %s" (Ty.to_string t))
   | Phi incoming ->
@@ -116,7 +122,29 @@ let check_instr ctx (m : Irmod.t) (i : Instr.t) : string list =
   | Intrinsic (_, _) -> ());
   !errs
 
-let verify_func ctx m (f : Func.t) : error list =
+(* Per-register ints: an array for the ids below [f_next_reg] (every id
+   of a well-formed function), a table for any other id a decoded module
+   names. *)
+type regs = { dense : int array; sparse : (int, int) Hashtbl.t; absent : int }
+
+let regs (f : Func.t) absent =
+  let n = max 0 (min f.Func.f_next_reg 65536) in
+  { dense = Array.make n absent; sparse = Hashtbl.create 1; absent }
+
+let get r id =
+  if id >= 0 && id < Array.length r.dense then r.dense.(id)
+  else Option.value (Hashtbl.find_opt r.sparse id) ~default:r.absent
+
+let set r id v =
+  if id >= 0 && id < Array.length r.dense then r.dense.(id) <- v
+  else Hashtbl.replace r.sparse id v
+
+(* A register's definition: the CFG node of its block, or one of these. *)
+let undefined = -2
+let param = -1
+let term_use = { Instr.id = -1; nm = ""; ty = Ty.Void; kind = Instr.Membar }
+
+let verify_func ctx syms (f : Func.t) : error list =
   let errors = ref [] in
   let add block msg =
     errors := { ve_func = f.Func.f_name; ve_block = block; ve_msg = msg } :: !errors
@@ -126,112 +154,136 @@ let verify_func ctx m (f : Func.t) : error list =
     List.rev !errors
   end
   else begin
-    let labels = Hashtbl.create 16 in
+    let cfg = Cfg.build f in
+    let has_block label =
+      match Cfg.find_block cfg label with
+      | _ -> true
+      | exception Not_found -> false
+    in
     List.iter
       (fun (b : Func.block) ->
-        if Hashtbl.mem labels b.Func.label then
-          add b.Func.label "duplicate block label"
-        else Hashtbl.replace labels b.Func.label ())
+        if Cfg.find_block cfg b.Func.label != b then
+          add b.Func.label "duplicate block label")
       f.Func.f_blocks;
-    (* Definition map: register id -> defining block; params live at entry. *)
-    let defs = Hashtbl.create 64 in
-    List.iteri (fun idx _ -> Hashtbl.replace defs idx "") f.Func.f_params;
+    let defs = regs f undefined in
+    List.iteri (fun idx _ -> set defs idx param) f.Func.f_params;
     List.iter
       (fun (b : Func.block) ->
+        let node = Cfg.index cfg b.Func.label in
         List.iter
           (fun (i : Instr.t) ->
-            match Instr.result i with
-            | Some (Value.Reg (id, _, _)) ->
-                if Hashtbl.mem defs id then
+            match i.Instr.ty with
+            | Ty.Void -> ()
+            | _ ->
+                if get defs i.Instr.id <> undefined then
                   add b.Func.label
-                    (Printf.sprintf "register %%r%d defined twice (SSA violation)" id)
-                else Hashtbl.replace defs id b.Func.label
-            | _ -> ())
+                    (Printf.sprintf "register %%r%d defined twice (SSA violation)"
+                       i.Instr.id)
+                else set defs i.Instr.id node)
           b.Func.insns)
       f.Func.f_blocks;
-    let cfg = Cfg.build f in
+    (* [local] holds, per register, the position in [f_blocks] of the last
+       block that defined it so far. *)
+    let local = regs f (-1) in
     (* Per-block: instruction typing, phi placement, use-before-def. *)
-    List.iter
-      (fun (b : Func.block) ->
+    List.iteri
+      (fun k (b : Func.block) ->
+        let label = b.Func.label in
+        let node = Cfg.index cfg label in
         let seen_nonphi = ref false in
-        let local_defined = Hashtbl.create 16 in
         let check_use (i : Instr.t) (v : Value.t) =
           match v with
-          | Value.Reg (id, _, _) -> (
-              match Hashtbl.find_opt defs id with
-              | None ->
-                  add b.Func.label (Printf.sprintf "use of undefined register %%r%d" id)
-              | Some "" -> () (* parameter *)
-              | Some def_block ->
-                  if Instr.is_phi i then () (* checked against predecessor below *)
-                  else if def_block = b.Func.label then begin
-                    if not (Hashtbl.mem local_defined id) then
-                      add b.Func.label
-                        (Printf.sprintf "register %%r%d used before its definition" id)
-                  end
-                  else if
-                    Cfg.is_reachable cfg b.Func.label
-                    && Cfg.is_reachable cfg def_block
-                    && not (Cfg.dominates cfg def_block b.Func.label)
-                  then
-                    add b.Func.label
-                      (Printf.sprintf "use of %%r%d not dominated by its definition" id))
+          | Value.Reg (id, _, _) ->
+              let d = get defs id in
+              if d = undefined then
+                add label (Printf.sprintf "use of undefined register %%r%d" id)
+              else if d = param || Instr.is_phi i then
+                () (* a phi's incoming values are checked against their edges *)
+              else if d = node then begin
+                if get local id <> k then
+                  add label
+                    (Printf.sprintf "register %%r%d used before its definition" id)
+              end
+              else if
+                Cfg.reachable_at cfg node
+                && Cfg.reachable_at cfg d
+                && not (Cfg.dominates_at cfg d node)
+              then
+                add label
+                  (Printf.sprintf "use of %%r%d not dominated by its definition" id)
           | Value.Global (name, _) ->
-              if Irmod.find_global m name = None then
-                add b.Func.label ("reference to unknown global @" ^ name)
+              if not (Hashtbl.mem syms.globals name) then
+                add label ("reference to unknown global @" ^ name)
           | Value.Fn (name, _) ->
-              if Irmod.symbol_ty m name = None then
-                add b.Func.label ("reference to unknown function @" ^ name)
+              if not (Hashtbl.mem syms.fns name) then
+                add label ("reference to unknown function @" ^ name)
           | Value.Imm _ | Value.Fimm _ | Value.Null _ | Value.Undef _ -> ()
         in
         List.iter
           (fun (i : Instr.t) ->
             if Instr.is_phi i then begin
-              if !seen_nonphi then add b.Func.label "phi after non-phi instruction";
+              if !seen_nonphi then add label "phi after non-phi instruction";
               (match i.kind with
               | Instr.Phi incoming ->
-                  let preds = Cfg.predecessors cfg b.Func.label in
+                  let preds = Cfg.predecessors cfg label in
                   List.iter
                     (fun (l, _) ->
                       if not (List.mem l preds) then
-                        add b.Func.label
+                        add label
                           (Printf.sprintf "phi incoming from non-predecessor %%%s" l))
                     incoming;
                   List.iter
                     (fun p ->
                       if not (List.mem_assoc p incoming) then
-                        add b.Func.label
+                        add label
                           (Printf.sprintf "phi missing incoming for predecessor %%%s" p))
-                    preds
+                    preds;
+                  (* An incoming value must be available at the end of its
+                     edge's source. *)
+                  List.iter
+                    (fun (l, v) ->
+                      match v with
+                      | Value.Reg (id, _, _) when List.mem l preds ->
+                          let d = get defs id and p = Cfg.index cfg l in
+                          if
+                            d >= 0
+                            && Cfg.reachable_at cfg p
+                            && Cfg.reachable_at cfg d
+                            && not (Cfg.dominates_at cfg d p)
+                          then
+                            add label
+                              (Printf.sprintf
+                                 "phi use of %%r%d from %%%s not dominated by its \
+                                  definition"
+                                 id l)
+                      | _ -> ())
+                    incoming
               | _ -> ())
             end
             else seen_nonphi := true;
             List.iter (check_use i) (Instr.operands i.kind);
-            List.iter (fun msg -> add b.Func.label msg) (check_instr ctx m i);
-            (match Instr.result i with
-            | Some (Value.Reg (id, _, _)) -> Hashtbl.replace local_defined id ()
-            | _ -> ()))
+            List.iter (fun msg -> add label msg) (check_instr ctx syms i);
+            match i.Instr.ty with Ty.Void -> () | _ -> set local i.Instr.id k)
           b.Func.insns;
-        List.iter (check_use { Instr.id = -1; nm = ""; ty = Ty.Void; kind = Instr.Membar })
-          (Instr.term_operands b.Func.term);
+        List.iter (check_use term_use) (Instr.term_operands b.Func.term);
         (match b.Func.term with
         | Instr.Ret None ->
             if not (Ty.equal f.Func.f_ret Ty.Void) then
-              add b.Func.label "ret void from non-void function"
+              add label "ret void from non-void function"
         | Instr.Ret (Some x) ->
             if not (Ty.equal f.Func.f_ret (Value.ty x)) then
-              add b.Func.label
+              add label
                 (Printf.sprintf "ret %s from %s function"
                    (Ty.to_string (Value.ty x))
                    (Ty.to_string f.Func.f_ret))
         | Instr.Br (c, _, _) ->
             if not (Ty.equal (Value.ty c) Ty.i1) then
-              add b.Func.label "br condition is not i1"
+              add label "br condition is not i1"
         | Instr.Jmp _ | Instr.Switch _ | Instr.Unreachable -> ());
         List.iter
           (fun target ->
-            if not (Hashtbl.mem labels target) then
-              add b.Func.label ("branch to unknown label %" ^ target))
+            if not (has_block target) then
+              add label ("branch to unknown label %" ^ target))
           (Instr.successors b.Func.term))
       f.Func.f_blocks;
     List.rev !errors
@@ -249,9 +301,20 @@ let verify_module (m : Irmod.t) : error list =
   in
   List.iter (fun (g : Irmod.global) -> check_symbol "global" g.g_name) m.m_globals;
   List.iter (fun (f : Func.t) -> check_symbol "function" f.Func.f_name) m.m_funcs;
+  let syms = { globals = Hashtbl.create 64; fns = Hashtbl.create 64 } in
+  let defined = Hashtbl.create 64 in
+  List.iter (fun (g : Irmod.global) -> Hashtbl.replace syms.globals g.g_name ()) m.m_globals;
+  List.iter
+    (fun (f : Func.t) ->
+      if not (Hashtbl.mem defined f.Func.f_name) then begin
+        Hashtbl.add defined f.Func.f_name f;
+        Hashtbl.replace syms.fns f.Func.f_name ()
+      end)
+    m.m_funcs;
+  List.iter (fun (name, _) -> Hashtbl.replace syms.fns name ()) m.m_externs;
   List.iter
     (fun (name, ty) ->
-      match Irmod.find_func m name with
+      match Hashtbl.find_opt defined name with
       | Some f when not (Ty.equal (Func.func_ty f) ty) ->
           dup_errs :=
             { ve_func = name; ve_block = ""; ve_msg = "extern type mismatch" }
@@ -259,7 +322,7 @@ let verify_module (m : Irmod.t) : error list =
       | _ -> ())
     m.m_externs;
   List.rev !dup_errs
-  @ List.concat_map (fun f -> verify_func m.m_ctx m f) m.m_funcs
+  @ List.concat_map (fun f -> verify_func m.m_ctx syms f) m.m_funcs
 
 let check m =
   match verify_module m with

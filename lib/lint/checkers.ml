@@ -25,7 +25,6 @@ type ctx = {
   pa : Pointsto.result;
   cg : Callgraph.t;
   config : config;
-  cfgs : (string, Cfg.t) Hashtbl.t;
   mutable iterations : int;  (** total solver block visits, all checkers *)
 }
 
@@ -35,19 +34,10 @@ let make_ctx ?(config = default_config) m pa =
     pa;
     cg = Callgraph.build m pa;
     config;
-    cfgs = Hashtbl.create 64;
     iterations = 0;
   }
 
 let iterations ctx = ctx.iterations
-
-let cfg_of ctx (f : Func.t) =
-  match Hashtbl.find_opt ctx.cfgs f.Func.f_name with
-  | Some c -> c
-  | None ->
-      let c = Cfg.build f in
-      Hashtbl.replace ctx.cfgs f.Func.f_name c;
-      c
 
 (* Functions whose bodies the checkers may inspect. *)
 let analyzed ctx =
@@ -128,7 +118,7 @@ let taint_step taint (i : Instr.t) =
   if tainted then IS.add i.Instr.id taint else taint
 
 let solve_taint ctx (f : Func.t) ~entry =
-  let r = TaintSolver.solve ~entry ~transfer:(replay taint_step) f (cfg_of ctx f) in
+  let r = TaintSolver.solve ~entry ~transfer:(replay taint_step) f (Cfg.build f) in
   ctx.iterations <- ctx.iterations + r.TaintSolver.iterations;
   r
 
@@ -332,11 +322,11 @@ let null_deref ctx =
   List.iter
     (fun (f : Func.t) ->
       let fn = f.Func.f_name in
-      let cfg = cfg_of ctx f in
+      let cfg = Cfg.build f in
       let defs = Hashtbl.create 32 in
       Func.iter_instrs f (fun _ i -> Hashtbl.replace defs i.Instr.id i);
       let edge ~src ~dst fact =
-        match (Func.find_block f src).Func.term with
+        match (Cfg.find_block cfg src).Func.term with
         | Instr.Br (cond, tl, el) when tl <> el -> (
             match null_test defs cond with
             | Some (p, true_means_null) ->
@@ -628,7 +618,7 @@ let safe_access ?(ranges = fun ~fname:_ _ -> false) ctx =
         | Instr.Free _ -> IM.map (fun _ -> SUnsafe) fact
         | _ -> ( match Instr.result i with Some _ -> set SUnsafe | None -> fact)
       in
-      let r = SafeSolver.solve ~transfer:(replay step) f (cfg_of ctx f) in
+      let r = SafeSolver.solve ~transfer:(replay step) f (Cfg.build f) in
       ctx.iterations <- ctx.iterations + r.SafeSolver.iterations;
       let scalar ty =
         match sizeof_opt tctx ty with Some n -> n | None -> max_int

@@ -224,6 +224,124 @@ let test_cfg_loop_backedge () =
   Alcotest.(check (list (pair string string))) "back edge" [ ("body", "head") ]
     (Cfg.back_edges cfg)
 
+(* entry: br %c, %a, %b; %r10 is defined in %a only.  Flowing %r10 into a
+   phi along the edge from %b uses it where its definition does not
+   dominate, exactly as a plain use in %b would. *)
+let test_verify_phi_use_not_dominated () =
+  let build join_incoming =
+    let m = simple_module () in
+    let f = Func.create "phidom" Ty.i32 [ ("c", Ty.i1) ] in
+    Irmod.add_func m f;
+    let r10 = Value.Reg (10, Ty.i32, "") in
+    let blk label insns term =
+      let b = Func.add_block f label in
+      b.Func.insns <- insns;
+      b.Func.term <- term
+    in
+    blk "entry" [] (Instr.Br (Func.param_value f 0, "a", "b"));
+    blk "a"
+      [ { Instr.id = 10; nm = ""; ty = Ty.i32; kind = Instr.Binop (Instr.Add, Value.imm 1, Value.imm 2) } ]
+      (Instr.Jmp "j");
+    blk "b" [] (Instr.Jmp "j");
+    blk "j"
+      [ { Instr.id = 11; nm = ""; ty = Ty.i32; kind = Instr.Phi [ ("a", r10); ("b", join_incoming r10) ] } ]
+      (Instr.Ret (Some (Value.Reg (11, Ty.i32, ""))));
+    f.Func.f_next_reg <- 12;
+    List.map Verify.string_of_error (Verify.verify_module m)
+  in
+  Alcotest.(check (list string)) "dominated incoming values verify" []
+    (build (fun _ -> Value.imm 0));
+  Alcotest.(check (list string)) "undominated incoming value rejected"
+    [ "@phidom/%j: phi use of %r10 from %b not dominated by its definition" ]
+    (build (fun r10 -> r10))
+
+(* ---------- CFG reuse ---------- *)
+
+(* The same function with new blocks under a new record: no graph has
+   been built for it. *)
+let fresh_copy (f : Func.t) =
+  {
+    f with
+    Func.f_blocks =
+      List.map (fun (b : Func.block) -> { b with Func.insns = b.Func.insns }) f.Func.f_blocks;
+  }
+
+(* Everything the label API answers about every label [f] names. *)
+let graph_facts (f : Func.t) cfg =
+  let labels =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (b : Func.block) -> b.Func.label :: Instr.successors b.Func.term)
+         f.Func.f_blocks)
+  in
+  ( Cfg.reachable cfg,
+    List.map
+      (fun l ->
+        ( (l, Cfg.successors cfg l, Cfg.predecessors cfg l),
+          (Cfg.is_reachable cfg l, Cfg.idom cfg l),
+          List.filter (Cfg.dominates cfg l) labels ))
+      labels,
+    Cfg.back_edges cfg )
+
+let check_reuse (f : Func.t) =
+  let what step = Printf.sprintf "@%s: %s" f.Func.f_name step in
+  let same step =
+    Alcotest.(check bool) (what step) true
+      (graph_facts f (Cfg.build f) = graph_facts f (Cfg.build (fresh_copy f)))
+  in
+  let g = Cfg.build f in
+  Alcotest.(check bool) (what "unchanged: same graph") true (Cfg.build f == g);
+  same "unchanged";
+  (* Rewrite a terminator's operand only: the graph is kept. *)
+  (match List.find_opt (fun (b : Func.block) -> Instr.term_operands b.Func.term <> []) f.Func.f_blocks with
+  | Some b ->
+      b.Func.term <-
+        Instr.map_term_operands (fun v -> Value.Undef (Value.ty v)) b.Func.term;
+      Alcotest.(check bool) (what "operand rewritten: same graph") true (Cfg.build f == g);
+      same "operand rewritten"
+  | None -> ());
+  let labels = List.map (fun (b : Func.block) -> b.Func.label) f.Func.f_blocks in
+  let last = List.nth labels (List.length labels - 1) in
+  (* Retarget a branch in place, keeping the block list. *)
+  (match
+     List.find_opt
+       (fun (b : Func.block) ->
+         match b.Func.term with Instr.Br (_, _, e) -> e <> last | _ -> false)
+       f.Func.f_blocks
+   with
+  | Some ({ Func.term = Instr.Br (c, t, _); _ } as b) ->
+      b.Func.term <- Instr.Br (c, t, last);
+      same "branch retargeted"
+  | Some _ | None -> ());
+  (* Reorder every block after the entry. *)
+  (match f.Func.f_blocks with
+  | entry :: rest ->
+      f.Func.f_blocks <- entry :: List.rev rest;
+      same "blocks reordered"
+  | [] -> ());
+  (* Drop a block: branches to it now name a label no block carries. *)
+  (match f.Func.f_blocks with
+  | entry :: _ :: rest ->
+      f.Func.f_blocks <- entry :: rest;
+      same "block dropped"
+  | _ -> ())
+
+let test_cfg_reuse_sound () =
+  let kernel =
+    Sva_pipeline.Pipeline.compile ~name:"cfg-reuse"
+      (Ukern.Kbuild.sources Ukern.Kbuild.as_tested)
+  in
+  let programs =
+    List.init 20 (fun seed ->
+        Sva_pipeline.Pipeline.compile ~name:"cfg-reuse" [ Arr_gen.program seed ])
+  in
+  let funcs =
+    List.concat_map (fun (m : Irmod.t) -> m.Irmod.m_funcs) (kernel :: programs)
+    |> List.filter (fun (f : Func.t) -> f.Func.f_blocks <> [])
+  in
+  Alcotest.(check bool) "kernel functions" true (List.length funcs > 90);
+  List.iter (fun f -> check_reuse (fresh_copy f)) funcs
+
 (* ---------- Pretty printer ---------- *)
 
 let contains haystack needle =
@@ -278,11 +396,14 @@ let () =
           Alcotest.test_case "double def caught" `Quick test_verify_catches_double_def;
           Alcotest.test_case "use before def caught" `Quick test_verify_use_before_def;
           Alcotest.test_case "call arity" `Quick test_call_arity_checked;
+          Alcotest.test_case "phi use not dominated caught" `Quick
+            test_verify_phi_use_not_dominated;
         ] );
       ( "cfg",
         [
           Alcotest.test_case "diamond" `Quick test_cfg_diamond;
           Alcotest.test_case "loop back edge" `Quick test_cfg_loop_backedge;
+          Alcotest.test_case "reuse is sound" `Quick test_cfg_reuse_sound;
         ] );
       ( "pp",
         [ Alcotest.test_case "function text" `Quick test_pp_roundtrip_content ] );

@@ -233,54 +233,6 @@ let test_dangling_harmless () =
 
 (* ---------- certified range elision is semantically invisible ---------- *)
 
-(* Random arithmetic over a, b, c with non-trapping operators (same shape
-   as the test_engines generator). *)
-let rec gen_expr rng depth =
-  if depth = 0 then
-    match Random.State.int rng 4 with
-    | 0 -> "a"
-    | 1 -> "b"
-    | 2 -> "c"
-    | _ -> string_of_int (Random.State.int rng 2000 - 1000)
-  else
-    let l = gen_expr rng (depth - 1) and r = gen_expr rng (depth - 1) in
-    match Random.State.int rng 7 with
-    | 0 -> Printf.sprintf "(%s + %s)" l r
-    | 1 -> Printf.sprintf "(%s - %s)" l r
-    | 2 -> Printf.sprintf "(%s * %s)" l r
-    | 3 -> Printf.sprintf "(%s & %s)" l r
-    | 4 -> Printf.sprintf "(%s | %s)" l r
-    | 5 -> Printf.sprintf "(%s ^ %s)" l r
-    | _ -> Printf.sprintf "(%s < %s ? %s : %s)" l r l r
-
-(* Array-heavy programs: loop-guarded indexes the interval analysis can
-   certify, a clamp-guarded index, a masked index, and (sometimes) a raw
-   parameter index that must keep its check and may trap. *)
-let gen_arr_program seed =
-  let rng = Random.State.make [| seed |] in
-  let e1 = gen_expr rng 2 in
-  let e2 = gen_expr rng 2 in
-  let mask = (1 lsl (1 + Random.State.int rng 6)) - 1 in
-  let raw = Random.State.int rng 2 = 0 in
-  Printf.sprintf
-    "int tbl[64];\n\
-     int f(int a, int b) {\n\
-    \  int c = %s;\n\
-    \  long acc = 0;\n\
-    \  for (long i = 0; i < 64; i = i + 1) tbl[i] = (int)(i + c);\n\
-    \  for (long i = 0; i < 64; i = i + 1) acc = acc + tbl[i];\n\
-    \  long j = (long)(%s);\n\
-    \  if (j < 0) j = 0;\n\
-    \  if (j > 63) j = 63;\n\
-    \  acc = acc + tbl[j];\n\
-    \  long k = (long)a & %d;\n\
-    \  acc = acc + tbl[k];\n\
-    \  %s\n\
-    \  return (int)acc;\n\
-     }"
-    e1 e2 mask
-    (if raw then "if (a > 100) acc = acc + tbl[b];" else "")
-
 (* Result (or trap), modeled cycles and executed-check total of [f]. *)
 let run_f built args =
   Stats.reset ();
@@ -304,7 +256,7 @@ let prop_range_elision_invisible =
        cycles"
     ~count:25 gen
     (fun (seed, a, b) ->
-      let src = gen_arr_program seed in
+      let src = Arr_gen.program seed in
       let off = Pipeline.build ~conf:Pipeline.Sva_safe ~name:"roff" [ src ] in
       let on =
         Pipeline.build ~conf:Pipeline.Sva_safe ~ranges:true ~name:"ron" [ src ]
@@ -332,7 +284,7 @@ let prop_poolcert_invisible =
        elision backed by exactly one certificate"
     ~count:25 gen
     (fun (seed, a, b) ->
-      let src = gen_arr_program seed in
+      let src = Arr_gen.program seed in
       let off = Pipeline.build ~conf:Pipeline.Sva_safe ~name:"pcoff" [ src ] in
       let on =
         Pipeline.build ~conf:Pipeline.Sva_safe ~poolcert:true ~name:"pcon"
